@@ -4,7 +4,13 @@
  * outer-product register-tiled kernel on an L1-resident tile, its
  * scalar fallback, and the naive reference loop. The fast path should
  * approach the core's FMA peak; Little's-law sizing (6 x 16 block) is
- * what makes that possible.
+ * what makes that possible. The "microkernel_isa" context line names
+ * the kernel the dispatcher chose (avx2-fma or portable).
+ *
+ * Two families of rows split the block's two phases: one row per
+ * block width wb on a long (144-term) reduction, where the FMA loop
+ * dominates, and short-reduction rows shaped like resnet18's planned
+ * L1 tiles (c*r*s = 4 and 28 terms), where the write-back dominates.
  */
 
 #include <benchmark/benchmark.h>
@@ -38,12 +44,13 @@ l1Problem()
 
 struct Fixture
 {
-    ConvProblem p = l1Problem();
+    ConvProblem p;
     Tensor4 in, ker, out;
     PackedKernel pk;
 
-    Fixture()
-        : in(makeInput(p)), ker(makeKernel(p)), out(makeOutput(p)),
+    explicit Fixture(const ConvProblem &prob = l1Problem())
+        : p(prob), in(makeInput(p)), ker(makeKernel(p)),
+          out(makeOutput(p)),
           pk([this] {
               Rng rng(1);
               in.fillRandom(rng);
@@ -73,6 +80,67 @@ BM_MicrokernelFastPath(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MicrokernelFastPath);
+
+/**
+ * Run every full wb-wide register block of @p f (output channels
+ * 0..16, the whole c*r*s reduction) once; returns the flops done.
+ */
+double
+runFullBlocks(Fixture &f, std::int64_t wb)
+{
+    std::int64_t blocks = 0;
+    for (std::int64_t h = 0; h < f.p.h; ++h)
+        for (std::int64_t w = 0; w + wb <= f.p.w; w += wb, ++blocks)
+            computeRegisterTile(f.p, f.in, f.pk, f.out, 0, h, w, wb, 0,
+                                MicroKernelShape::kKU, 0, f.p.c, 0, f.p.r,
+                                0, f.p.s);
+    return 2.0 * static_cast<double>(blocks * MicroKernelShape::kKU * wb *
+                                     f.p.c * f.p.r * f.p.s);
+}
+
+/** One row per block width: the FMA loop of the templated kernel. */
+void
+BM_MicrokernelWidth(benchmark::State &state)
+{
+    Fixture f;
+    const std::int64_t wb = state.range(0);
+    double flops = 0.0;
+    for (auto _ : state) {
+        flops += runFullBlocks(f, wb);
+        benchmark::DoNotOptimize(f.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["GFLOPS"] =
+        benchmark::Counter(flops / 1e9, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MicrokernelWidth)->DenseRange(1, MicroKernelShape::kWU);
+
+/**
+ * Short reductions shaped like resnet18's planned L1 tiles (c=4 r=s=1
+ * and c=14 r=2 s=1): a block does 4 or 28 FMA steps, then writes back
+ * 16 x 6 points, so the write-back is a large share of the time.
+ */
+void
+BM_MicrokernelShortReduction(benchmark::State &state)
+{
+    ConvProblem p = l1Problem();
+    p.c = state.range(0);
+    p.r = state.range(1);
+    p.s = state.range(2);
+    Fixture f(p);
+    double flops = 0.0;
+    for (auto _ : state) {
+        flops += runFullBlocks(f, MicroKernelShape::kWU);
+        benchmark::DoNotOptimize(f.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["GFLOPS"] =
+        benchmark::Counter(flops / 1e9, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MicrokernelShortReduction)
+    ->ArgNames({"c", "r", "s"})
+    ->Args({4, 1, 1})
+    ->Args({14, 2, 1});
 
 void
 BM_MicrokernelScalarFallback(benchmark::State &state)
@@ -139,4 +207,14 @@ BENCHMARK(BM_KernelPacking);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::AddCustomContext("microkernel_isa", microkernelIsa());
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}
