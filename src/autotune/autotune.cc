@@ -15,6 +15,7 @@
 #include "exec/measure.hh"
 #include "model/multi_level.hh"
 #include "service/cache_key.hh"
+#include "service/network_optimizer.hh"
 
 namespace mopt {
 
@@ -146,21 +147,10 @@ autotuneProblems(const std::vector<ConvProblem> &net, const MachineSpec &m,
     if (report.work_dir.empty() && aopts.runner == TuneRunner::Emitted)
         report.work_dir = makeWorkDir();
 
-    // Dedupe shapes by canonical problem, preserving first-seen order
-    // (the same rule the solution cache keys by).
-    std::vector<ConvProblem> shapes;
-    for (const ConvProblem &layer : net) {
-        const ConvProblem canon = CacheKey::canonicalProblem(layer);
-        bool seen = false;
-        for (const ConvProblem &s : shapes)
-            if (s == canon) {
-                seen = true;
-                break;
-            }
-        if (!seen)
-            shapes.push_back(canon);
-    }
-    report.unique_shapes = shapes.size();
+    // One sample set per distinct canonical shape, in first-seen order
+    // (the same grouping every network planner uses).
+    const std::vector<LayerGroup> groups = groupByKey(net, m, opts);
+    report.unique_shapes = groups.size();
 
     OptimizerOptions solve_opts = opts;
     solve_opts.top_k = std::max(opts.top_k, aopts.top_k);
@@ -168,7 +158,8 @@ autotuneProblems(const std::vector<ConvProblem> &net, const MachineSpec &m,
     const std::uint64_t settings_fp =
         CacheKey::settingsFingerprint(opts);
     int next_idx = 0;
-    for (const ConvProblem &p : shapes) {
+    for (const LayerGroup &g : groups) {
+        const ConvProblem &p = g.key.problem;
         Timer solve_timer;
         const OptimizeOutput out = optimizeConv(p, m, solve_opts);
         report.solve_seconds += solve_timer.seconds();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "common/string_util.hh"
 #include "common/timer.hh"
 #include "fleet/backoff.hh"
-#include "model/multi_level.hh"
 #include "service/cache_key.hh"
 
 namespace mopt {
@@ -492,60 +490,16 @@ ShardRouter::optimize(const std::vector<ConvProblem> &net,
     plan.stats.layers = net.size();
     RouteStats rstats;
 
-    // Same first-seen-order dedupe as NetworkOptimizer::optimize, so
-    // remote, degraded, and local plans line up layer for layer.
-    struct Group
-    {
-        CacheKey key;
-        std::vector<std::size_t> layers;
-    };
-    std::vector<Group> groups;
-    std::map<std::uint64_t, std::vector<std::size_t>> by_hash;
-    for (std::size_t i = 0; i < net.size(); ++i) {
-        net[i].validate();
-        const CacheKey key = CacheKey::make(net[i], machine_, opts_);
-        auto &indices = by_hash[key.hash()];
-        bool found = false;
-        for (const std::size_t gi : indices) {
-            if (groups[gi].key == key) {
-                groups[gi].layers.push_back(i);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            indices.push_back(groups.size());
-            groups.push_back(Group{key, {i}});
-        }
-    }
+    // The same dedupe and replay as NetworkOptimizer::optimize, so
+    // remote, degraded, and local plans line up layer for layer (the
+    // breakdown is re-derived locally from the deterministic model).
+    const std::vector<LayerGroup> groups = groupByKey(net, machine_, opts_);
     plan.stats.unique_shapes = groups.size();
     rstats.unique_shapes = groups.size();
-
-    for (const Group &g : groups) {
-        const ConvProblem &rep = net[g.layers.front()];
+    for (const LayerGroup &g : groups) {
         const RpcSolveResult r = solveOne(g.key, rstats);
-
-        Candidate best;
-        best.config = r.sol.config;
-        best.perm_label = r.sol.perm_label;
-        // Deterministic model: re-deriving the breakdown locally
-        // reproduces the server's numbers exactly (the same contract
-        // NetworkOptimizer's cache-hit path relies on).
-        best.predicted =
-            evalMultiLevel(best.config, rep, machine_, opts_.parallel);
-
-        for (std::size_t li = 0; li < g.layers.size(); ++li) {
-            const std::size_t layer = g.layers[li];
-            LayerPlan &lp = plan.layers[layer];
-            lp.problem = net[layer];
-            lp.best = best;
-            lp.cache_hit = r.cache_hit;
-            lp.dedup_hit = li > 0;
-        }
-        if (r.cache_hit)
-            plan.stats.cache_hits++;
-        else
-            plan.stats.cache_misses++;
+        replayCandidate(net, g, r.sol, r.cache_hit, 0.0, machine_, opts_,
+                        plan);
     }
 
     plan.stats.solve_seconds = rstats.solve_seconds;

@@ -59,24 +59,81 @@ NetworkPlan::str() const
     return t.str();
 }
 
+std::vector<LayerGroup>
+groupByKey(const std::vector<ConvProblem> &net, const MachineSpec &machine,
+           const OptimizerOptions &opts)
+{
+    std::vector<LayerGroup> groups;
+    // key hash -> group indices (collision chain).
+    std::map<std::uint64_t, std::vector<std::size_t>> by_hash;
+    for (std::size_t i = 0; i < net.size(); ++i) {
+        net[i].validate();
+        const CacheKey key = CacheKey::make(net[i], machine, opts);
+        auto &indices = by_hash[key.hash()];
+        bool found = false;
+        for (const std::size_t gi : indices) {
+            if (groups[gi].key == key) {
+                groups[gi].layers.push_back(i);
+                found = true;
+                break;
+            }
+        }
+        if (!found) {
+            indices.push_back(groups.size());
+            groups.push_back(LayerGroup{key, {i}});
+        }
+    }
+    return groups;
+}
+
+void
+replayCandidate(const std::vector<ConvProblem> &net, const LayerGroup &g,
+                const CachedSolution &sol, bool cache_hit,
+                double solve_seconds, const MachineSpec &machine,
+                const OptimizerOptions &opts, NetworkPlan &plan)
+{
+    Candidate best;
+    best.config = sol.config;
+    best.perm_label = sol.perm_label;
+    // Pure function of (config, problem, machine): identical numbers
+    // whether the group hit, coalesced, solved, or came over the wire.
+    best.predicted = evalMultiLevel(best.config, net[g.layers.front()],
+                                    machine, opts.parallel);
+    for (std::size_t li = 0; li < g.layers.size(); ++li) {
+        const std::size_t layer = g.layers[li];
+        LayerPlan &lp = plan.layers[layer];
+        lp.problem = net[layer];
+        lp.best = best;
+        lp.cache_hit = cache_hit;
+        lp.dedup_hit = li > 0;
+        lp.solve_seconds = li == 0 ? solve_seconds : 0.0;
+    }
+    if (cache_hit)
+        plan.stats.cache_hits++;
+    else
+        plan.stats.cache_misses++;
+}
+
 NetworkOptimizer::NetworkOptimizer(const MachineSpec &machine,
                                    const OptimizerOptions &opts,
                                    SolutionCache *cache,
                                    SolveScheduler *scheduler)
-    : machine_(machine), opts_(opts), cache_(cache),
-      scheduler_(scheduler)
+    : machine_(machine), opts_(opts), scheduler_(scheduler)
 {
     machine_.validate();
-    if (scheduler_) {
-        // A scheduler built from different settings would cache and
-        // coalesce under keys this optimizer never looks up.
-        checkUser(scheduler_->machineFingerprint() ==
-                          CacheKey::machineFingerprint(machine_) &&
-                      scheduler_->settingsFingerprint() ==
-                          CacheKey::settingsFingerprint(opts_),
-                  "NetworkOptimizer: scheduler was built for a "
-                  "different machine or settings");
+    if (!scheduler_) {
+        owned_scheduler_ =
+            std::make_unique<SolveScheduler>(machine_, opts_, cache);
+        scheduler_ = owned_scheduler_.get();
     }
+    // A scheduler built from different settings would cache and
+    // coalesce under keys this optimizer never looks up.
+    checkUser(scheduler_->machineFingerprint() ==
+                      CacheKey::machineFingerprint(machine_) &&
+                  scheduler_->settingsFingerprint() ==
+                      CacheKey::settingsFingerprint(opts_),
+              "NetworkOptimizer: scheduler was built for a "
+              "different machine or settings");
 }
 
 NetworkPlan
@@ -94,143 +151,39 @@ NetworkOptimizer::optimize(const std::vector<ConvProblem> &net,
     plan.layers.resize(net.size());
     plan.stats.layers = net.size();
 
-    // Dedupe: canonical key -> layer indices, preserving first-seen
-    // order so the solve order (and thus any logging) is the network
-    // order regardless of map iteration.
-    struct Group
-    {
-        CacheKey key;
-        std::vector<std::size_t> layers;
-    };
-    std::vector<Group> groups;
-    std::map<std::uint64_t, std::vector<std::size_t>> by_hash;
-    for (std::size_t i = 0; i < net.size(); ++i) {
-        net[i].validate();
-        const CacheKey key = CacheKey::make(net[i], machine_, opts_);
-        auto &indices = by_hash[key.hash()];
-        bool found = false;
-        for (const std::size_t gi : indices) {
-            if (groups[gi].key == key) {
-                groups[gi].layers.push_back(i);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            indices.push_back(groups.size());
-            groups.push_back(Group{key, {i}});
-        }
-    }
+    const std::vector<LayerGroup> groups = groupByKey(net, machine_, opts_);
     plan.stats.unique_shapes = groups.size();
 
-    const auto fillGroup = [&](const Group &g, const Candidate &best,
-                               bool hit, double solve_seconds) {
-        for (std::size_t li = 0; li < g.layers.size(); ++li) {
-            const std::size_t layer = g.layers[li];
-            LayerPlan &lp = plan.layers[layer];
-            lp.problem = net[layer];
-            lp.best = best;
-            lp.cache_hit = hit;
-            lp.dedup_hit = li > 0;
-            lp.solve_seconds = li == 0 ? solve_seconds : 0.0;
+    // Submit every group up front so distinct cold shapes overlap
+    // across the scheduler's concurrency budget (and duplicates
+    // coalesce with any concurrent request for the same shape), then
+    // join in network order. Each solve's result is width-independent,
+    // so the plan is byte-identical for any budget.
+    std::vector<SolveTicket> tickets;
+    tickets.reserve(groups.size());
+    for (const LayerGroup &g : groups)
+        tickets.push_back(scheduler_->submit(net[g.layers.front()]));
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        ScheduledSolve r;
+        if (!tickets[gi].waitFor(dl, r)) {
+            // The remaining flights keep running and will land in the
+            // cache; only this caller's answer is abandoned.
+            throw DeadlineExceeded(
+                "network solve ran past its deadline (" +
+                std::to_string(groups.size() - gi) + " of " +
+                std::to_string(groups.size()) +
+                " shapes still outstanding)");
         }
-    };
-
-    if (scheduler_) {
-        // Pipelined: submit every group up front so distinct cold
-        // shapes overlap across the scheduler's concurrency budget
-        // (and duplicates coalesce with any concurrent request for
-        // the same shape), then join in network order. Determinism:
-        // each solve's result is width-independent, so this plan is
-        // byte-identical to the serial path below.
-        std::vector<SolveTicket> tickets;
-        tickets.reserve(groups.size());
-        for (const Group &g : groups)
-            tickets.push_back(scheduler_->submit(net[g.layers.front()]));
-        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-            const Group &g = groups[gi];
-            const ConvProblem &rep = net[g.layers.front()];
-            ScheduledSolve r;
-            if (!tickets[gi].waitFor(dl, r)) {
-                // The remaining flights keep running and will land in
-                // the cache; only this caller's answer is abandoned.
-                throw DeadlineExceeded(
-                    "network solve ran past its deadline (" +
-                    std::to_string(groups.size() - gi) + " of " +
-                    std::to_string(groups.size()) +
-                    " shapes still outstanding)");
-            }
-            Candidate best;
-            best.config = r.sol.config;
-            best.perm_label = r.sol.perm_label;
-            // Pure function of (config, problem, machine): identical
-            // numbers whether the group hit, coalesced, or solved.
-            best.predicted = evalMultiLevel(best.config, rep, machine_,
-                                            opts_.parallel);
-            if (r.cache_hit) {
-                plan.stats.cache_hits++;
-            } else {
-                plan.stats.cache_misses++;
-                if (r.coalesced)
-                    plan.stats.coalesced++;
-                plan.stats.solver_evals += r.solver_evals;
-                plan.stats.solve_seconds += r.solve_seconds;
-            }
-            fillGroup(g, best, r.cache_hit, r.solve_seconds);
-        }
-        plan.stats.peak_concurrency =
-            scheduler_->stats().peak_concurrency;
-    } else {
-        // Serial: solve one representative per group in network
-        // order — cache hit -> replay, miss -> the full optimizeConv
-        // pipeline (internally parallel, full pool width), then
-        // publish into the cache.
-        for (const Group &g : groups) {
-            const ConvProblem &rep = net[g.layers.front()];
-            Candidate best;
-            bool hit = false;
-            double solve_seconds = 0.0;
-
-            // A running optimizeConv cannot be interrupted, so the
-            // serial path enforces the deadline between solves: the
-            // overshoot is bounded by one solve.
-            if (dl.expired())
-                throw DeadlineExceeded(
-                    "network solve ran past its deadline");
-
-            CachedSolution cached;
-            if (cache_ && cache_->lookup(g.key, &cached)) {
-                best.config = cached.config;
-                best.perm_label = cached.perm_label;
-                // The breakdown is a pure function of (config,
-                // problem, machine), so a hit reproduces the miss
-                // path's numbers exactly.
-                best.predicted = evalMultiLevel(best.config, rep,
-                                                machine_, opts_.parallel);
-                hit = true;
-                plan.stats.cache_hits++;
-            } else {
-                const OptimizeOutput out =
-                    optimizeConv(rep, machine_, opts_);
-                checkInvariant(!out.candidates.empty(),
-                               "NetworkOptimizer: optimizeConv returned "
-                               "no candidates");
-                best = out.candidates.front();
-                solve_seconds = out.seconds;
-                plan.stats.cache_misses++;
-                plan.stats.solver_evals += out.solver_evals;
-                plan.stats.solve_seconds += out.seconds;
-                if (cache_) {
-                    cache_->insert(
-                        g.key,
-                        CachedSolution{best.config,
-                                       best.predicted.total_seconds,
-                                       best.perm_label});
-                }
-            }
-            fillGroup(g, best, hit, solve_seconds);
-        }
+        // Hits and coalesced joins report zero cost; only paid solves
+        // add to it.
+        if (r.coalesced)
+            plan.stats.coalesced++;
+        plan.stats.solver_evals += r.solver_evals;
+        plan.stats.solve_seconds += r.solve_seconds;
+        replayCandidate(net, groups[gi], r.sol, r.cache_hit,
+                        r.solve_seconds, machine_, opts_, plan);
     }
+    plan.stats.peak_concurrency = scheduler_->stats().peak_concurrency;
 
     plan.stats.total_seconds = total.seconds();
     return plan;

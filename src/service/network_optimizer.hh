@@ -6,25 +6,28 @@
  * (problem, machine, settings) solves are done exactly once — across
  * layers, across networks, and across process lifetimes.
  *
- * Each cache miss is solved by the existing optimizeConv pipeline,
- * which internally fans its (permutation combo x objective x start)
- * work items across ThreadPool::parallelForIndexed. Without a
- * SolveScheduler, misses are issued one at a time so every solve gets
- * the full pool width; with one, all miss groups are submitted up
- * front and joined in network order, so an N-miss cold network
- * pipelines across the scheduler's concurrency budget (and coalesces
- * with any other request solving the same shape). Either way the
- * per-layer results are deterministic — optimizeConv is bit-identical
- * for any worker width — so the returned plan is byte-identical
- * between serial and pipelined runs, and between a cold and a warm
- * run: a hit replays the stored winning ExecConfig and re-derives the
- * cost breakdown from the (deterministic) analytical model.
+ * Every cache miss goes through a SolveScheduler — the caller's, or
+ * one the optimizer owns at budget 1 when none is passed. All distinct
+ * shapes are submitted up front and joined in network order, so an
+ * N-miss cold network pipelines across the scheduler's concurrency
+ * budget (and coalesces with any other request solving the same
+ * shape), and a deadline is honoured while a solve is still running.
+ * The per-layer results are deterministic — optimizeConv is
+ * bit-identical for any worker width — so the returned plan is
+ * byte-identical for any budget, and between a cold and a warm run: a
+ * hit replays the stored winning ExecConfig and re-derives the cost
+ * breakdown from the (deterministic) analytical model.
+ *
+ * groupByKey and replayCandidate are that dedupe and that replay on
+ * their own, shared with the other network planners (ShardRouter,
+ * autotuneProblems) so every plan lines up layer for layer.
  */
 
 #ifndef MOPT_SERVICE_NETWORK_OPTIMIZER_HH
 #define MOPT_SERVICE_NETWORK_OPTIMIZER_HH
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,8 +66,7 @@ struct NetworkPlanStats
      *  of running one (scheduler-backed runs only). */
     std::size_t coalesced = 0;
 
-    /** Scheduler-lifetime peak of simultaneous solves (0 when this
-     *  run solved serially without a scheduler). */
+    /** Peak of simultaneous solves over the scheduler's lifetime. */
     int peak_concurrency = 0;
 
     /** cache_hits / unique_shapes (1 when there was nothing to do). */
@@ -88,10 +90,40 @@ struct NetworkPlan
     std::string str() const;
 };
 
+/** One distinct CacheKey of a network and the layers that share it. */
+struct LayerGroup
+{
+    CacheKey key;
+    std::vector<std::size_t> layers; //!< Ascending network indices.
+};
+
+/**
+ * Dedupe @p net by CacheKey, validating every layer. Groups come in
+ * first-seen order, so solves and logs follow the network order;
+ * layer names never split a group, any other shape field does.
+ */
+std::vector<LayerGroup> groupByKey(const std::vector<ConvProblem> &net,
+                                   const MachineSpec &machine,
+                                   const OptimizerOptions &opts);
+
+/**
+ * Write @p sol into every layer of @p g in @p plan, re-deriving the
+ * cost breakdown with evalMultiLevel (so any source of the solution —
+ * fresh solve, cache, remote node — yields the same bytes). The first
+ * layer carries @p solve_seconds and the rest are dedup hits; the
+ * group counts once in plan.stats' cache_hits or cache_misses.
+ */
+void replayCandidate(const std::vector<ConvProblem> &net,
+                     const LayerGroup &g, const CachedSolution &sol,
+                     bool cache_hit, double solve_seconds,
+                     const MachineSpec &machine,
+                     const OptimizerOptions &opts, NetworkPlan &plan);
+
 /**
  * Batch front-end over optimizeConv. Holds the machine, the search
- * settings, and an optional solution cache shared across calls (and,
- * via its journal, across runs). Thread-safe: concurrent optimize()
+ * settings, and the SolveScheduler every miss goes through, whose
+ * optional solution cache is shared across calls (and, via its
+ * journal, across runs). Thread-safe: concurrent optimize()
  * calls only share the SolutionCache and SolveScheduler, which are
  * themselves thread-safe.
  */
@@ -104,10 +136,12 @@ class NetworkOptimizer
      * @param cache      optional solution cache (not owned; may be null)
      * @param scheduler  optional single-flight solve scheduler (not
      *                   owned). When given, it must be built from the
-     *                   same machine and settings (checked), misses
-     *                   pipeline across its concurrency budget, and
+     *                   same machine and settings (checked) and
      *                   @p cache should be the scheduler's cache.
-     *                   When null, misses solve serially in-place.
+     *                   When null, the optimizer owns a budget-1
+     *                   scheduler over @p cache, which must then
+     *                   outlive the optimizer: a solve abandoned at a
+     *                   deadline still lands in it until destruction.
      */
     NetworkOptimizer(const MachineSpec &machine,
                      const OptimizerOptions &opts,
@@ -136,7 +170,7 @@ class NetworkOptimizer
   private:
     MachineSpec machine_;
     OptimizerOptions opts_;
-    SolutionCache *cache_;
+    std::unique_ptr<SolveScheduler> owned_scheduler_; //!< When none given.
     SolveScheduler *scheduler_;
 };
 

@@ -230,6 +230,24 @@ TEST(NetworkOptimizer, SchedulerPlanIsByteIdenticalToSerial)
     EXPECT_EQ(warm.stats.cache_hits, warm.stats.unique_shapes);
     EXPECT_EQ(sched.stats().solves,
               static_cast<std::int64_t>(cold.stats.cache_misses));
+
+    // Direct reference: every row is the plain optimizeConv winner of
+    // its shape, whichever scheduler budget produced the plan.
+    for (const LayerGroup &g : groupByKey(net, tiny(), fastOpts())) {
+        const OptimizeOutput ref =
+            optimizeConv(g.key.problem, tiny(), fastOpts());
+        ASSERT_FALSE(ref.candidates.empty());
+        const Candidate &best = ref.candidates.front();
+        for (const std::size_t li : g.layers) {
+            for (const NetworkPlan *p : {&serial_plan, &cold, &warm}) {
+                const Candidate &row = p->layers[li].best;
+                EXPECT_EQ(row.config, best.config);
+                EXPECT_EQ(row.perm_label, best.perm_label);
+                EXPECT_EQ(row.predicted.total_seconds,
+                          best.predicted.total_seconds);
+            }
+        }
+    }
 }
 
 TEST(NetworkOptimizer, RejectsMismatchedScheduler)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <thread>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/timer.hh"
 #include "conv/workloads.hh"
 #include "machine/machine.hh"
 #include "service/cache_key.hh"
@@ -601,6 +603,62 @@ TEST(NetworkOptimizer, DedupesRepeatedShapes)
     EXPECT_EQ(plan.layers[0].best.config, plan.layers[2].best.config);
     // Names survive dedup: each plan row describes its own layer.
     EXPECT_EQ(plan.layers[2].problem.name, "block2");
+}
+
+TEST(NetworkOptimizer, GroupByKeyKeepsFirstSeenOrder)
+{
+    ConvProblem a = smallProblem();
+    a.name = "first";
+    ConvProblem b = smallProblem(16, 8);
+    ConvProblem a2 = smallProblem();
+    a2.name = "renamed"; // Names never split a group.
+    ConvProblem grouped = smallProblem();
+    grouped.groups = 2;
+    ConvProblem batched = smallProblem();
+    batched.n = 2;
+    ConvProblem strided = smallProblem();
+    strided.stride = 2;
+
+    const std::vector<LayerGroup> groups =
+        groupByKey({b, a, grouped, a2, batched, strided, grouped},
+                   tinyTestMachine(), fastOpts());
+    ASSERT_EQ(groups.size(), 5u);
+    EXPECT_EQ(groups[0].layers, (std::vector<std::size_t>{0}));
+    EXPECT_EQ(groups[1].layers, (std::vector<std::size_t>{1, 3}));
+    EXPECT_EQ(groups[2].layers, (std::vector<std::size_t>{2, 6}));
+    EXPECT_EQ(groups[3].layers, (std::vector<std::size_t>{4}));
+    EXPECT_EQ(groups[4].layers, (std::vector<std::size_t>{5}));
+    EXPECT_EQ(groups[2].key.problem.groups, 2);
+    EXPECT_EQ(groups[3].key.problem.n, 2);
+    EXPECT_EQ(groups[4].key.problem.stride, 2);
+}
+
+TEST(NetworkOptimizer, DeadlineInterruptsARunningSolve)
+{
+    // Three distinct cold shapes, each a solve of measurable length.
+    const std::vector<ConvProblem> net = {smallProblem(64, 64, 28),
+                                          smallProblem(48, 64, 28),
+                                          smallProblem(64, 48, 28)};
+    const MachineSpec m = tinyTestMachine();
+    Timer one_solve;
+    optimizeConv(net.front(), m, fastOpts());
+    const double solve_seconds = one_solve.seconds();
+
+    // No scheduler passed and no cache: the optimizer's own budget-1
+    // scheduler runs the misses. A solve cannot be interrupted, so a
+    // deadline checked only between solves would overshoot by a whole
+    // one; waiting on the scheduler gives up on time instead. The
+    // deadline is a tenth of a solve, so it is still live when the
+    // first solve starts.
+    const long deadline_ms =
+        std::max(2L, static_cast<long>(solve_seconds * 100.0));
+    const NetworkOptimizer nopt(m, fastOpts());
+    Timer t;
+    EXPECT_THROW(nopt.optimize(net, Deadline::in(deadline_ms)),
+                 DeadlineExceeded);
+    EXPECT_LT(t.seconds(), 0.5 * solve_seconds)
+        << "one solve takes " << solve_seconds << " s, deadline "
+        << deadline_ms << " ms";
 }
 
 TEST(NetworkOptimizer, ColdAndWarmPlansAreIdentical)

@@ -12,7 +12,6 @@
 #include <cmath>
 
 #include "solver/discrete_refine.hh"
-#include "solver/minmax.hh"
 #include "solver/multistart.hh"
 
 namespace mopt {
@@ -108,32 +107,6 @@ TEST(AugLag, ReportsInfeasibleProblems)
     const NlpResult r = solveAugLag(nlp, {0.0});
     EXPECT_FALSE(r.feasible);
     EXPECT_GT(r.max_violation, 1.0);
-}
-
-TEST(MinMax, ThreePiecewiseFunctions)
-{
-    // f1 = (x-1)^2 + 1, f2 = (x-3)^2 + 1, f3 = 0.5*(x-2)^2 + 0.5.
-    // max(f1, f2) is minimized at x = 2 where f1 = f2 = 2 > f3(2).
-    MinMaxProblem prob;
-    prob.dim = 1;
-    prob.lo = {-10.0};
-    prob.hi = {10.0};
-    prob.num_components = 3;
-    prob.num_shared = 0;
-    prob.eval = [](const std::vector<double> &x, std::vector<double> &c,
-                   std::vector<double> &s) {
-        c = {(x[0] - 1.0) * (x[0] - 1.0) + 1.0,
-             (x[0] - 3.0) * (x[0] - 3.0) + 1.0,
-             0.5 * (x[0] - 2.0) * (x[0] - 2.0) + 0.5};
-        s.clear();
-    };
-    MultiStartOptions opts;
-    opts.random_starts = 3;
-    opts.auglag.inner.max_steps = 300;
-    const MinMaxResult r = solveMinMax(prob, {{0.0}}, opts);
-    ASSERT_GE(r.best_component, 0);
-    EXPECT_NEAR(r.best.x[0], 2.0, 0.1);
-    EXPECT_NEAR(r.best_max, 2.0, 0.2);
 }
 
 TEST(DiscreteRefine, BalancedTile)

@@ -41,7 +41,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "autotune/autotune.hh"
@@ -348,15 +347,11 @@ runNetwork(int argc, char **argv)
                   << " concurrent solves (plan unchanged)\n";
     std::cout << "\n";
 
-    // --solve-concurrency 1 keeps the serial in-place miss loop (the
-    // historical behavior); anything higher pipelines misses through
-    // a single-flight scheduler. The plan is byte-identical.
-    std::unique_ptr<SolveScheduler> sched;
-    if (solve_concurrency > 1)
-        sched = std::make_unique<SolveScheduler>(
-            m, opts, &cache,
-            SolveSchedulerOptions{solve_concurrency});
-    const NetworkOptimizer nopt(m, opts, &cache, sched.get());
+    // Misses pipeline through a single-flight scheduler at the
+    // requested budget; the plan is byte-identical for any budget.
+    SolveScheduler sched(m, opts, &cache,
+                         SolveSchedulerOptions{solve_concurrency});
+    const NetworkOptimizer nopt(m, opts, &cache, &sched);
     const NetworkPlan plan = nopt.optimize(net);
     const std::string plan_text = plan.str();
     std::cout << plan_text << "\n";
@@ -370,11 +365,9 @@ runNetwork(int argc, char **argv)
               << "Search: " << formatDouble(st.solve_seconds, 2)
               << " s in " << st.solver_evals << " model evaluations, "
               << formatDouble(st.total_seconds, 2) << " s total\n";
-    if (sched)
-        std::cout << "Scheduler: " << st.cache_misses - st.coalesced
-                  << " solves, " << st.coalesced
-                  << " coalesced, peak " << st.peak_concurrency
-                  << " concurrent\n";
+    std::cout << "Scheduler: " << st.cache_misses - st.coalesced
+              << " solves, " << st.coalesced << " coalesced, peak "
+              << st.peak_concurrency << " concurrent\n";
     std::cout << "Predicted network time: "
               << formatDouble(plan.predictedSeconds() * 1e3, 3)
               << " ms\n";
