@@ -11,11 +11,24 @@
  * block width wb on a long (144-term) reduction, where the FMA loop
  * dominates, and short-reduction rows shaped like resnet18's planned
  * L1 tiles (c*r*s = 4 and 28 terms), where the write-back dominates.
+ * BM_ParallelForRoundTrip times one empty ThreadPool::parallelFor
+ * region, the executor's per-L3-tile fork and join.
+ *
+ * These rows fit the cost model's overhead constants (machine.cc):
+ * MachineSpec::t_call is the intercept of time per block against
+ * reduction length through the ShortReduction rows and the
+ * BM_MicrokernelWidth/6 row (a 6-wide block does 192 flops per
+ * reduction term), and MachineSpec::t_sync is the round-trip row's
+ * time per iteration.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "conv/reference.hh"
 #include "exec/conv_exec.hh"
 #include "exec/measure.hh"
@@ -141,6 +154,22 @@ BENCHMARK(BM_MicrokernelShortReduction)
     ->ArgNames({"c", "r", "s"})
     ->Args({4, 1, 1})
     ->Args({14, 2, 1});
+
+/**
+ * One parallelFor region over 8 empty chunks on a pool of
+ * hardware_concurrency workers: the fork and join runConv pays once per
+ * L3 tile.
+ */
+void
+BM_ParallelForRoundTrip(benchmark::State &state)
+{
+    ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
+    for (auto _ : state)
+        pool.parallelFor(8, [](std::size_t i) {
+            benchmark::DoNotOptimize(i);
+        });
+}
+BENCHMARK(BM_ParallelForRoundTrip)->UseRealTime();
 
 void
 BM_MicrokernelScalarFallback(benchmark::State &state)

@@ -60,6 +60,8 @@ MachineSpec::validate() const
     checkUser(cores >= 1, "MachineSpec: cores must be >= 1");
     checkUser(vec_lanes >= 1 && fma_units >= 1 && fma_latency >= 1,
               "MachineSpec: SIMD parameters must be >= 1");
+    checkUser(t_call >= 0 && t_sync >= 0,
+              "MachineSpec: overhead costs must be non-negative");
     for (int l = 0; l < NumMemLevels; ++l) {
         const MemLevel &lvl = levels[static_cast<std::size_t>(l)];
         checkUser(lvl.capacity_bytes > 0,
@@ -94,6 +96,13 @@ i7_9700k()
     m.levels[LvlL2] = {256 * 1024, 80.0, 42.0};
     // 12 MB shared L3; DRAM bandwidth (dual-channel DDR4-2666).
     m.levels[LvlL3] = {12 * 1024 * 1024, 21.0, 38.0};
+    // Overheads fitted on a 4-vCPU AVX2/FMA KVM guest with
+    //   python3 tools/fit_overheads.py build/bench/bench_microkernel
+    // (medians of 5 runs, two fits gave 125 and 135 ns, 3.9 and
+    // 4.1 us): the intercept of time per register block against
+    // reduction length, and one parallelFor round trip.
+    m.t_call = 130e-9;
+    m.t_sync = 4e-6;
     m.validate();
     return m;
 }
@@ -116,6 +125,9 @@ i9_10980xe()
     // 24.75 MB shared L3; quad-channel DDR4-2933.
     m.levels[LvlL3] = {
         static_cast<std::int64_t>(24.75 * 1024 * 1024), 28.0, 84.0};
+    // No i9 host to fit on: the i7 preset's fitted overheads.
+    m.t_call = 130e-9;
+    m.t_sync = 4e-6;
     m.validate();
     return m;
 }
@@ -135,6 +147,7 @@ tinyTestMachine()
     m.levels[LvlL1] = {1024, 32.0, 32.0};      // 256 words
     m.levels[LvlL2] = {8 * 1024, 16.0, 10.0};  // 2K words
     m.levels[LvlL3] = {64 * 1024, 4.0, 6.0};   // 16K words
+    // Synthetic: no host to fit t_call / t_sync on, so both stay 0.
     m.validate();
     return m;
 }

@@ -57,6 +57,16 @@ struct MachineSpec
     double freq_ghz = 3.0;
     std::array<MemLevel, NumMemLevels> levels;
 
+    /**
+     * Fixed cost (seconds) of one microkernel call: accumulator load
+     * and store plus call set-up, paid once per register tile and L1
+     * reduction tile whatever the reduction length.
+     */
+    double t_call = 0.0;
+
+    /** Fixed cost (seconds) of one parallel region: fork plus join. */
+    double t_sync = 0.0;
+
     /** Peak fp32 GFLOPS of one core: 2 flops * lanes * units * freq. */
     double peakGflopsPerCore() const;
 

@@ -1,5 +1,6 @@
 #include "model/dims.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -78,7 +79,14 @@ floorTiles(const TileVec &t)
 {
     IntTileVec v;
     for (int d = 0; d < NumDims; ++d) {
-        const double x = std::floor(t[static_cast<std::size_t>(d)]);
+        // Solver tiles round-trip through exp(log T), which lands a few
+        // ulps below an integer extent as often as above it; a value
+        // within a relative 1e-9 of an integer is that integer.
+        const double t_d = t[static_cast<std::size_t>(d)];
+        const double near = std::round(t_d);
+        const double x = std::fabs(t_d - near) <= 1e-9 * std::max(1.0, near)
+                             ? near
+                             : std::floor(t_d);
         v[static_cast<std::size_t>(d)] =
             std::max<std::int64_t>(1, static_cast<std::int64_t>(x));
     }

@@ -68,7 +68,11 @@ IntTileVec problemExtents(const ConvProblem &p);
 /** Convert integer tile sizes to the solver domain. */
 TileVec toTileVec(const IntTileVec &t);
 
-/** Floor real tile sizes to integers (clamped to >= 1). */
+/**
+ * Floor real tile sizes to integers (clamped to >= 1). A value within
+ * a relative 1e-9 of an integer rounds to it, so exp(log E) maps back
+ * to E rather than E - 1.
+ */
 IntTileVec floorTiles(const TileVec &t);
 
 /** Render tile sizes as "[n=1 k=32 c=16 r=3 s=3 h=8 w=56]". */

@@ -74,6 +74,31 @@ EvalContext::EvalContext(const ConvProblem &p, const MachineSpec &m,
     compute_seconds_ =
         flops_ /
         (m.peakGflopsPerCore() * static_cast<double>(active) * 1e9);
+
+    // overheadCounts in Continuous mode: calls step n and h by one
+    // point, k and w by the register tile, c/r/s by the L1 tile.
+    const double groups = static_cast<double>(p.groups);
+    call_coef_ = m.t_call * groups / static_cast<double>(active);
+    sync_coef_ = parallel_ ? m.t_sync * groups : 0.0;
+    for (int d = 0; d < NumDims; ++d) {
+        const auto sd = static_cast<std::size_t>(d);
+        const Dim dim = static_cast<Dim>(d);
+        call_coef_ *= (dim == DimK || dim == DimW)
+                          ? extents_[sd] / reg_tiles_[sd]
+                          : extents_[sd];
+        sync_coef_ *= extents_[sd];
+    }
+}
+
+void
+EvalContext::overhead(Scratch &s) const
+{
+    const TileVec &t1 = s.tiles[LvlL1];
+    double t3_prod = 1.0;
+    for (double t : s.tiles[LvlL3])
+        t3_prod *= t;
+    s.call_overhead = call_coef_ / (t1[DimC] * t1[DimR] * t1[DimS]);
+    s.sync_overhead = sync_coef_ / t3_prod;
 }
 
 MultiLevelConfig
@@ -99,9 +124,13 @@ EvalContext::decode(const double *x, Scratch &s) const
     s.tiles[LvlReg] = reg_tiles_;
     for (int l = LvlL1; l <= LvlL3; ++l)
         for (int d = 0; d < NumDims; ++d) {
-            const auto sd = static_cast<std::size_t>(d);
-            s.tiles[static_cast<std::size_t>(l)][sd] =
-                std::exp(x[ownBase(l) + d]);
+            const auto j = static_cast<std::size_t>(ownBase(l) + d);
+            if (x[j] != s.seen_x[j]) {
+                s.seen_x[j] = x[j];
+                s.seen_exp[j] = std::exp(x[j]);
+            }
+            s.tiles[static_cast<std::size_t>(l)]
+                   [static_cast<std::size_t>(d)] = s.seen_exp[j];
         }
 
     s.outer[LvlL3] = extents_;
@@ -328,6 +357,7 @@ EvalContext::evalSeconds(const double *x, Scratch &s,
         levelSeconds(l, s, volume, seconds[sl],
                      want_grad ? s.dlogsec[sl].data() : nullptr);
     }
+    overhead(s);
 }
 
 double
@@ -381,9 +411,12 @@ EvalContext::evalBreakdown(const double *x, Scratch &s) const
             out.seconds[static_cast<std::size_t>(out.bottleneck)])
             out.bottleneck = l;
     out.compute_seconds = compute_seconds_;
+    overhead(s);
+    out.overhead_seconds = s.call_overhead + s.sync_overhead;
     out.total_seconds =
         std::max(out.compute_seconds,
-                 out.seconds[static_cast<std::size_t>(out.bottleneck)]);
+                 out.seconds[static_cast<std::size_t>(out.bottleneck)]) +
+        out.overhead_seconds;
     out.gflops = flops_ / out.total_seconds / 1e9;
     return out;
 }

@@ -61,13 +61,35 @@ class EvalContext
         std::array<TileVec, NumMemLevels> outer;
         /** d log seconds[l] / d x[j], filled when want_grad. */
         std::array<std::array<double, kNumVars>, NumMemLevels> dlogsec;
+        /**
+         * The two parts of CostBreakdown::overhead_seconds: microkernel
+         * calls, which fall as 1 / (T1_c T1_r T1_s), and parallel
+         * regions, which fall as 1 / prod_d T3_d. So d call / d x is
+         * -call on the three L1 reduction variables, d sync / d x is
+         * -sync on all seven L3 variables, and both are 0 elsewhere.
+         */
+        double call_overhead = 0.0;
+        double sync_overhead = 0.0;
+        /**
+         * The last x[j] decoded and exp(x[j]): a solve revisits the
+         * same values for every variable its box pins (fixed levels,
+         * active faces), so decode skips their exp. Starts as the
+         * valid pair exp(0) = 1.
+         */
+        std::array<double, kNumVars> seen_x{};
+        std::array<double, kNumVars> seen_exp = [] {
+            std::array<double, kNumVars> ones;
+            ones.fill(1.0);
+            return ones;
+        }();
     };
 
     /**
      * Decode @p x (kNumVars log-tile values) and compute the
-     * bandwidth-scaled time of every level (Continuous trip counts,
-     * the solver domain). With @p want_grad also fills s.dlogsec with
-     * the exact gradient of each log level time.
+     * bandwidth-scaled time of every level and the overhead parts in
+     * s (Continuous trip counts, the solver domain). With @p want_grad
+     * also fills s.dlogsec with the exact gradient of each log level
+     * time.
      *
      * @param x          kNumVars-sized array of log tile sizes
      * @param s          scratch (tiles/outer/dlogsec outputs)
@@ -120,6 +142,9 @@ class EvalContext
     void levelSeconds(int l, const Scratch &s, double &volume,
                       double &seconds, double *dls) const;
 
+    /** Fill s.call_overhead and s.sync_overhead from decoded tiles. */
+    void overhead(Scratch &s) const;
+
     const ConvProblem *p_;
     TileVec extents_;
     TileVec reg_tiles_;
@@ -129,6 +154,10 @@ class EvalContext
     bool parallel_;
     double compute_seconds_;
     double flops_;
+    /** Call overhead times T1_c * T1_r * T1_s (constant in x). */
+    double call_coef_;
+    /** Region overhead times prod_d T3_d (0 unless parallel). */
+    double sync_coef_;
 
     /** 4 bytes/word / (bandwidth * ways): seconds per word, per level. */
     std::array<double, NumMemLevels> sec_per_word_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -18,7 +19,8 @@ CostBreakdown::str() const
             << " words, " << seconds[static_cast<std::size_t>(l)] * 1e3
             << " ms" << (l == bottleneck ? "  <-- bottleneck" : "") << "\n";
     }
-    oss << "compute: " << compute_seconds * 1e3 << " ms, total: "
+    oss << "compute: " << compute_seconds * 1e3 << " ms, overhead: "
+        << overhead_seconds * 1e3 << " ms, total: "
         << total_seconds * 1e3 << " ms, " << gflops << " GFLOPS\n";
     return oss.str();
 }
@@ -32,6 +34,103 @@ perCoreL3Tile(const MultiLevelConfig &cfg)
         t[sd] = std::max(1.0, t[sd] / static_cast<double>(cfg.par[sd]));
     }
     return t;
+}
+
+namespace {
+
+/** One executor stage along a dimension: tiles of @p size (the last
+ *  one clipped, walkTilesAtLevel) or a split into min(size, len)
+ *  near-equal chunks (splitRegion). */
+struct Stage
+{
+    std::int64_t size;
+    bool split;
+};
+
+/**
+ * Walk a span of @p len points through stages [st, end) and sum
+ * leaf(piece length) over the innermost pieces. Each stage yields at
+ * most two distinct piece lengths, so the recursion has at most
+ * 2^stages leaves.
+ */
+template <typename Leaf>
+double
+walkPieces(std::int64_t len, const Stage *st, const Stage *end,
+           const Leaf &leaf)
+{
+    if (st == end)
+        return leaf(len);
+    const Stage *next = st + 1;
+    if (st->split) {
+        // min(size, len) chunks, `rem` of them one point longer.
+        const std::int64_t n =
+            std::max<std::int64_t>(1, std::min(st->size, len));
+        const std::int64_t q = len / n, rem = len % n;
+        return static_cast<double>(n - rem) * walkPieces(q, next, end, leaf) +
+               (rem ? static_cast<double>(rem) *
+                          walkPieces(q + 1, next, end, leaf)
+                    : 0.0);
+    }
+    // Full tiles, then one clipped tile.
+    const std::int64_t full = len / st->size, rem = len % st->size;
+    return (full ? static_cast<double>(full) *
+                       walkPieces(st->size, next, end, leaf)
+                 : 0.0) +
+           (rem ? walkPieces(rem, next, end, leaf) : 0.0);
+}
+
+} // namespace
+
+OverheadCounts
+overheadCounts(const MultiLevelConfig &cfg, const ConvProblem &p,
+               bool parallel, DivMode mode)
+{
+    const IntTileVec extents = problemExtents(p);
+    const TileVec &reg = cfg.level[LvlReg].tiles;
+    const TileVec &l1 = cfg.level[LvlL1].tiles;
+    const TileVec &l3 = cfg.level[LvlL3].tiles;
+    OverheadCounts out;
+    out.calls = static_cast<double>(p.groups);
+    if (parallel)
+        out.regions = static_cast<double>(p.groups) *
+                      tileCount(l3, toTileVec(extents), mode);
+
+    for (int d = 0; d < NumDims; ++d) {
+        const auto sd = static_cast<std::size_t>(d);
+        const Dim dim = static_cast<Dim>(d);
+        const double e = static_cast<double>(extents[sd]);
+
+        if (mode == DivMode::Continuous) {
+            if (dim == DimK || dim == DimW)
+                out.calls *= e / reg[sd];
+            else if (isReductionDim(dim))
+                out.calls *= e / l1[sd];
+            else
+                out.calls *= e;
+            continue;
+        }
+
+        // Ceil: walk the executor's stages for this dimension, down to
+        // L1 tiles, then count the calls inside each.
+        const IntTileVec t = floorTiles(
+            {l3[sd], cfg.level[LvlL2].tiles[sd], l1[sd], reg[sd], 1, 1,
+             1});
+        // A split into one chunk (serial runs) is the identity.
+        const Stage stages[] = {{t[0], false},
+                                {parallel ? cfg.par[sd] : 1, true},
+                                {t[1], false},
+                                {t[2], false}};
+        out.calls *= walkPieces(
+            extents[sd], std::begin(stages), std::end(stages),
+            [&](std::int64_t len) -> double {
+                if (dim == DimK || dim == DimW)
+                    return static_cast<double>((len + t[3] - 1) / t[3]);
+                // n and h step by one point; c, r, s once per L1 tile.
+                return isReductionDim(dim) ? 1.0
+                                           : static_cast<double>(len);
+            });
+    }
+    return out;
 }
 
 CostBreakdown
@@ -90,9 +189,14 @@ evalMultiLevel(const MultiLevelConfig &cfg, const ConvProblem &p,
     out.compute_seconds =
         p.flops() /
         (m.peakGflopsPerCore() * static_cast<double>(active) * 1e9);
+    const OverheadCounts oc = overheadCounts(cfg, p, parallel, mode);
+    out.overhead_seconds = m.t_call * oc.calls /
+                               static_cast<double>(active) +
+                           m.t_sync * oc.regions;
     out.total_seconds =
         std::max(out.compute_seconds,
-                 out.seconds[static_cast<std::size_t>(out.bottleneck)]);
+                 out.seconds[static_cast<std::size_t>(out.bottleneck)]) +
+        out.overhead_seconds;
     out.gflops = p.flops() / out.total_seconds / 1e9;
     return out;
 }

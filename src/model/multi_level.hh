@@ -5,7 +5,9 @@
  * hierarchy and converts them into bandwidth-scaled times. The
  * predicted execution time is the maximum across levels (concurrent
  * transfers between different level pairs), also bounded below by the
- * FMA-throughput compute time.
+ * FMA-throughput compute time, plus an additive overhead: a fixed cost
+ * per microkernel call and per parallel region (MachineSpec::t_call,
+ * t_sync), which no volume term sees.
  */
 
 #ifndef MOPT_MODEL_MULTI_LEVEL_HH
@@ -36,7 +38,16 @@ struct CostBreakdown
     /** FMA-throughput lower bound on execution time. */
     double compute_seconds = 0.0;
 
-    /** max(compute, max_l seconds[l]): the model's predicted time. */
+    /**
+     * t_call per microkernel call plus t_sync per parallel region
+     * (see OverheadCounts); call costs split across active cores.
+     */
+    double overhead_seconds = 0.0;
+
+    /**
+     * max(compute, max_l seconds[l]) + overhead_seconds: the model's
+     * predicted time.
+     */
     double total_seconds = 0.0;
 
     /** flops / total_seconds / 1e9. */
@@ -45,6 +56,24 @@ struct CostBreakdown
     /** Human-readable per-level summary. */
     std::string str() const;
 };
+
+/**
+ * What the overhead term charges for: the executor's microkernel calls
+ * (groups x register tiles x L1 reduction tiles, the walk runRegion
+ * makes; n and h step by one point per call) and its parallel regions
+ * (groups x L3 tiles, one parallelFor each; none unless parallel).
+ * Ceil mode counts exactly what the executor walks, partial tiles and
+ * per-core chunks included; Continuous mode uses real trip counts.
+ */
+struct OverheadCounts
+{
+    double calls = 0.0;
+    double regions = 0.0;
+};
+
+OverheadCounts overheadCounts(const MultiLevelConfig &cfg,
+                              const ConvProblem &p, bool parallel,
+                              DivMode mode);
 
 /**
  * Evaluate the multi-level model for @p cfg.

@@ -102,7 +102,11 @@ bestParallelSplit(const MultiLevelConfig &cfg, const ConvProblem &p,
                     chunk_ok = false;
                     break;
                 }
-                const std::int64_t up = (l3[sd] + s[sd] - 1) / s[sd];
+                // The makespan chunk; a k chunk rounds up to whole
+                // register blocks (loadBalance keeps k shares on them).
+                std::int64_t up = (l3[sd] + s[sd] - 1) / s[sd];
+                if (d == DimK)
+                    up = (up + reg[sd] - 1) / reg[sd] * reg[sd];
                 imbalance *= static_cast<double>(up * s[sd]) /
                              static_cast<double>(l3[sd]);
             }

@@ -95,12 +95,12 @@ ConvNlp::evalImpl(const std::vector<double> &x, std::vector<double> &g,
     // Dominance: every other level's time is bounded by the
     // objective level's time.
     const auto so = static_cast<std::size_t>(obj_lvl_);
-    const double obj = std::log(std::max(secs[so], 1e-300));
+    const double obj_secs = std::max(secs[so], 1e-300);
     for (int k = 0; k < NumMemLevels; ++k) {
         if (k == obj_lvl_)
             continue;
         const auto sk = static_cast<std::size_t>(k);
-        g[gi] = std::log(std::max(secs[sk], 1e-300)) - obj;
+        g[gi] = std::log(std::max(secs[sk], 1e-300) / obj_secs);
         if (want_grad) {
             double *row = jacRow(gi);
             for (int j = 0; j < kNumVars; ++j)
@@ -112,10 +112,25 @@ ConvNlp::evalImpl(const std::vector<double> &x, std::vector<double> &g,
     checkInvariant(gi == static_cast<std::size_t>(kNumCons),
                    "ConvNlp: constraint count mismatch");
 
-    if (want_grad)
-        std::copy(s.dlogsec[so].begin(), s.dlogsec[so].end(),
-                  grad_f->begin());
-    return obj;
+    // Objective: the level's time plus the call and region overhead,
+    // whose gradients are sparse (see EvalContext::Scratch): L1 is
+    // x[0..6] and L3 is x[14..20].
+    const double total = std::max(
+        secs[so] + s.call_overhead + s.sync_overhead, 1e-300);
+    if (want_grad) {
+        const double inv = 1.0 / total;
+        const double level_share = secs[so] * inv;
+        for (std::size_t j = 0; j < static_cast<std::size_t>(kNumVars);
+             ++j)
+            (*grad_f)[j] = level_share * s.dlogsec[so][j];
+        for (Dim d : {DimC, DimR, DimS})
+            (*grad_f)[static_cast<std::size_t>(d)] -=
+                s.call_overhead * inv;
+        for (int d = 0; d < NumDims; ++d)
+            (*grad_f)[static_cast<std::size_t>(2 * NumDims + d)] -=
+                s.sync_overhead * inv;
+    }
+    return std::log(total);
 }
 
 } // namespace mopt

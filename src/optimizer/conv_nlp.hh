@@ -5,12 +5,14 @@
  * combo and objective level, the program over the 21 log-tile
  * variables x = log T (L1..L3; the register tile is pinned) is
  *
- *   minimize    log seconds[obj]
+ *   minimize    log(seconds[obj] + overhead)
  *   subject to  log(footprint_l / capacity_l) <= 0   (3 capacity)
  *               x_{l,d} - x_{l+1,d}           <= 0   (14 nesting)
  *               log seconds[k] - log seconds[obj] <= 0 (3 dominance)
  *
- * Objective and constraints (and their exact gradients) come from an
+ * where overhead is the model's per-call and per-region cost, which
+ * falls as the L1 reduction tiles and the L3 tiles grow. Objective and
+ * constraints (and their exact gradients) come from an
  * EvalContext, so one evalWithGrad costs a single model evaluation —
  * the replacement for 2x21 central-difference probes per Adam step.
  */

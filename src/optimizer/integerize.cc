@@ -40,7 +40,8 @@ integerize(const MultiLevelConfig &cfg, const ConvProblem &p,
     ExecConfig e = ExecConfig::fromModel(work);
 
     // Snap k tiles to multiples of the microkernel's vector block so
-    // the executor's fast path stays aligned.
+    // the executor's fast path stays aligned (the hill climb below
+    // keeps them there).
     const std::int64_t kblock =
         std::min<std::int64_t>(2 * m.vec_lanes, extents[DimK]);
     for (int l = LvlL1; l <= LvlL3; ++l) {
@@ -60,19 +61,25 @@ integerize(const MultiLevelConfig &cfg, const ConvProblem &p,
     }
 
     // Hill-climb the 21 L1..L3 tile sizes against the integer model.
+    // k tiles are climbed in units of the k block, so every k tile
+    // stays a multiple of it (or the extent) and moves a block at a
+    // time; the other dims climb in points.
     const int nvars = 3 * NumDims;
+    auto unit = [&](int d) { return d == DimK ? kblock : std::int64_t{1}; };
+    auto units = [](std::int64_t t, std::int64_t u) {
+        return (t + u - 1) / u;
+    };
     std::vector<std::int64_t> start(static_cast<std::size_t>(nvars));
     std::vector<std::int64_t> lo(static_cast<std::size_t>(nvars));
     std::vector<std::int64_t> hi(static_cast<std::size_t>(nvars));
-    std::vector<std::int64_t> ext(static_cast<std::size_t>(nvars));
     for (int l = 0; l < 3; ++l)
         for (int d = 0; d < NumDims; ++d) {
             const auto i = static_cast<std::size_t>(l * NumDims + d);
-            start[i] = e.tiles[static_cast<std::size_t>(LvlL1 + l)]
-                              [static_cast<std::size_t>(d)];
-            lo[i] = e.tiles[LvlReg][static_cast<std::size_t>(d)];
-            hi[i] = extents[static_cast<std::size_t>(d)];
-            ext[i] = extents[static_cast<std::size_t>(d)];
+            const auto sd = static_cast<std::size_t>(d);
+            start[i] = units(
+                e.tiles[static_cast<std::size_t>(LvlL1 + l)][sd], unit(d));
+            lo[i] = units(e.tiles[LvlReg][sd], unit(d));
+            hi[i] = units(extents[sd], unit(d));
         }
 
     auto decode = [&](const std::vector<std::int64_t> &x) {
@@ -81,14 +88,16 @@ integerize(const MultiLevelConfig &cfg, const ConvProblem &p,
             for (int d = 0; d < NumDims; ++d)
                 trial.tiles[static_cast<std::size_t>(LvlL1 + l)]
                            [static_cast<std::size_t>(d)] =
-                    x[static_cast<std::size_t>(l * NumDims + d)];
+                    std::min(x[static_cast<std::size_t>(l * NumDims + d)] *
+                                 unit(d),
+                             extents[static_cast<std::size_t>(d)]);
         return trial;
     };
 
     DiscreteProblem dp;
     dp.lo = lo;
     dp.hi = hi;
-    dp.extents = ext;
+    dp.extents = hi;
     dp.cost = [&](const std::vector<std::int64_t> &x) {
         // Nesting must hold between levels.
         for (int d = 0; d < NumDims; ++d)

@@ -23,7 +23,8 @@ namespace mopt {
  *  1. floor every tile size and clamp to the nesting chain;
  *  2. snap k tiles to multiples of the microkernel's k block;
  *  3. hill-climb all L1..L3 tile sizes against the Ceil-mode model
- *     cost with capacity feasibility as a hard constraint.
+ *     cost with capacity feasibility as a hard constraint, keeping k
+ *     tiles on the k-block grid (or at the extent).
  *
  * @p parallel selects the cost model used for refinement.
  */

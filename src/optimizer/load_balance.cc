@@ -28,9 +28,12 @@ loadBalance(ExecConfig &cfg, const ConvProblem &p, const MachineSpec &m)
             continue;
         auto &t3 = cfg.tiles[LvlL3][sd];
         const std::int64_t reg = cfg.tiles[LvlReg][sd];
-        std::int64_t per = std::max(reg, t3 / f);
+        // A per-core k share stays a whole number of register blocks,
+        // so every core's register tiles take the vector path.
+        const std::int64_t grid = d == DimK ? reg : 1;
+        std::int64_t per = std::max(reg, t3 / f / grid * grid);
         if (per * f > extents[sd])
-            per = std::max(reg, extents[sd] / f);
+            per = std::max(reg, extents[sd] / f / grid * grid);
         if (per * f > extents[sd]) {
             // Even a register-tile chunk per core does not fit: this
             // split was a relaxed fallback; keep the largest even

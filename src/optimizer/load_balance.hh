@@ -18,7 +18,8 @@ namespace mopt {
  * Choose cfg.par by enumerating exact factorizations of the core
  * count over the non-reduction dims (parallel_model.hh), then snap
  * the parallelized L3 tile extents to multiples of their split
- * factors so every core receives an equal chunk.
+ * factors so every core receives an equal chunk. A k chunk is also a
+ * whole number of register k blocks.
  */
 void loadBalance(ExecConfig &cfg, const ConvProblem &p,
                  const MachineSpec &m);

@@ -61,6 +61,8 @@ CacheKey::machineFingerprint(const MachineSpec &m)
         h = fnv1aDouble(lvl.bw_seq_gbps, h);
         h = fnv1aDouble(lvl.bw_par_gbps, h);
     }
+    h = fnv1aDouble(m.t_call, h);
+    h = fnv1aDouble(m.t_sync, h);
     return h;
 }
 

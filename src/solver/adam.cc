@@ -86,6 +86,9 @@ adamMinimizeGrad(const std::function<double(const std::vector<double> &,
         beta2_pow *= opts.beta2;
         const double m_corr = 1.0 / (1.0 - beta1_pow);
         const double v_corr = 1.0 / (1.0 - beta2_pow);
+        // The stopping test measures the clamped movement: a variable
+        // pinned by its box (lo == hi, or pushing into a face) does
+        // not move, whatever its raw Adam step.
         double step_norm = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             const double gi = scratch.grad[i];
@@ -94,10 +97,11 @@ adamMinimizeGrad(const std::function<double(const std::vector<double> &,
                 opts.beta2 * scratch.v[i] + (1.0 - opts.beta2) * gi * gi;
             const double delta = lr * (scratch.m[i] * m_corr) /
                                  (std::sqrt(scratch.v[i] * v_corr) + opts.eps);
-            x[i] -= delta;
-            step_norm += delta * delta;
+            const double moved =
+                std::clamp(x[i] - delta, lo[i], hi[i]) - x[i];
+            x[i] += moved;
+            step_norm += moved * moved;
         }
-        clamp(x);
         lr *= opts.lr_decay;
         if (std::sqrt(step_norm) < opts.tol)
             break;

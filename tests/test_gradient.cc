@@ -16,6 +16,7 @@
 #include "machine/machine.hh"
 #include "model/eval_context.hh"
 #include "model/multi_level.hh"
+#include "model/parallel_model.hh"
 #include "model/pruned_classes.hh"
 #include "optimizer/conv_nlp.hh"
 #include "optimizer/mopt_optimizer.hh"
@@ -207,6 +208,97 @@ TEST(ConvNlpGradient, MatchesFiniteDifferences)
         }
     }
     // The closed form should be far tighter than the acceptance bound.
+    EXPECT_LE(worst, 1e-4);
+}
+
+/**
+ * A seeded random case for the overhead tests: a problem drawn across
+ * batch, groups, stride, dilation and kernel size; a random pruned
+ * class per cache level; a random exact split of the cores; and
+ * overhead constants large enough that the term is a visible share of
+ * every objective.
+ */
+GradSetup
+randomOverheadSetup(Rng &rng, bool parallel)
+{
+    ConvProblem p;
+    p.name = "overhead";
+    p.n = rng.uniformInt(1, 3);
+    p.groups = rng.uniformInt(0, 2) == 0 ? 2 : 1;
+    p.k = p.groups * 8 * rng.uniformInt(1, 8);
+    p.c = p.groups * 4 * rng.uniformInt(1, 8);
+    p.r = p.s = rng.uniformInt(0, 1) ? 3 : 1;
+    p.h = rng.uniformInt(7, 40);
+    p.w = rng.uniformInt(7, 40);
+    p.stride = static_cast<int>(rng.uniformInt(1, 2));
+    p.dilation = p.r > 1 ? static_cast<int>(rng.uniformInt(1, 2)) : 1;
+
+    const auto &classes = prunedClasses();
+    GradSetup s = makeSetup(p, classes[rng.index(classes.size())], parallel);
+    for (int l = LvlL1; l <= LvlL3; ++l)
+        s.perms[static_cast<std::size_t>(l)] =
+            classes[rng.index(classes.size())].representative();
+    if (parallel) {
+        const auto splits = parallelSplits(s.m.cores, problemExtents(p));
+        s.par = splits[rng.index(splits.size())];
+    }
+    s.m.t_call = 2e-6;
+    s.m.t_sync = 1e-4;
+    return s;
+}
+
+TEST(EvalContext, MatchesReferenceModelWithOverhead)
+{
+    Rng rng(4242);
+    for (int rep = 0; rep < 24; ++rep) {
+        for (bool parallel : {false, true}) {
+            const GradSetup s = randomOverheadSetup(rng, parallel);
+            EvalContext ctx(s.p, s.m, s.perms, s.reg_tiles, s.par,
+                            s.parallel);
+            EvalContext::Scratch scratch;
+            const std::vector<double> x = interiorPoint(s, rng);
+            const CostBreakdown got = ctx.evalBreakdown(x.data(), scratch);
+            const CostBreakdown want = evalMultiLevel(
+                ctx.decodeConfig(x.data()), s.p, s.m, s.parallel,
+                DivMode::Continuous);
+            EXPECT_GT(got.overhead_seconds, 0.0);
+            EXPECT_NEAR(got.overhead_seconds / want.overhead_seconds, 1.0,
+                        1e-12)
+                << "rep " << rep << " parallel " << parallel;
+            EXPECT_NEAR(got.total_seconds / want.total_seconds, 1.0, 1e-12)
+                << "rep " << rep << " parallel " << parallel;
+
+            // evalSeconds reports the same overhead as the breakdown.
+            std::array<double, NumMemLevels> secs;
+            ctx.evalSeconds(x.data(), scratch, secs, false);
+            EXPECT_DOUBLE_EQ(scratch.call_overhead + scratch.sync_overhead,
+                             got.overhead_seconds);
+        }
+    }
+}
+
+TEST(ConvNlpGradient, MatchesFiniteDifferencesWithOverhead)
+{
+    Rng rng(99);
+    double worst = 0.0;
+    for (int rep = 0; rep < 16; ++rep) {
+        for (bool parallel : {false, true}) {
+            const GradSetup s = randomOverheadSetup(rng, parallel);
+            EvalContext ctx(s.p, s.m, s.perms, s.reg_tiles, s.par,
+                            s.parallel);
+            const int obj =
+                static_cast<int>(rng.uniformInt(0, NumMemLevels - 1));
+            const ConvNlp nlp(ctx, obj, s.lo, s.hi);
+            const std::vector<double> x = interiorPoint(s, rng);
+            const GradCheckResult r = gradientCheck(nlp, x);
+            EXPECT_LE(r.max_rel_err, 1e-4)
+                << "rep " << rep << " parallel=" << parallel
+                << " obj=" << obj
+                << " worst constraint=" << r.worst_constraint
+                << " coord=" << r.worst_coord;
+            worst = std::max(worst, r.max_rel_err);
+        }
+    }
     EXPECT_LE(worst, 1e-4);
 }
 

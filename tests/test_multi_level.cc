@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "common/rng.hh"
+#include "exec/loop_nest.hh"
 #include "machine/machine.hh"
 #include "model/multi_level.hh"
 #include "model/parallel_model.hh"
@@ -66,6 +70,122 @@ TEST(MultiLevel, BreakdownIsConsistent)
                   cb.seconds[static_cast<std::size_t>(cb.bottleneck)] +
                       1e-15);
     EXPECT_NEAR(cb.gflops, p.flops() / cb.total_seconds / 1e9, 1e-6);
+}
+
+TEST(Dims, FloorTilesRoundTripsLogExtents)
+{
+    // exp(log E) lands below E for hundreds of E in 1..1024 (7, 14,
+    // 28, 64, ... among them); flooring must not turn those into E-1.
+    for (std::int64_t e = 1; e <= 1024; ++e) {
+        const double t = std::exp(std::log(static_cast<double>(e)));
+        EXPECT_EQ(floorTiles({t, t, t, t, t, t, t})[DimC], e) << e;
+    }
+    const IntTileVec v =
+        floorTiles({0.5, 7.5, 6.999, 63.9999999999, 1.0, 2.0, 3.2});
+    EXPECT_EQ(v, (IntTileVec{1, 7, 6, 64, 1, 2, 3}));
+}
+
+TEST(MultiLevel, OverheadAddsCallAndRegionCosts)
+{
+    const ConvProblem p = prob();
+    MachineSpec m = i7_9700k();
+    m.t_call = 2e-7;
+    m.t_sync = 5e-6;
+    MultiLevelConfig cfg = config(p);
+    cfg.par = {1, 2, 1, 1, 1, 2, 2};
+    for (bool parallel : {false, true}) {
+        const CostBreakdown cb =
+            evalMultiLevel(cfg, p, m, parallel, DivMode::Continuous);
+        const OverheadCounts oc =
+            overheadCounts(cfg, p, parallel, DivMode::Continuous);
+        // 28 x (64/16) x (28/6) register tiles, (32/8) c tiles at L1.
+        EXPECT_NEAR(oc.calls, 28.0 * 4.0 * 28.0 / 6.0 * 4.0, 1e-9);
+        // L3 tiles: 28/14 along h.
+        EXPECT_NEAR(oc.regions, parallel ? 2.0 : 0.0, 1e-12);
+        const double active = parallel ? 8.0 : 1.0;
+        EXPECT_NEAR(cb.overhead_seconds,
+                    m.t_call * oc.calls / active + m.t_sync * oc.regions,
+                    1e-18);
+        EXPECT_DOUBLE_EQ(
+            cb.total_seconds,
+            std::max(cb.compute_seconds,
+                     cb.seconds[static_cast<std::size_t>(cb.bottleneck)]) +
+                cb.overhead_seconds);
+    }
+}
+
+/**
+ * Count what runConv does for @p cfg: one parallel region per L3 tile
+ * (when parallel) and one microkernel call per register tile of every
+ * L1 tile inside every per-core chunk.
+ */
+OverheadCounts
+walkedCounts(const ExecConfig &cfg, const ConvProblem &p, bool parallel)
+{
+    OverheadCounts out;
+    for (std::int64_t g = 0; g < p.groups; ++g)
+        walkTilesAtLevel(cfg, LvlL3, fullRegion(p), [&](const TileBounds &l3) {
+            std::vector<TileBounds> chunks{l3};
+            if (parallel) {
+                out.regions += 1.0;
+                chunks = splitRegion(l3, cfg.par);
+            }
+            for (const TileBounds &chunk : chunks)
+                walkTilesAtLevel(cfg, LvlL2, chunk, [&](const TileBounds &l2) {
+                    walkTilesAtLevel(cfg, LvlL1, l2,
+                                     [&](const TileBounds &l1) {
+                                         walkRegisterTiles(
+                                             cfg, l1,
+                                             [&](auto...) {
+                                                 out.calls += 1.0;
+                                             });
+                                     });
+                });
+        });
+    return out;
+}
+
+TEST(MultiLevel, CeilOverheadCountsMatchTheExecutorWalk)
+{
+    Rng rng(31);
+    for (int rep = 0; rep < 40; ++rep) {
+        ConvProblem p;
+        p.name = "walk";
+        p.n = rng.uniformInt(1, 2);
+        p.groups = rep % 4 == 0 ? 2 : 1;
+        p.k = p.groups * rng.uniformInt(1, 40);
+        p.c = p.groups * rng.uniformInt(1, 12);
+        p.r = p.s = rep % 3 == 0 ? 1 : 3;
+        p.h = rng.uniformInt(1, 13);
+        p.w = rng.uniformInt(1, 15);
+        const IntTileVec e = problemExtents(p);
+
+        ExecConfig cfg;
+        cfg.perm[LvlReg] = Permutation::parse("nhwkcrs");
+        cfg.tiles[LvlReg] = {1, std::min<std::int64_t>(16, e[DimK]), 1, 1,
+                             1, 1, std::min<std::int64_t>(6, e[DimW])};
+        IntTileVec inner = cfg.tiles[LvlReg];
+        for (int l = LvlL1; l <= LvlL3; ++l) {
+            const auto sl = static_cast<std::size_t>(l);
+            cfg.perm[sl] = Permutation::parse(rep % 2 ? "kcrsnhw" : "nhwcrsk");
+            for (int d = 0; d < NumDims; ++d) {
+                const auto sd = static_cast<std::size_t>(d);
+                cfg.tiles[sl][sd] = rng.uniformInt(inner[sd], e[sd]);
+            }
+            inner = cfg.tiles[sl];
+        }
+        cfg.par = {1, 1, 1, 1, 1, 1, 1};
+        cfg.par[DimK] = rng.uniformInt(1, 3);
+        cfg.par[DimH] = rng.uniformInt(1, 3);
+
+        for (bool parallel : {false, true}) {
+            const OverheadCounts want = walkedCounts(cfg, p, parallel);
+            const OverheadCounts got =
+                overheadCounts(cfg.toModel(), p, parallel, DivMode::Ceil);
+            EXPECT_DOUBLE_EQ(got.calls, want.calls) << "rep " << rep;
+            EXPECT_DOUBLE_EQ(got.regions, want.regions) << "rep " << rep;
+        }
+    }
 }
 
 TEST(MultiLevel, VolumesShrinkAsCacheTilesGrow)

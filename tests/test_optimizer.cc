@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "baselines/grid_sampler.hh"
+#include "baselines/heuristic_lib.hh"
 #include "common/rng.hh"
 #include "conv/workloads.hh"
 #include "machine/machine.hh"
@@ -15,6 +18,8 @@
 #include "optimizer/integerize.hh"
 #include "optimizer/load_balance.hh"
 #include "optimizer/mopt_optimizer.hh"
+#include "frontend/registry.hh"
+#include "service/network_optimizer.hh"
 
 namespace mopt {
 namespace {
@@ -224,6 +229,77 @@ TEST(Optimizer, HandlesStrideTwo)
         optimizeConv(p, i7_9700k(), fastOpts(true));
     ASSERT_FALSE(out.candidates.empty());
     EXPECT_GT(out.candidates.front().predicted.gflops, 0.0);
+}
+
+/**
+ * Standard-effort parallel plans of a registered network at seed 1 on
+ * the i7 model, as the benchmark plans them; solved once per network.
+ */
+const NetworkPlan &
+networkPlan(const std::string &name)
+{
+    static std::map<std::string, NetworkPlan> plans;
+    auto it = plans.find(name);
+    if (it == plans.end()) {
+        OptimizerOptions o;
+        o.effort = OptimizerOptions::Effort::Standard;
+        o.parallel = true;
+        o.seed = 1;
+        o.threads = 4;
+        SolutionCache cache;
+        const NetworkPlan plan = NetworkOptimizer(i7_9700k(), o, &cache)
+                                     .optimize(networkDefByName(name).lower());
+        it = plans.emplace(name, plan).first;
+    }
+    return it->second;
+}
+
+TEST(Optimizer, Resnet18PlansMakeAtMostTwiceTheLibraryCalls)
+{
+    // A plan that splits the reduction at L1 makes many more
+    // microkernel calls than the library blocking; the overhead term
+    // must keep every chosen plan within 2x of it.
+    const MachineSpec m = i7_9700k();
+    for (const LayerPlan &lp : networkPlan("resnet18").layers) {
+        const ConvProblem &p = lp.problem;
+        const double mine = overheadCounts(lp.best.config.toModel(), p,
+                                           true, DivMode::Ceil)
+                                .calls;
+        const double lib =
+            overheadCounts(heuristicConfig(p, m, true).toModel(), p, true,
+                           DivMode::Ceil)
+                .calls;
+        EXPECT_LE(mine, 2.0 * lib) << p.name;
+    }
+}
+
+TEST(Optimizer, PlannedKTilesStayOnTheRegisterBlockGrid)
+{
+    // Every k tile and every per-core k share is a whole number of
+    // register k blocks (or the extent), so no register tile falls
+    // back to the scalar path inside a full tile.
+    for (const char *net : {"resnet18", "vgg16", "yolov3"}) {
+        for (const LayerPlan &lp : networkPlan(net).layers) {
+            const ExecConfig &cfg = lp.best.config;
+            const std::int64_t ext = problemExtents(lp.problem)[DimK];
+            const std::int64_t block = cfg.tiles[LvlReg][DimK];
+            auto onGrid = [&](std::int64_t t) {
+                return t % block == 0 || t == ext;
+            };
+            for (int l = LvlL1; l <= LvlL3; ++l)
+                EXPECT_TRUE(onGrid(cfg.tiles[static_cast<std::size_t>(l)][DimK]))
+                    << net << " " << lp.problem.name << " "
+                    << memLevelName(l) << " k="
+                    << cfg.tiles[static_cast<std::size_t>(l)][DimK];
+            const std::int64_t f = cfg.par[DimK];
+            if (f > 1) {
+                const std::int64_t t3 = cfg.tiles[LvlL3][DimK];
+                EXPECT_EQ(t3 % f, 0) << net << " " << lp.problem.name;
+                EXPECT_TRUE(onGrid(t3 / f))
+                    << net << " " << lp.problem.name << " share=" << t3 / f;
+            }
+        }
+    }
 }
 
 } // namespace

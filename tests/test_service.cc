@@ -127,6 +127,24 @@ TEST(CacheKey, MachineFingerprintCoversModelFields)
               CacheKey::machineFingerprint(tweaked));
 }
 
+TEST(CacheKey, OverheadConstantsChangeTheKey)
+{
+    // Plans solved under other overhead constants (or none, as before
+    // the model charged them) must be cache misses.
+    const MachineSpec m = i7_9700k();
+    const CacheKey base = CacheKey::make(smallProblem(), m, fastOpts());
+    MachineSpec call = m;
+    call.t_call *= 2.0;
+    MachineSpec sync = m;
+    sync.t_sync = 0.0;
+    for (const MachineSpec &other : {call, sync}) {
+        const CacheKey changed =
+            CacheKey::make(smallProblem(), other, fastOpts());
+        EXPECT_NE(base, changed);
+        EXPECT_NE(base.hash(), changed.hash());
+    }
+}
+
 TEST(CacheKey, SettingsFingerprintSelectsResultRelevantFields)
 {
     OptimizerOptions a = fastOpts();

@@ -44,6 +44,29 @@ TEST(Adam, RespectsBoxBounds)
     EXPECT_NEAR(x[0], 2.0, 1e-6);
 }
 
+TEST(Adam, StopsWhenClampedMovementVanishes)
+{
+    // x0 is fixed (lo == hi) and x1 runs into its upper face; both keep
+    // a raw Adam step of about lr, but neither can move, so the solve
+    // must stop long before max_steps.
+    int calls = 0;
+    const auto fg = [&calls](const std::vector<double> &x,
+                             std::vector<double> &grad) {
+        ++calls;
+        grad = {-1.0, -1.0};
+        return -x[0] - x[1];
+    };
+    AdamOptions opts;
+    opts.max_steps = 200;
+    std::vector<double> x = {0.5, 0.0};
+    AdamScratch scratch;
+    const double f =
+        adamMinimizeGrad(fg, x, {0.5, 0.0}, {0.5, 1.0}, opts, scratch);
+    EXPECT_DOUBLE_EQ(f, -1.5);
+    EXPECT_DOUBLE_EQ(x[1], 1.0);
+    EXPECT_LT(calls, 50);
+}
+
 TEST(AugLag, EqualityLikeConstraint)
 {
     // min x^2 + y^2 s.t. x + y >= 2  ->  x = y = 1.
