@@ -156,14 +156,15 @@ BENCHMARK(BM_MicrokernelShortReduction)
     ->Args({14, 2, 1});
 
 /**
- * One parallelFor region over 8 empty chunks on a pool of
- * hardware_concurrency workers: the fork and join runConv pays once per
- * L3 tile.
+ * One parallelFor region over 8 empty chunks on the shared executor
+ * pool at width hardware_concurrency: the fork and join runConv pays
+ * once per L3 tile.
  */
 void
 BM_ParallelForRoundTrip(benchmark::State &state)
 {
-    ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
+    ThreadPool::SubWidth pool = globalPool().subWidth(
+        std::max(1u, std::thread::hardware_concurrency()));
     for (auto _ : state)
         pool.parallelFor(8, [](std::size_t i) {
             benchmark::DoNotOptimize(i);
@@ -223,16 +224,36 @@ BM_TiledExecutorEndToEnd(benchmark::State &state)
 }
 BENCHMARK(BM_TiledExecutorEndToEnd);
 
+/**
+ * Parallel kernel packing as runConv does it, on the shared pool:
+ * args are K = C (3x3 kernel) and the pool width (1 or
+ * hardware_concurrency).
+ */
 void
-BM_KernelPacking(benchmark::State &state)
+BM_PackKernel(benchmark::State &state)
 {
-    Fixture f;
+    const std::int64_t kc = state.range(0);
+    Tensor4 ker(kc, kc, 3, 3);
+    Rng rng(1);
+    ker.fillRandom(rng);
+    ThreadPool::SubWidth pool =
+        globalPool().subWidth(static_cast<std::size_t>(state.range(1)));
     for (auto _ : state) {
-        PackedKernel pk(f.ker, MicroKernelShape::kVecLen);
-        benchmark::DoNotOptimize(pk.size());
+        PackedKernel pk(ker, MicroKernelShape::kVecLen, pool);
+        benchmark::DoNotOptimize(pk.lanes(0, 0, 0, 0));
+        benchmark::ClobberMemory();
     }
+    state.counters["GB/s"] = benchmark::Counter(
+        static_cast<double>(ker.size()) * sizeof(float) *
+            static_cast<double>(state.iterations()) / 1e9,
+        benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_KernelPacking);
+BENCHMARK(BM_PackKernel)
+    ->ArgNames({"kc", "width"})
+    ->ArgsProduct({{64, 512},
+                   {1, static_cast<std::int64_t>(std::max(
+                           1u, std::thread::hardware_concurrency()))}})
+    ->UseRealTime();
 
 } // namespace
 

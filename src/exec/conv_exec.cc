@@ -52,46 +52,34 @@ runConv(const ConvProblem &p, const Tensor4 &in, const Tensor4 &ker,
               "runConv: output shape mismatch");
 
     Timer total;
-    out.fill(0.0f);
-
-    Timer pack_timer;
-    const PackedKernel pk(ker, MicroKernelShape::kVecLen);
-    const double pack_seconds = pack_timer.seconds();
-
     std::int64_t want = 1;
     for (std::int64_t f : cfg.par)
         want *= f;
-    const int nthreads = threads > 0 ? threads : static_cast<int>(want);
+    ThreadPool::SubWidth pool = globalPool().subWidth(
+        static_cast<std::size_t>(threads > 0 ? threads : want));
+    out.fill(0.0f);
+
+    Timer pack_timer;
+    const PackedKernel pk(ker, MicroKernelShape::kVecLen, pool);
+    const double pack_seconds = pack_timer.seconds();
 
     // The group index is the implicit outermost loop (problem.hh): the
     // walkers below cover one group's [0, k/G) x [0, c/G) channel
     // space, and the per-group offsets place it in the global tensors.
     const TileBounds full = fullRegion(p);
-    if (nthreads <= 1) {
-        for (std::int64_t g = 0; g < p.groups; ++g) {
-            const std::int64_t k_off = g * p.kPerGroup();
-            const std::int64_t c_off = g * p.cPerGroup();
-            walkTilesAtLevel(cfg, LvlL3, full, [&](const TileBounds &l3) {
-                runRegion(p, in, pk, out, cfg, l3, k_off, c_off);
+    for (std::int64_t g = 0; g < p.groups; ++g) {
+        const std::int64_t k_off = g * p.kPerGroup();
+        const std::int64_t c_off = g * p.cPerGroup();
+        walkTilesAtLevel(cfg, LvlL3, full, [&](const TileBounds &l3) {
+            // Sec. 7: parallelize within the L3 tile; chunks along
+            // non-reduction dims write disjoint output regions, so no
+            // synchronization is needed, and each output point sums
+            // its terms in the same order at any pool width.
+            const std::vector<TileBounds> chunks = splitRegion(l3, cfg.par);
+            pool.parallelFor(chunks.size(), [&](std::size_t i) {
+                runRegion(p, in, pk, out, cfg, chunks[i], k_off, c_off);
             });
-        }
-    } else {
-        ThreadPool pool(static_cast<std::size_t>(nthreads));
-        for (std::int64_t g = 0; g < p.groups; ++g) {
-            const std::int64_t k_off = g * p.kPerGroup();
-            const std::int64_t c_off = g * p.cPerGroup();
-            walkTilesAtLevel(cfg, LvlL3, full, [&](const TileBounds &l3) {
-                // Sec. 7: parallelize within the L3 tile; chunks along
-                // non-reduction dims write disjoint output regions, so
-                // no synchronization is needed.
-                const std::vector<TileBounds> chunks =
-                    splitRegion(l3, cfg.par);
-                pool.parallelFor(chunks.size(), [&](std::size_t i) {
-                    runRegion(p, in, pk, out, cfg, chunks[i], k_off,
-                              c_off);
-                });
-            });
-        }
+        });
     }
 
     ExecStats stats;

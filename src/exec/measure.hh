@@ -22,7 +22,7 @@ struct MeasureOptions
     int reps = 5;            //!< Timed repetitions (paper: 50).
     int warmups = 1;         //!< Discarded leading runs.
     bool flush_cache = true; //!< Stream a large buffer between runs.
-    int threads = 0;         //!< 0 = product of cfg.par.
+    int threads = 0;         //!< runConv participants; 0 = product of cfg.par.
     std::int64_t flush_bytes = 64ll << 20;
     std::uint64_t seed = 42; //!< Tensor initialization seed.
 };

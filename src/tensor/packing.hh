@@ -4,15 +4,18 @@
  * is split into vector-length chunks laid out innermost,
  * [K, C, R, S] -> [K/vl, C, R, S, vl], so the microkernel gets stride-1
  * access along the vectorized K dimension. The packing cost is part of
- * every measured execution, as in the paper.
+ * every measured execution, as in the paper: runConv packs inside its
+ * timed region on every call, spreading the k-blocks over its thread
+ * pool, and never caches a packed kernel across calls.
  */
 
 #ifndef MOPT_TENSOR_PACKING_HH
 #define MOPT_TENSOR_PACKING_HH
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
+#include "common/thread_pool.hh"
 #include "tensor/tensor.hh"
 
 namespace mopt {
@@ -21,12 +24,21 @@ namespace mopt {
  * Kernel tensor packed as [ceil(K/vl)][C][R][S][vl]. The K tail (when K
  * is not a multiple of vl) is zero-padded, which is safe because the
  * extra lanes multiply into output channels that are never stored.
+ *
+ * Each k-block is filled in write order: the block's [C][R][S][vl]
+ * span is written sequentially from vl strided source streams, and
+ * only the tail lanes are zeroed. Blocks are independent, so the
+ * result is bit-identical however they are spread over threads.
  */
 class PackedKernel
 {
   public:
-    /** Pack @p ker (KCRS layout) with vector length @p vec_len. */
+    /** Pack @p ker (KCRS layout) with vector length @p vec_len on the
+     *  calling thread. */
     PackedKernel(const Tensor4 &ker, int vec_len);
+
+    /** Pack as above, with the k-blocks spread over @p pool. */
+    PackedKernel(const Tensor4 &ker, int vec_len, ThreadPool::SubWidth pool);
 
     int vecLen() const { return vec_len_; }
     std::int64_t numChannels() const { return c_; }
@@ -40,7 +52,7 @@ class PackedKernel
     lanes(std::int64_t kb, std::int64_t c, std::int64_t r,
           std::int64_t s) const
     {
-        return data_.data() +
+        return data_.get() +
                static_cast<std::size_t>(
                    (((kb * c_ + c) * r_ + r) * s_ + s) * vec_len_);
     }
@@ -53,12 +65,18 @@ class PackedKernel
     Tensor4 unpack() const;
 
     /** Flat size in floats (including padding). */
-    std::int64_t size() const { return static_cast<std::int64_t>(data_.size()); }
+    std::int64_t size() const { return size_; }
 
   private:
-    int vec_len_;
-    std::int64_t k_, c_, r_, s_, kb_;
-    std::vector<float> data_;
+    /** Record @p ker's shape and allocate the (unfilled) buffer. */
+    void allocate(const Tensor4 &ker, int vec_len);
+
+    /** Fill k-block @p kb of the buffer from @p ker. */
+    void packBlock(const Tensor4 &ker, std::int64_t kb);
+
+    int vec_len_ = 0;
+    std::int64_t k_ = 0, c_ = 0, r_ = 0, s_ = 0, kb_ = 0, size_ = 0;
+    std::unique_ptr<float[]> data_; //!< Uninitialized until packed.
 };
 
 } // namespace mopt

@@ -703,9 +703,10 @@ TEST(Chaos, FleetServesWarmByteIdenticalAfterNodeKilled)
 
     // The survivors served from their caches: not one new solve.
     for (std::size_t i = 0; i < 3; ++i) {
-        if (i != victim)
+        if (i != victim) {
             EXPECT_EQ(fleet[i]->server().schedulerStats().solves,
                       solves_before[i]);
+        }
     }
 }
 

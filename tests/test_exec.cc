@@ -3,17 +3,24 @@
  * Correctness tests of the tiled executor against the naive reference:
  * the microkernel fast/fallback paths and each ISA's block kernel,
  * arbitrary sampled tilings (property test), strides, partial tiles,
- * and parallel execution.
+ * and parallel execution on the shared executor pool.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "baselines/grid_sampler.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "common/timer.hh"
 #include "conv/reference.hh"
 #include "conv/workloads.hh"
@@ -569,6 +576,124 @@ TEST(ConvExec, OptimizerOutputMatchesReference)
     const OptimizeOutput out = optimizeConv(p, i7_9700k(), o);
     ASSERT_FALSE(out.candidates.empty());
     expectMatchesReference(p, out.candidates.front().config, 4);
+}
+
+/** True when @p a and @p b hold the same floats bit for bit. */
+bool
+sameBits(const Tensor4 &a, const Tensor4 &b)
+{
+    if (!Tensor4::sameShape(a, b))
+        return false;
+    for (std::int64_t i = 0; i < a.size(); ++i)
+        if (std::bit_cast<std::uint32_t>(a.data()[i]) !=
+            std::bit_cast<std::uint32_t>(b.data()[i]))
+            return false;
+    return true;
+}
+
+/** Dense, K-tail, grouped and 1x1 problems, each with a parallel
+ *  split along k and w (so chunk edges cut register blocks). */
+std::vector<std::pair<ConvProblem, ExecConfig>>
+widthCases()
+{
+    std::vector<std::pair<ConvProblem, ExecConfig>> cases;
+    const auto add = [&](std::int64_t k, std::int64_t c, std::int64_t rs,
+                         std::int64_t groups, std::int64_t hw) {
+        ConvProblem p;
+        p.name = "width";
+        p.n = 1;
+        p.k = k;
+        p.c = c;
+        p.r = p.s = rs;
+        p.h = p.w = hw;
+        p.groups = groups;
+        p.validate();
+        ExecConfig cfg = defaultConfig(p);
+        cfg.par = {1, 2, 1, 1, 1, 2, 1};
+        cases.emplace_back(p, cfg);
+    };
+    add(32, 8, 3, 1, 12);
+    add(13, 5, 3, 1, 9);
+    add(48, 12, 3, 3, 10);
+    add(100, 16, 1, 1, 7);
+    add(16, 16, 3, 16, 8);
+    return cases;
+}
+
+TEST(ConvExec, OutputIsBitIdenticalAtEveryWidthAndAcrossCalls)
+{
+    for (const auto &[p, cfg] : widthCases()) {
+        Rng rng(31);
+        Tensor4 in = makeInput(p), ker = makeKernel(p);
+        in.fillRandom(rng);
+        ker.fillRandom(rng);
+        Tensor4 base = makeOutput(p);
+        runConv(p, in, ker, base, cfg, 1);
+        Tensor4 expected = makeOutput(p);
+        referenceConv(p, in, ker, expected);
+        EXPECT_LT(Tensor4::maxAbsDiff(expected, base), kTol)
+            << p.summary();
+        // Repeated calls reuse the one shared pool; each must repeat
+        // the width-1 bits exactly.
+        for (int rep = 0; rep < 3; ++rep)
+            for (int width : {1, 2, 4, 0}) {
+                Tensor4 got = makeOutput(p);
+                got.fill(7.0f); // runConv must overwrite, not accumulate
+                runConv(p, in, ker, got, cfg, width);
+                EXPECT_TRUE(sameBits(base, got))
+                    << p.summary() << " width " << width << " rep "
+                    << rep;
+            }
+    }
+}
+
+TEST(ConvExec, ConcurrentCallersShareThePoolCorrectly)
+{
+    // Two threads drive runConv on the process-wide pool at once; their
+    // parallel regions interleave in its queue. Both must compute the
+    // reference result (the TSan leg checks the sharing for races).
+    const auto cases = widthCases();
+    std::vector<Tensor4> ins, kers, outs, refs;
+    for (std::size_t i = 0; i < 2; ++i) {
+        const ConvProblem &p = cases[i * 2].first;
+        Rng rng(70 + i);
+        ins.push_back(makeInput(p));
+        kers.push_back(makeKernel(p));
+        ins.back().fillRandom(rng);
+        kers.back().fillRandom(rng);
+        outs.push_back(makeOutput(p));
+        refs.push_back(makeOutput(p));
+        referenceConv(p, ins.back(), kers.back(), refs.back());
+    }
+    std::vector<std::thread> callers;
+    for (std::size_t i = 0; i < 2; ++i)
+        callers.emplace_back([&, i] {
+            const auto &[p, cfg] = cases[i * 2];
+            for (int rep = 0; rep < 5; ++rep)
+                runConv(p, ins[i], kers[i], outs[i], cfg, 4);
+        });
+    for (std::thread &t : callers)
+        t.join();
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_LT(Tensor4::maxAbsDiff(refs[i], outs[i]), kTol)
+            << cases[i * 2].first.summary();
+}
+
+TEST(ConvExec, SharedPoolWidthBoundsTheThreadsUsed)
+{
+    // runConv's `threads` is the participant count, caller included: a
+    // region on the shared pool at width t runs on at most t threads.
+    for (std::size_t width : {1u, 2u, 4u}) {
+        ThreadPool::SubWidth pool = globalPool().subWidth(width);
+        std::mutex mu;
+        std::set<std::thread::id> ids;
+        pool.parallelFor(64, [&](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            std::lock_guard<std::mutex> lock(mu);
+            ids.insert(std::this_thread::get_id());
+        });
+        EXPECT_LE(ids.size(), width);
+    }
 }
 
 } // namespace

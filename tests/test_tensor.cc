@@ -1,9 +1,18 @@
 /**
  * @file
- * Unit tests for dense tensors and the microkernel packing layout.
+ * Unit tests for dense tensors and the microkernel packing layout,
+ * serial and spread over a thread pool.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -105,6 +114,99 @@ TEST(PackedKernel, ElementAccessor)
     for (std::int64_t k = 0; k < 20; ++k)
         for (std::int64_t c = 0; c < 2; ++c)
             EXPECT_FLOAT_EQ(pk.at(k, c, 1, 0), ker.at(k, c, 1, 0));
+}
+
+/**
+ * The [ceil(K/vl)][C][R][S][vl] layout packed one element at a time,
+ * with the K-tail lanes 0: the reference the write-order packing must
+ * reproduce bit for bit.
+ */
+std::vector<float>
+naivePacking(const Tensor4 &ker, int vl)
+{
+    const std::int64_t k = ker.dim(0), c = ker.dim(1), r = ker.dim(2),
+                       s = ker.dim(3);
+    const std::int64_t kb = (k + vl - 1) / vl;
+    std::vector<float> out(static_cast<std::size_t>(kb * c * r * s * vl),
+                           0.0f);
+    for (std::int64_t kk = 0; kk < k; ++kk)
+        for (std::int64_t cc = 0; cc < c; ++cc)
+            for (std::int64_t rr = 0; rr < r; ++rr)
+                for (std::int64_t ss = 0; ss < s; ++ss)
+                    out[static_cast<std::size_t>(
+                        ((((kk / vl) * c + cc) * r + rr) * s + ss) * vl +
+                        kk % vl)] = ker.at(kk, cc, rr, ss);
+    return out;
+}
+
+/**
+ * Leave freed heap blocks of @p floats floats full of NaN, so a packed
+ * buffer allocated next cannot pass the tail-lane check by starting
+ * out zeroed.
+ */
+void
+dirtyTheHeap(std::int64_t floats)
+{
+    std::vector<std::unique_ptr<float[]>> blocks;
+    for (int i = 0; i < 4; ++i) {
+        blocks.emplace_back(new float[static_cast<std::size_t>(floats)]);
+        std::fill_n(blocks.back().get(), floats,
+                    std::numeric_limits<float>::quiet_NaN());
+    }
+}
+
+/** Every float of @p pk equals @p want bit for bit. */
+void
+expectPackedBits(const PackedKernel &pk, const std::vector<float> &want,
+                 const std::string &what)
+{
+    ASSERT_EQ(pk.size(), static_cast<std::int64_t>(want.size())) << what;
+    const float *got = pk.lanes(0, 0, 0, 0);
+    std::int64_t mismatches = 0;
+    for (std::size_t i = 0; i < want.size(); ++i)
+        mismatches += std::bit_cast<std::uint32_t>(got[i]) !=
+                      std::bit_cast<std::uint32_t>(want[i]);
+    EXPECT_EQ(mismatches, 0) << what;
+}
+
+TEST(PackedKernel, ParallelPackingMatchesNaivePackingBitForBit)
+{
+    ThreadPool pool(3);
+    // {K, C per group, R x S}: K tails of 0, 5, 0 and 4 lanes; C/G
+    // extents of grouped kernels (depthwise C/G = 1 included).
+    struct Shape
+    {
+        std::int64_t k, c, rs;
+    };
+    const Shape shapes[] = {{8, 3, 3},  {13, 1, 3}, {16, 4, 1},
+                            {100, 2, 3}, {100, 7, 1}, {13, 16, 1},
+                            {16, 1, 3}, {8, 5, 1}};
+    std::uint64_t seed = 40;
+    for (const Shape &sh : shapes) {
+        Rng rng(seed++);
+        Tensor4 ker(sh.k, sh.c, sh.rs, sh.rs);
+        ker.fillRandom(rng);
+        const std::vector<float> want = naivePacking(ker, 8);
+        for (std::size_t width : {1u, 2u, 4u}) {
+            const std::string what =
+                "K=" + std::to_string(sh.k) + " C=" + std::to_string(sh.c) +
+                " RS=" + std::to_string(sh.rs) +
+                " width=" + std::to_string(width);
+            dirtyTheHeap(static_cast<std::int64_t>(want.size()));
+            const PackedKernel pk(ker, 8, pool.subWidth(width));
+            expectPackedBits(pk, want, what);
+            // The tail lanes of the last block are +0.0f exactly.
+            const std::int64_t kb = pk.numKBlocks() - 1;
+            for (std::int64_t lane = sh.k - kb * 8; lane < 8; ++lane)
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                              pk.lanes(kb, sh.c - 1, sh.rs - 1,
+                                       sh.rs - 1)[lane]),
+                          0u)
+                    << what << " lane " << lane;
+        }
+        dirtyTheHeap(static_cast<std::int64_t>(want.size()));
+        expectPackedBits(PackedKernel(ker, 8), want, "serial");
+    }
 }
 
 } // namespace
