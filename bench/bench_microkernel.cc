@@ -11,7 +11,7 @@
  * block width wb on a long (144-term) reduction, where the FMA loop
  * dominates, and short-reduction rows shaped like resnet18's planned
  * L1 tiles (c*r*s = 4 and 28 terms), where the write-back dominates.
- * BM_ParallelForRoundTrip times one empty ThreadPool::parallelFor
+ * BM_ParallelForRoundTrip times one empty SubWidth::parallelFor
  * region, the executor's per-L3-tile fork and join.
  *
  * These rows fit the cost model's overhead constants (machine.cc):
@@ -156,7 +156,7 @@ BENCHMARK(BM_MicrokernelShortReduction)
     ->Args({14, 2, 1});
 
 /**
- * One parallelFor region over 8 empty chunks on the shared executor
+ * One parallelFor region over 8 empty chunks on the shared
  * pool at width hardware_concurrency: the fork and join runConv pays
  * once per L3 tile.
  */

@@ -48,13 +48,6 @@ ThreadPool::workerLoop()
 }
 
 void
-ThreadPool::parallelFor(std::size_t count,
-                        const std::function<void(std::size_t)> &body)
-{
-    parallelForImpl(count, body, workers_.size());
-}
-
-void
 ThreadPool::parallelForImpl(std::size_t count,
                             const std::function<void(std::size_t)> &body,
                             std::size_t max_helpers)
@@ -63,7 +56,7 @@ ThreadPool::parallelForImpl(std::size_t count,
         return;
 
     // All loop state is heap-allocated and shared with every queued task:
-    // parallelFor may return (all iterations claimed and finished) before a
+    // the call may return (all iterations claimed and finished) before a
     // worker ever dequeues its copy of the task, so the task must not
     // reference any caller-stack state. A stale task sees next >= count and
     // exits without touching `body`.
@@ -124,14 +117,6 @@ ThreadPool::parallelForImpl(std::size_t count,
 }
 
 void
-ThreadPool::parallelForIndexed(
-    std::size_t count, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, std::size_t)> &body)
-{
-    parallelForIndexedImpl(count, grain, body, workers_.size());
-}
-
-void
 ThreadPool::parallelForIndexedImpl(
     std::size_t count, std::size_t grain,
     const std::function<void(std::size_t, std::size_t, std::size_t)> &body,
@@ -142,7 +127,7 @@ ThreadPool::parallelForIndexedImpl(
     if (grain == 0)
         grain = 1;
 
-    // Same lifetime discipline as parallelFor: all loop state is
+    // Same lifetime discipline as parallelForImpl: all loop state is
     // heap-allocated and shared with the queued tasks, which may be
     // dequeued after this call already returned.
     struct State
@@ -206,27 +191,18 @@ ThreadPool::parallelForIndexedImpl(
         std::rethrow_exception(state->first_error);
 }
 
-void
-ThreadPool::parallelForChunked(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)> &body)
+std::size_t
+threadsOrHardware(int threads)
 {
-    if (count == 0)
-        return;
-    const std::size_t nchunks = std::min(workers_.size() + 1, count);
-    const std::size_t chunk = (count + nchunks - 1) / nchunks;
-    parallelFor(nchunks, [&](std::size_t c) {
-        const std::size_t begin = c * chunk;
-        const std::size_t end = std::min(begin + chunk, count);
-        if (begin < end)
-            body(begin, end);
-    });
+    if (threads > 0)
+        return static_cast<std::size_t>(threads);
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 ThreadPool &
 globalPool()
 {
-    static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
+    static ThreadPool pool(threadsOrHardware(0));
     return pool;
 }
 

@@ -1,19 +1,22 @@
 /**
  * @file
- * A fixed-size thread pool with blocking parallel-for variants, used
- * by the optimizer's flattened solve fan-out, the parallel tiled
- * executor (Sec. 7 of the paper), and the benchmark harnesses.
+ * A fixed-size thread pool with blocking parallel-for handles. Library
+ * code runs on one process-wide instance, globalPool(): the
+ * optimizer's flattened solve fan-out, the solve scheduler's
+ * concurrent solves and the parallel tiled executor (Sec. 7 of the
+ * paper) each take a width-capped SubWidth handle on it, so no
+ * library call starts compute threads of its own.
  *
- * The worker-indexed scratch contract (parallelForIndexed): every
- * participating thread — the caller counts as worker 0 — has a stable
- * worker id in [0, size()], so a caller that preallocates size()+1
- * scratch slots and indexes them by worker id gets lock-free,
- * allocation-free per-thread state for the duration of the call.
- * Iteration-to-worker assignment is dynamic (an atomic chunk counter)
- * and therefore nondeterministic; deterministic callers must write
- * results into per-iteration slots and reduce in iteration order
- * afterwards, the way optimizeConv does (see docs/ARCHITECTURE.md,
- * "Threading and determinism invariants").
+ * The worker-indexed scratch contract (SubWidth::parallelForIndexed):
+ * every participating thread — the caller counts as worker 0 — has a
+ * stable worker id in [0, size()], so a caller that preallocates
+ * size()+1 scratch slots and indexes them by worker id gets
+ * lock-free, allocation-free per-thread state for the duration of the
+ * call. Iteration-to-worker assignment is dynamic (an atomic chunk
+ * counter) and therefore nondeterministic; deterministic callers must
+ * write results into per-iteration slots and reduce in iteration
+ * order afterwards, the way optimizeConv does (see
+ * docs/ARCHITECTURE.md, "Threading and determinism invariants").
  */
 
 #ifndef MOPT_COMMON_THREAD_POOL_HH
@@ -31,49 +34,55 @@
 namespace mopt {
 
 /**
- * Fixed-size worker pool. Tasks are std::function<void()>; parallelFor
- * blocks until all iterations complete. Exceptions inside tasks
- * propagate out of parallelFor (first one wins).
+ * Fixed-size worker pool. Work reaches it only through SubWidth
+ * handles, whose parallel-for calls block until every iteration
+ * completes. Exceptions inside the body propagate out of the call
+ * (first one wins).
  *
  * Several callers may issue parallel-for calls on one pool
  * concurrently; their tasks interleave in the shared queue and each
  * call completes independently (every caller participates in its own
- * loop, so progress never depends on a helper being dequeued). To
- * share a pool *fairly*, take a SubWidth handle per caller: it caps
- * how many helpers one call may recruit, partitioning the pool's
- * width across concurrent callers (the solve scheduler runs N
- * concurrent solves at 1/N width each this way).
+ * loop, so progress never depends on a helper being dequeued). The
+ * handle's width caps how many helpers one call may recruit, which
+ * partitions the pool's width across concurrent callers (the solve
+ * scheduler runs N concurrent solves at 1/N width each this way).
  */
 class ThreadPool
 {
   public:
     /**
-     * A width-capped view of a pool: the same parallel-for surface,
-     * but at most width()-1 helper tasks are enqueued per call (the
-     * caller is always the width()-th participant). Worker ids passed
-     * to parallelForIndexed bodies are dense in [0, size()], exactly
-     * as on the full pool, so per-worker scratch sized size()+1 works
-     * unchanged. Copyable; must not outlive the pool.
+     * A width-capped view of a pool: at most width()-1 helper tasks
+     * are enqueued per call (the caller is always the width()-th
+     * participant). Copyable; must not outlive the pool.
      */
     class SubWidth
     {
       public:
-        /** Helper count this handle may recruit (mirrors
-         *  ThreadPool::size(): participants = size() + 1). */
+        /** Helper count this handle may recruit: participants =
+         *  size() + 1. */
         std::size_t size() const { return width_ - 1; }
 
         /** Max participating threads, caller included (>= 1). */
         std::size_t width() const { return width_; }
 
-        /** ThreadPool::parallelFor, capped to this handle's width. */
+        /** Run body(i) for i in [0, count) across the handle's width
+         *  and wait for all of them. The calling thread also executes
+         *  work. */
         void parallelFor(std::size_t count,
                          const std::function<void(std::size_t)> &body)
         {
             pool_->parallelForImpl(count, body, width_ - 1);
         }
 
-        /** ThreadPool::parallelForIndexed, capped to this handle's
-         *  width. Worker ids lie in [0, size()]. */
+        /**
+         * Worker-indexed, dynamically chunked variant: participating
+         * threads repeatedly claim the next @p grain iterations from a
+         * shared atomic counter and call body(worker, begin, end). The
+         * worker id is stable per participating thread and lies in
+         * [0, size()] (the calling thread is worker 0), so callers can
+         * keep per-worker scratch state with no locking. Iterations
+         * may run in any order.
+         */
         void parallelForIndexed(
             std::size_t count, std::size_t grain,
             const std::function<void(std::size_t worker,
@@ -94,7 +103,8 @@ class ThreadPool
         std::size_t width_; //!< Participants incl. caller; >= 1.
     };
 
-    /** Spawn @p num_threads workers (>= 1). */
+    /** Spawn @p num_threads workers (>= 1). Library code runs on
+     *  globalPool(); tests build pools of a fixed size. */
     explicit ThreadPool(std::size_t num_threads);
 
     /** Joins all workers. Pending tasks are completed first. */
@@ -115,40 +125,6 @@ class ThreadPool
                                  workers_.size() + 1));
     }
 
-    /** The uncapped handle (width = size() + 1), for callers written
-     *  against the SubWidth surface. */
-    SubWidth fullWidth() { return subWidth(workers_.size() + 1); }
-
-    /**
-     * Run body(i) for i in [0, count) across the pool and wait for all
-     * of them. The calling thread also executes work.
-     */
-    void parallelFor(std::size_t count,
-                     const std::function<void(std::size_t)> &body);
-
-    /**
-     * Static-chunked variant: splits [0, count) into one contiguous
-     * range per worker and calls body(begin, end). Useful when
-     * iterations are uniform and cheap.
-     */
-    void parallelForChunked(
-        std::size_t count,
-        const std::function<void(std::size_t, std::size_t)> &body);
-
-    /**
-     * Worker-indexed, dynamically chunked variant: participating
-     * threads repeatedly claim the next @p grain iterations from a
-     * shared atomic counter and call body(worker, begin, end). The
-     * worker id is stable per participating thread and lies in
-     * [0, size()] (the calling thread is worker 0), so callers can
-     * maintain per-worker scratch state with no locking. Iterations
-     * may run in any order; exceptions propagate (first one wins).
-     */
-    void parallelForIndexed(
-        std::size_t count, std::size_t grain,
-        const std::function<void(std::size_t worker, std::size_t begin,
-                                 std::size_t end)> &body);
-
   private:
     void workerLoop();
 
@@ -168,7 +144,15 @@ class ThreadPool
     bool stop_ = false;
 };
 
-/** Process-wide pool sized to hardware_concurrency (lazily created). */
+/**
+ * The participant count a `threads` setting asks for, the caller
+ * included: @p threads itself when positive, hardware_concurrency (at
+ * least 1) otherwise.
+ */
+std::size_t threadsOrHardware(int threads);
+
+/** The process-wide pool every library parallel-for runs on:
+ *  threadsOrHardware(0) workers, built on first use. */
 ThreadPool &globalPool();
 
 } // namespace mopt

@@ -3,8 +3,7 @@
  * Machine abstraction: a multi-level memory hierarchy (registers, L1,
  * L2, shared L3, DRAM) with per-level capacities and bandwidths, core
  * count and SIMD parameters. Presets model the paper's two evaluation
- * platforms (Intel i7-9700K and i9-10980XE); a synthetic bandwidth
- * probe (bandwidth_probe.hh) can calibrate a spec to the host.
+ * platforms (Intel i7-9700K and i9-10980XE).
  */
 
 #ifndef MOPT_MACHINE_MACHINE_HH

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
@@ -350,12 +349,8 @@ OptimizeOutput
 optimizeConv(const ConvProblem &p, const MachineSpec &m,
              const OptimizerOptions &opts)
 {
-    const std::size_t workers = std::max<std::size_t>(
-        1, opts.threads > 0
-               ? static_cast<std::size_t>(opts.threads)
-               : std::max(1u, std::thread::hardware_concurrency()));
-    ThreadPool pool(workers);
-    return optimizeConv(p, m, opts, pool.fullWidth());
+    return optimizeConv(
+        p, m, opts, globalPool().subWidth(threadsOrHardware(opts.threads)));
 }
 
 OptimizeOutput

@@ -9,9 +9,10 @@
  *
  * Execution model: each round of Algorithm 1 is flattened into
  * independent (permutation combo x objective level x start point)
- * work items fanned across ThreadPool::parallelForIndexed, with one
- * reusable SolverScratch per worker and analytic gradients from
- * ConvNlp (one model evaluation per Adam step). Results are reduced
+ * work items fanned across ThreadPool::SubWidth::parallelForIndexed
+ * on the process-wide pool (globalPool()), with one reusable
+ * SolverScratch per worker and analytic gradients from ConvNlp (one
+ * model evaluation per Adam step). Results are reduced
  * in job order after each round, so optimizeConv is deterministic:
  * the same (problem, machine, options-minus-threads) produce
  * bit-identical output for any thread count — the property the
@@ -58,8 +59,9 @@ struct OptimizerOptions
      *  returned configuration. */
     std::uint64_t seed = 7;
 
-    /** Worker threads for the permutation sweep (0 = hardware).
-     *  Never affects the result, only the wall time. */
+    /** Participating threads for the permutation sweep, the caller
+     *  included (0 = hardware_concurrency). Never affects the result,
+     *  only the wall time. */
     int threads = 0;
 };
 
@@ -98,9 +100,9 @@ IntTileVec microkernelTiles(const ConvProblem &p, const MachineSpec &m);
  *  reduction, Sec. 6). */
 Permutation microkernelPermutation();
 
-/** Run the full optimizer for one conv2d operator. Spawns a private
- *  ThreadPool sized by opts.threads (0 = hardware) for the duration
- *  of the call. */
+/** Run the full optimizer for one conv2d operator on
+ *  globalPool().subWidth(threadsOrHardware(opts.threads)); starts no
+ *  threads of its own. */
 OptimizeOutput optimizeConv(const ConvProblem &p, const MachineSpec &m,
                             const OptimizerOptions &opts =
                                 OptimizerOptions());
@@ -110,8 +112,8 @@ OptimizeOutput optimizeConv(const ConvProblem &p, const MachineSpec &m,
  * handle: the sweep fans out across at most pool.width() threads,
  * caller included, and opts.threads is ignored. This is how the solve
  * scheduler (src/service/solve_scheduler.hh) runs several solves
- * concurrently, each on a partition of one shared pool's width. The
- * result is bit-identical to the private-pool overload for any width
+ * concurrently, each on a partition of the shared pool's width. The
+ * result is bit-identical to the 3-argument overload for any width
  * (see docs/ARCHITECTURE.md, "Threading and determinism invariants").
  */
 OptimizeOutput optimizeConv(const ConvProblem &p, const MachineSpec &m,

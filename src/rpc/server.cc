@@ -1070,32 +1070,11 @@ Server::prefetchFromPeers()
     const std::int64_t since = cache_->journalSeq();
     counters_.repl_prefetch_since.store(since,
                                         std::memory_order_relaxed);
-    RpcRequest req;
-    req.op = RpcOp::Replicate;
-    req.repl_pull = true;
-    if (since > 0)
-        req.repl_since = since;
-    req.machine_fp = machine_fp_;
-    req.settings_fp = settings_fp_;
-    req.deadline_ms = kReplPullDeadlineMs;
     for (const RpcEndpoint &ep : repl_peers_) {
-        Client peer(ep);
-        RpcResponse resp;
-        std::string err;
-        if (!peer.call(req, resp, &err,
-                       Deadline::in(kReplPullDeadlineMs)) ||
-            !resp.ok)
-            continue; // Peer down or too old: it will push later.
-        for (const RpcReplRecord &r : resp.repl_records) {
-            if (r.key.machine_fp != machine_fp_ ||
-                r.key.settings_fp != settings_fp_)
-                continue; // Foreign identity never enters the cache.
-            if (cache_->contains(r.key))
-                continue;
-            cache_->applyReplica(r.key, r.sol, r.seq);
-            counters_.repl_prefetched.fetch_add(
-                1, std::memory_order_relaxed);
-        }
+        Client peer(ep); // A peer that is down or too old pushes later.
+        counters_.repl_prefetched.fetch_add(
+            pullFromPeer(peer, since, /*for_slot=*/false),
+            std::memory_order_relaxed);
     }
 }
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "common/timer.hh"
 
 namespace mopt {
@@ -58,27 +59,18 @@ SolveScheduler::SolveScheduler(const MachineSpec &machine,
     : machine_(machine), opts_(opts), cache_(cache),
       options_(options),
       machine_fp_(CacheKey::machineFingerprint(machine_)),
-      settings_fp_(CacheKey::settingsFingerprint(opts_)),
-      solve_width_(1),
-      // Each of the `concurrency` runners recruits solve_width_ - 1
-      // helpers, so the pool holds exactly that many threads (min 1:
-      // ThreadPool rejects empty pools, and a width-1 partition never
-      // enqueues into it anyway).
-      pool_([&] {
-          options_.concurrency = std::max(1, options_.concurrency);
-          const std::size_t width = std::max<std::size_t>(
-              1, opts_.threads > 0
-                     ? static_cast<std::size_t>(opts_.threads)
-                     : std::max(1u,
-                                std::thread::hardware_concurrency()));
-          solve_width_ = std::max<std::size_t>(
-              1, width / static_cast<std::size_t>(options_.concurrency));
-          return std::max<std::size_t>(
-              1, static_cast<std::size_t>(options_.concurrency) *
-                     (solve_width_ - 1));
-      }())
+      settings_fp_(CacheKey::settingsFingerprint(opts_))
 {
     machine_.validate();
+    options_.concurrency = std::max(1, options_.concurrency);
+    // The runners split the requested width: each solves on its own
+    // share of the process-wide pool.
+    solve_width_ = std::max<std::size_t>(
+        1, threadsOrHardware(opts_.threads) /
+               static_cast<std::size_t>(options_.concurrency));
+    // Build that pool now, so its threads exist before the first
+    // request instead of appearing during the first cold solve.
+    globalPool();
     runners_.reserve(static_cast<std::size_t>(options_.concurrency));
     for (int i = 0; i < options_.concurrency; ++i)
         runners_.emplace_back([this] { runnerLoop(); });
@@ -193,7 +185,7 @@ SolveScheduler::runnerLoop()
             Timer timer;
             const OptimizeOutput out = optimizeConv(
                 flight.problem, machine_, opts_,
-                pool_.subWidth(solve_width_));
+                globalPool().subWidth(solve_width_));
             checkInvariant(!out.candidates.empty(),
                            "SolveScheduler: optimizeConv returned no "
                            "candidates");

@@ -20,9 +20,9 @@
  *    exhausted.
  *  - **Bounded concurrency.** `concurrency` runner threads execute
  *    flights; distinct shapes solve concurrently, up to the budget.
- *  - **Width partitioning.** Runners share one ThreadPool and each
- *    solve runs on a ThreadPool::SubWidth handle of
- *    max(1, total width / concurrency) participants, so N concurrent
+ *  - **Width partitioning.** Each solve runs on a
+ *    ThreadPool::SubWidth handle of max(1, total width / concurrency)
+ *    participants over the process-wide globalPool(), so N concurrent
  *    solves split the machine instead of oversubscribing it
  *    (total width = OptimizerOptions::threads, 0 = hardware).
  *  - **Determinism.** optimizeConv is bit-identical for any worker
@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "common/deadline.hh"
-#include "common/thread_pool.hh"
 #include "machine/machine.hh"
 #include "optimizer/mopt_optimizer.hh"
 #include "service/cache_key.hh"
@@ -140,8 +139,9 @@ struct SolveTicket
 };
 
 /**
- * The scheduler. Owns `concurrency` runner threads and one shared
- * ThreadPool whose width the runners partition. Construct one per
+ * The scheduler. Owns `concurrency` runner threads, which partition
+ * the width of the process-wide globalPool() between their solves
+ * and start no pool threads of their own. Construct one per
  * (machine, settings, cache) service instance and share it between
  * every front end (RPC solve handlers, NetworkOptimizer) so their
  * duplicate requests coalesce against the same in-flight table.
@@ -152,8 +152,9 @@ class SolveScheduler
     /**
      * @param machine  machine description every solve targets
      * @param opts     search settings applied to every solve
-     *                 (opts.threads is the *total* pool width that
-     *                 gets partitioned; 0 = hardware)
+     *                 (opts.threads is the *total* width that gets
+     *                 partitioned, caller threads included; 0 =
+     *                 hardware)
      * @param cache    shared solution cache (not owned; may be null —
      *                 then only in-flight coalescing deduplicates)
      * @param options  concurrency budget
@@ -218,7 +219,6 @@ class SolveScheduler
     std::uint64_t settings_fp_;
 
     std::size_t solve_width_; //!< Participants per solve.
-    ThreadPool pool_;         //!< Helpers shared by all runners.
 
     mutable std::mutex mu_;
     std::condition_variable cv_;

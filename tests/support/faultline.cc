@@ -1,4 +1,4 @@
-#include "rpc/faultline.hh"
+#include "support/faultline.hh"
 
 #include <algorithm>
 #include <chrono>

@@ -35,12 +35,12 @@
  *    mid-pump (a crash-looping or link-flapping peer; exercises the
  *    membership state machine's Suspect/Down/half-open transitions).
  *
- * The proxy is test infrastructure, but it lives in src/ (not tests/)
- * so the smoke script and future soak tooling can link it too.
+ * Test infrastructure: it lives in the tests' support library, which
+ * only the suites that drive it link.
  */
 
-#ifndef MOPT_RPC_FAULTLINE_HH
-#define MOPT_RPC_FAULTLINE_HH
+#ifndef MOPT_TESTS_SUPPORT_FAULTLINE_HH
+#define MOPT_TESTS_SUPPORT_FAULTLINE_HH
 
 #include <atomic>
 #include <chrono>
@@ -167,4 +167,4 @@ class FaultlineProxy
 
 } // namespace mopt
 
-#endif // MOPT_RPC_FAULTLINE_HH
+#endif // MOPT_TESTS_SUPPORT_FAULTLINE_HH

@@ -1,4 +1,4 @@
-#include "solver/gradient_check.hh"
+#include "support/gradient_check.hh"
 
 #include <algorithm>
 #include <cmath>

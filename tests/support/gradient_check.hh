@@ -2,13 +2,13 @@
  * @file
  * Gradient verification: compares a problem's evalWithGrad derivatives
  * (analytic or fallback) against independent central finite
- * differences of evalAll. Used by the test suite to validate the
- * closed-form model gradients and available as a debugging aid when
- * adding new differentiable objectives.
+ * differences of evalAll. The gradient tests use it to validate the
+ * closed-form model gradients; it is also a debugging aid when adding
+ * new differentiable objectives.
  */
 
-#ifndef MOPT_SOLVER_GRADIENT_CHECK_HH
-#define MOPT_SOLVER_GRADIENT_CHECK_HH
+#ifndef MOPT_TESTS_SUPPORT_GRADIENT_CHECK_HH
+#define MOPT_TESTS_SUPPORT_GRADIENT_CHECK_HH
 
 #include <vector>
 
@@ -41,4 +41,4 @@ GradCheckResult gradientCheck(const NlpProblem &prob,
 
 } // namespace mopt
 
-#endif // MOPT_SOLVER_GRADIENT_CHECK_HH
+#endif // MOPT_TESTS_SUPPORT_GRADIENT_CHECK_HH

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fault-injection tests of the serving stack, driven through the
- * Faultline proxy (src/rpc/faultline.hh): every nasty thing a network
+ * Faultline proxy (tests/support/faultline.hh): every nasty thing a network
  * does — swallowed responses, torn frames, corrupted bytes, stalls,
  * blackholes — on a deterministic schedule, with the assertions the
  * failure model promises: no call outlives its deadline (bounded by
@@ -21,7 +21,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,13 +30,14 @@
 #include "fleet/ring.hh"
 #include "machine/machine.hh"
 #include "rpc/client.hh"
-#include "rpc/faultline.hh"
 #include "rpc/protocol.hh"
 #include "rpc/server.hh"
 #include "rpc/tcp.hh"
 #include "service/cache_key.hh"
 #include "service/network_optimizer.hh"
 #include "service/solution_cache.hh"
+#include "support/faultline.hh"
+#include "support/thread_count.hh"
 
 namespace mopt {
 namespace {
@@ -600,21 +600,6 @@ reservePort()
     if (!tmp.listenOn("127.0.0.1", 0))
         fatal("reservePort: cannot bind");
     return tmp.port();
-}
-
-/** This process's thread count (/proc/self/status Threads:). */
-int
-threadCount()
-{
-    std::ifstream f("/proc/self/status");
-    std::string word;
-    while (f >> word)
-        if (word == "Threads:") {
-            int n = 0;
-            f >> n;
-            return n;
-        }
-    return -1;
 }
 
 // The tentpole acceptance: a three-node fleet at replication factor 2

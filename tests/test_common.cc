@@ -252,31 +252,26 @@ TEST(ThreadPool, ParallelForCoversAllIndices)
 {
     ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(257);
-    pool.parallelFor(257, [&](std::size_t i) { hits[i]++; });
+    pool.subWidth(5).parallelFor(257, [&](std::size_t i) { hits[i]++; });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ChunkedCoversRange)
-{
-    ThreadPool pool(3);
-    std::atomic<std::int64_t> sum{0};
-    pool.parallelForChunked(100, [&](std::size_t b, std::size_t e) {
-        std::int64_t local = 0;
-        for (std::size_t i = b; i < e; ++i)
-            local += static_cast<std::int64_t>(i);
-        sum += local;
-    });
-    EXPECT_EQ(sum.load(), 99 * 100 / 2);
 }
 
 TEST(ThreadPool, PropagatesExceptions)
 {
     ThreadPool pool(2);
-    EXPECT_THROW(pool.parallelFor(8, [&](std::size_t i) {
+    ThreadPool::SubWidth all = pool.subWidth(3);
+    EXPECT_THROW(all.parallelFor(8, [&](std::size_t i) {
         if (i == 3)
             throw std::runtime_error("boom");
     }),
+                 std::runtime_error);
+    EXPECT_THROW(all.parallelForIndexed(
+                     8, 2,
+                     [&](std::size_t, std::size_t b, std::size_t) {
+                         if (b == 4)
+                             throw std::runtime_error("boom");
+                     }),
                  std::runtime_error);
 }
 
@@ -313,7 +308,6 @@ TEST(ThreadPool, SubWidthClampsAndWidthOneRunsInline)
     ThreadPool pool(2);
     EXPECT_EQ(pool.subWidth(0).width(), 1u);
     EXPECT_EQ(pool.subWidth(99).width(), pool.size() + 1);
-    EXPECT_EQ(pool.fullWidth().width(), pool.size() + 1);
 
     // Width 1 recruits no helpers: the body runs on the caller only.
     ThreadPool::SubWidth solo = pool.subWidth(1);
@@ -327,6 +321,14 @@ TEST(ThreadPool, SubWidthClampsAndWidthOneRunsInline)
             (void)e;
         });
     EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ThreadPool, ThreadsOrHardwareSizesTheGlobalPool)
+{
+    EXPECT_EQ(threadsOrHardware(3), 3u);
+    EXPECT_GE(threadsOrHardware(0), 1u);
+    EXPECT_EQ(threadsOrHardware(-1), threadsOrHardware(0));
+    EXPECT_EQ(globalPool().size(), threadsOrHardware(0));
 }
 
 TEST(Logging, FatalThrows)

@@ -20,7 +20,7 @@
 #include "model/pruned_classes.hh"
 #include "optimizer/conv_nlp.hh"
 #include "optimizer/mopt_optimizer.hh"
-#include "solver/gradient_check.hh"
+#include "support/gradient_check.hh"
 
 namespace mopt {
 namespace {

@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests of the machine presets, derived quantities, and the host
- * bandwidth probe.
+ * Tests of the machine presets and derived quantities.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
-#include "machine/bandwidth_probe.hh"
 #include "machine/machine.hh"
 
 namespace mopt {
@@ -67,29 +65,6 @@ TEST(Machine, TinyMachineIsSmall)
     const MachineSpec m = tinyTestMachine();
     EXPECT_LE(m.capacityWords(LvlL1), 512);
     EXPECT_NO_THROW(m.validate());
-}
-
-TEST(BandwidthProbe, MeasuresPlausibleRates)
-{
-    const ProbeResult r = probeBandwidth(1 << 20, 1, 0.01);
-    EXPECT_GT(r.gbps, 0.1);   // any machine beats 100 MB/s from L2/L3
-    EXPECT_LT(r.gbps, 10000); // and stays under 10 TB/s
-    EXPECT_EQ(r.bytes, 1 << 20);
-}
-
-TEST(BandwidthProbe, RejectsTinyWorkingSets)
-{
-    EXPECT_THROW(probeBandwidth(128, 1), FatalError);
-}
-
-TEST(BandwidthProbe, CalibrateToHostKeepsSpecValid)
-{
-    MachineSpec m = tinyTestMachine();
-    // Use a quick probe; we only check structural sanity.
-    calibrateToHost(m, 0.005);
-    EXPECT_NO_THROW(m.validate());
-    for (int l = 0; l < NumMemLevels; ++l)
-        EXPECT_GT(m.bandwidth(l, false), 0.0);
 }
 
 } // namespace

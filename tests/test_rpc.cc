@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "rpc/tcp.hh"
 #include "service/cache_key.hh"
 #include "service/network_optimizer.hh"
+#include "support/thread_count.hh"
 
 namespace mopt {
 namespace {
@@ -655,21 +655,6 @@ TEST(RpcRouter, NoFallbackTurnsDeadNodeIntoError)
     ShardRouter router({RpcEndpoint{"127.0.0.1", dead_port}}, tiny(),
                        fastOpts(), fleet);
     EXPECT_THROW(router.optimize({smallProblem()}), FatalError);
-}
-
-/** This process's thread count (/proc/self/status Threads:). */
-int
-threadCount()
-{
-    std::ifstream f("/proc/self/status");
-    std::string word;
-    while (f >> word)
-        if (word == "Threads:") {
-            int n = 0;
-            f >> n;
-            return n;
-        }
-    return -1;
 }
 
 // The readiness core's defining property: connections are registered

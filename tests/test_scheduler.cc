@@ -3,22 +3,28 @@
  * Tests of the single-flight solve scheduler: concurrent requests for
  * one key coalesce onto exactly one solver invocation, distinct keys
  * overlap in time up to the concurrency budget, plans are
- * byte-identical for any budget, and a throwing solve reaches every
- * waiter while leaving the key retryable (no poisoned entries).
+ * byte-identical for any budget and match the optimizer at any thread
+ * count, the runners are the only threads a scheduler adds, and a
+ * throwing solve reaches every waiter while leaving the key retryable
+ * (no poisoned entries).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <latch>
 #include <thread>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "machine/machine.hh"
 #include "service/network_optimizer.hh"
 #include "service/solution_cache.hh"
 #include "service/solve_scheduler.hh"
+#include "support/thread_count.hh"
 
 namespace mopt {
 namespace {
@@ -155,6 +161,85 @@ TEST(SolveScheduler, BudgetDoesNotChangeSolutions)
         const ScheduledSolve b = tickets[i].wait();
         EXPECT_EQ(a.sol, b.sol) << "problem " << i;
     }
+}
+
+// Every solve runs on the process-wide pool, so once that pool exists
+// a scheduler adds exactly its runners, whatever width they partition
+// (threads = 4 here: a private pool would add 3 helpers at concurrency
+// 1 and 2 at concurrency 2).
+TEST(SolveScheduler, AddsOnlyItsRunnersOnceTheSharedPoolExists)
+{
+    globalPool();
+    const int base = threadCount();
+    ASSERT_GT(base, 0);
+    for (int concurrency : {1, 2}) {
+        // Joined threads can linger in the count for a moment.
+        for (int i = 0; i < 500 && threadCount() != base; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        ASSERT_EQ(threadCount(), base);
+
+        SolveScheduler sched(tiny(), fastOpts(), nullptr,
+                             SolveSchedulerOptions{concurrency});
+        EXPECT_EQ(threadCount(), base + concurrency)
+            << "concurrency " << concurrency;
+        sched.solve(smallProblem());
+        EXPECT_EQ(threadCount(), base + concurrency)
+            << "after a solve at concurrency " << concurrency;
+    }
+}
+
+// The 3-argument optimizeConv and the scheduler's partitioned solves
+// share one pool and one reduction order: the optimizer starts no
+// threads, its top-k is the same at every thread count, and the
+// scheduler's answer is its best entry.
+TEST(SolveScheduler, AgreesWithTheOptimizerAtEveryThreadCount)
+{
+    globalPool();
+    const int base = threadCount();
+    ASSERT_GT(base, 0);
+    std::atomic<bool> done{false};
+    std::atomic<int> peak{0};
+    std::thread sampler([&] {
+        do {
+            peak = std::max(peak.load(), threadCount());
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        } while (!done.load());
+    });
+
+    const ConvProblem p = smallProblem();
+    std::vector<OptimizeOutput> outs;
+    for (int threads : {1, 2, 0}) {
+        OptimizerOptions o = fastOpts();
+        o.threads = threads;
+        outs.push_back(optimizeConv(p, tiny(), o));
+    }
+    done = true;
+    sampler.join();
+    EXPECT_EQ(peak.load(), base + 1) << "only the sampler may be added";
+
+    const std::vector<Candidate> &want = outs.front().candidates;
+    ASSERT_FALSE(want.empty());
+    for (std::size_t t = 1; t < outs.size(); ++t) {
+        const std::vector<Candidate> &got = outs[t].candidates;
+        ASSERT_EQ(got.size(), want.size()) << "run " << t;
+        EXPECT_EQ(outs[t].solver_evals, outs.front().solver_evals);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].config, want[i].config)
+                << "run " << t << " rank " << i;
+            EXPECT_EQ(got[i].predicted.total_seconds,
+                      want[i].predicted.total_seconds);
+            EXPECT_EQ(got[i].perm_label, want[i].perm_label);
+        }
+    }
+
+    SolveScheduler sched(tiny(), fastOpts(), nullptr,
+                         SolveSchedulerOptions{2});
+    EXPECT_EQ(sched.solveWidth(), 2u);
+    const ScheduledSolve s = sched.solve(p);
+    EXPECT_EQ(s.sol, (CachedSolution{want.front().config,
+                                     want.front().predicted.total_seconds,
+                                     want.front().perm_label}));
+    EXPECT_EQ(s.solver_evals, outs.front().solver_evals);
 }
 
 TEST(SolveScheduler, ExceptionReachesEveryWaiterAndKeyIsRetryable)
