@@ -130,8 +130,8 @@ simulateConvTraceRegion(const ConvProblem &p, const ExecConfig &cfg,
                         const std::array<std::int64_t, 3> &capacities_words,
                         const TileBounds &region, std::int64_t line_words)
 {
-    checkUser(p.groups == 1,
-              "simulateConvTrace: grouped conv is model-only for now "
+    if (p.groups != 1)
+        fatal("simulateConvTrace: grouped conv is model-only for now "
               "(groups=1 required, got " + p.summary() + ")");
     Hierarchy hier({capacities_words[0], capacities_words[1],
                     capacities_words[2]},

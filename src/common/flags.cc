@@ -13,8 +13,8 @@ Flags::Flags(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg(argv[i]);
-        checkUser(startsWith(arg, "--"),
-                  "unexpected positional argument: " + arg);
+        if (!startsWith(arg, "--"))
+            fatal("unexpected positional argument: " + arg);
         arg = arg.substr(2);
         std::string name, value;
         const auto eq = arg.find('=');
@@ -32,8 +32,8 @@ Flags::Flags(int argc, char **argv)
             name = arg;
             value.push_back('1');
         }
-        checkUser(!values_.count(name),
-                  "--" + name + " given more than once");
+        if (values_.count(name))
+            fatal("--" + name + " given more than once");
         values_[name] = value;
     }
 }
@@ -49,8 +49,9 @@ Flags::rejectUnknown(std::initializer_list<const char *> known) const
                 break;
             }
         }
-        checkUser(found, "unknown flag --" + kv.first +
-                             " (see --help for this command's flags)");
+        if (!found)
+            fatal("unknown flag --" + kv.first +
+                  " (see --help for this command's flags)");
     }
 }
 

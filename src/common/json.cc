@@ -1,9 +1,12 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <limits>
 
 namespace mopt {
 
@@ -16,10 +19,38 @@ namespace {
  *  frames) nests fewer than 8 deep. */
 constexpr int kMaxDepth = 64;
 
+bool
+isNumberChar(char c)
+{
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+           c == '+' || c == '-';
+}
+
+/** UTF-8 encoding of code point @p cp (at most U+10FFFF). */
+void
+appendUtf8(std::string &out, unsigned cp)
+{
+    if (cp < 0x80) {
+        out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+        out += static_cast<char>(0xc0 | (cp >> 6));
+        out += static_cast<char>(0x80 | (cp & 0x3f));
+    } else if (cp < 0x10000) {
+        out += static_cast<char>(0xe0 | (cp >> 12));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+        out += static_cast<char>(0x80 | (cp & 0x3f));
+    } else {
+        out += static_cast<char>(0xf0 | (cp >> 18));
+        out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+        out += static_cast<char>(0x80 | (cp & 0x3f));
+    }
+}
+
 class JsonParser
 {
   public:
-    explicit JsonParser(const std::string &text) : s_(text) {}
+    explicit JsonParser(std::string_view text) : s_(text) {}
 
     bool
     parse(JsonValue &out)
@@ -41,12 +72,11 @@ class JsonParser
     }
 
     bool
-    literal(const char *lit)
+    literal(std::string_view lit)
     {
-        const std::size_t n = std::strlen(lit);
-        if (s_.compare(pos_, n, lit) != 0)
+        if (s_.substr(pos_, lit.size()) != lit)
             return false;
-        pos_ += n;
+        pos_ += lit.size();
         return true;
     }
 
@@ -76,6 +106,47 @@ class JsonParser
         }
     }
 
+    /** Four hex digits of a \u escape. */
+    bool
+    parseHex4(unsigned &v)
+    {
+        if (s_.size() - pos_ < 4)
+            return false;
+        v = 0;
+        for (int i = 0; i < 4; ++i) {
+            const char hc = s_[pos_++];
+            v <<= 4;
+            if (hc >= '0' && hc <= '9')
+                v |= static_cast<unsigned>(hc - '0');
+            else if (hc >= 'a' && hc <= 'f')
+                v |= static_cast<unsigned>(hc - 'a' + 10);
+            else if (hc >= 'A' && hc <= 'F')
+                v |= static_cast<unsigned>(hc - 'A' + 10);
+            else
+                return false;
+        }
+        return true;
+    }
+
+    /** The code point after "\u", as UTF-8: a high surrogate must be
+     *  followed by an escaped low one, and a lone half is refused. */
+    bool
+    parseUnicodeEscape(std::string &out)
+    {
+        unsigned cp = 0;
+        if (!parseHex4(cp) || (cp >= 0xdc00 && cp <= 0xdfff))
+            return false;
+        if (cp >= 0xd800 && cp <= 0xdbff) {
+            unsigned lo = 0;
+            if (!literal("\\u") || !parseHex4(lo) || lo < 0xdc00 ||
+                lo > 0xdfff)
+                return false;
+            cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+        }
+        appendUtf8(out, cp);
+        return true;
+    }
+
     bool
     parseString(std::string &out)
     {
@@ -83,52 +154,36 @@ class JsonParser
             return false;
         ++pos_;
         out.clear();
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            char c = s_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= s_.size())
+        for (;;) {
+            // Copy the run up to the next quote or escape in one go.
+            const std::size_t run = pos_;
+            while (pos_ < s_.size() && s_[pos_] != '"' && s_[pos_] != '\\')
+                ++pos_;
+            out.append(s_.data() + run, pos_ - run);
+            if (pos_ >= s_.size())
+                return false;
+            if (s_[pos_++] == '"')
+                return true;
+            if (pos_ >= s_.size())
+                return false;
+            char c;
+            switch (s_[pos_++]) {
+            case '"': c = '"'; break;
+            case '\\': c = '\\'; break;
+            case '/': c = '/'; break;
+            case 'n': c = '\n'; break;
+            case 't': c = '\t'; break;
+            case 'r': c = '\r'; break;
+            case 'b': c = '\b'; break;
+            case 'f': c = '\f'; break;
+            case 'u':
+                if (!parseUnicodeEscape(out))
                     return false;
-                const char e = s_[pos_++];
-                switch (e) {
-                case '"': c = '"'; break;
-                case '\\': c = '\\'; break;
-                case '/': c = '/'; break;
-                case 'n': c = '\n'; break;
-                case 't': c = '\t'; break;
-                case 'r': c = '\r'; break;
-                case 'b': c = '\b'; break;
-                case 'f': c = '\f'; break;
-                case 'u': {
-                    // Neither the journal nor the RPC protocol emits
-                    // \u escapes for their own keys; decode the code
-                    // unit as Latin-1 best-effort.
-                    if (pos_ + 4 > s_.size())
-                        return false;
-                    unsigned v = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char hc = s_[pos_++];
-                        v <<= 4;
-                        if (hc >= '0' && hc <= '9')
-                            v |= static_cast<unsigned>(hc - '0');
-                        else if (hc >= 'a' && hc <= 'f')
-                            v |= static_cast<unsigned>(hc - 'a' + 10);
-                        else if (hc >= 'A' && hc <= 'F')
-                            v |= static_cast<unsigned>(hc - 'A' + 10);
-                        else
-                            return false;
-                    }
-                    c = static_cast<char>(v & 0xff);
-                    break;
-                }
-                default: return false;
-                }
+                continue;
+            default: return false;
             }
             out += c;
         }
-        if (pos_ >= s_.size())
-            return false;
-        ++pos_; // Closing quote.
-        return true;
     }
 
     bool
@@ -137,23 +192,61 @@ class JsonParser
         const std::size_t start = pos_;
         if (pos_ < s_.size() && s_[pos_] == '-')
             ++pos_;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-                s_[pos_] == '+' || s_[pos_] == '-'))
+        while (pos_ < s_.size() && isNumberChar(s_[pos_]))
             ++pos_;
         if (pos_ == start)
             return false;
-        try {
-            std::size_t used = 0;
-            out.num = std::stod(s_.substr(start, pos_ - start), &used);
-            if (used != pos_ - start || !std::isfinite(out.num))
-                return false;
-        } catch (...) {
+        const char *first = s_.data() + start;
+        const char *const last = s_.data() + pos_;
+        // strtod takes a leading '+', from_chars does not.
+        if (*first == '+' && ++first != last && *first == '-')
             return false;
-        }
+        double v = 0;
+        const auto [ptr, ec] = std::from_chars(first, last, v);
+        if (ec != std::errc() || ptr != last || !std::isfinite(v))
+            return false;
+        // At the bottom of the range the two disagree: strtod flags
+        // what rounds to a subnormal, or up to the smallest normal.
+        if (v != 0 && std::fabs(v) <= std::numeric_limits<double>::min() &&
+            !strtodInRange(first, last))
+            return false;
+        out.num = v;
         out.type = JsonValue::Type::Number;
         return true;
+    }
+
+    /** Whether strtod reads [first, last) without ERANGE. */
+    static bool
+    strtodInRange(const char *first, const char *last)
+    {
+        const std::string text(first, last);
+        errno = 0;
+        std::strtod(text.c_str(), nullptr);
+        return errno != ERANGE;
+    }
+
+    /** Past the ',' or the closing @p close after a member; false
+     *  on anything else. Sets @p done at the close. */
+    bool
+    nextMember(char close, bool &done)
+    {
+        skipWs();
+        if (pos_ >= s_.size() || (s_[pos_] != ',' && s_[pos_] != close))
+            return false;
+        done = s_[pos_++] == close;
+        return true;
+    }
+
+    /** Move the members parsed since @p mark off @p stack into @p dst
+     *  (sized once, where push_back would regrow it per member). */
+    template <typename T>
+    static void
+    popInto(std::vector<T> &stack, std::size_t mark, std::vector<T> &dst)
+    {
+        dst.assign(std::make_move_iterator(stack.begin() +
+                                           static_cast<std::ptrdiff_t>(mark)),
+                   std::make_move_iterator(stack.end()));
+        stack.resize(mark);
     }
 
     bool
@@ -166,25 +259,19 @@ class JsonParser
             ++pos_;
             return true;
         }
-        for (;;) {
+        const std::size_t mark = elems_.size();
+        for (bool done = false; !done;) {
+            // Parsed aside: a nested container grows elems_.
             JsonValue v;
             skipWs();
             if (!parseValue(v, depth + 1))
                 return false;
-            out.arr.push_back(std::move(v));
-            skipWs();
-            if (pos_ >= s_.size())
+            elems_.push_back(std::move(v));
+            if (!nextMember(']', done))
                 return false;
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
         }
+        popInto(elems_, mark, out.arr);
+        return true;
     }
 
     bool
@@ -197,7 +284,8 @@ class JsonParser
             ++pos_;
             return true;
         }
-        for (;;) {
+        const std::size_t mark = members_.size();
+        for (bool done = false; !done;) {
             skipWs();
             std::string key;
             if (pos_ >= s_.size() || !parseString(key))
@@ -210,30 +298,25 @@ class JsonParser
             JsonValue v;
             if (!parseValue(v, depth + 1))
                 return false;
-            out.obj.emplace_back(std::move(key), std::move(v));
-            skipWs();
-            if (pos_ >= s_.size())
+            members_.emplace_back(std::move(key), std::move(v));
+            if (!nextMember('}', done))
                 return false;
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
         }
+        popInto(members_, mark, out.obj);
+        return true;
     }
 
-    const std::string &s_;
+    std::string_view s_;
     std::size_t pos_ = 0;
+    /** Members of the containers still open, innermost last. */
+    std::vector<JsonValue> elems_;
+    std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
 } // namespace
 
 const JsonValue *
-JsonValue::find(const std::string &key) const
+JsonValue::find(std::string_view key) const
 {
     for (const auto &kv : obj)
         if (kv.first == key)
@@ -242,47 +325,80 @@ JsonValue::find(const std::string &key) const
 }
 
 bool
-jsonParse(const std::string &text, JsonValue &out)
+jsonParse(std::string_view text, JsonValue &out)
 {
     return JsonParser(text).parse(out);
 }
 
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size() + 8);
-    for (const char c : s) {
+    jsonAppendEscaped(out, s);
+    return out;
+}
+
+void
+jsonAppendEscaped(std::string &out, std::string_view s)
+{
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        const char *esc;
         switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
+        case '"': esc = "\\\""; break;
+        case '\\': esc = "\\\\"; break;
+        case '\n': esc = "\\n"; break;
+        case '\t': esc = "\\t"; break;
+        case '\r': esc = "\\r"; break;
         default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+            if (static_cast<unsigned char>(c) >= 0x20)
+                continue;
+            esc = nullptr;
+        }
+        // Copy the unescaped run before c in one go.
+        out.append(s.data() + run, i - run);
+        run = i + 1;
+        if (esc) {
+            out += esc;
+        } else {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out += buf;
         }
     }
-    return out;
+    out.append(s.data() + run, s.size() - run);
 }
 
 std::string
 jsonHex16(std::uint64_t v)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
+    std::string out;
+    jsonAppendHex16(out, v);
+    return out;
+}
+
+void
+jsonAppendHex16(std::string &out, std::uint64_t v)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    char buf[16];
+    for (int i = 15; i >= 0; --i, v >>= 4)
+        buf[i] = kDigits[v & 0xf];
+    out.append(buf, sizeof(buf));
+}
+
+void
+jsonAppendDouble(std::string &out, double v)
+{
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out.append(buf, static_cast<std::size_t>(n));
 }
 
 bool
-jsonParseHex16(const std::string &s, std::uint64_t &out)
+jsonParseHex16(std::string_view s, std::uint64_t &out)
 {
     if (s.size() != 16)
         return false;
@@ -301,7 +417,7 @@ jsonParseHex16(const std::string &s, std::uint64_t &out)
 }
 
 bool
-jsonGetInt(const JsonValue &obj, const char *key, std::int64_t &out)
+jsonGetInt(const JsonValue &obj, std::string_view key, std::int64_t &out)
 {
     const JsonValue *v = obj.find(key);
     if (!v || v->type != JsonValue::Type::Number)
@@ -313,7 +429,7 @@ jsonGetInt(const JsonValue &obj, const char *key, std::int64_t &out)
 }
 
 bool
-jsonGetString(const JsonValue &obj, const char *key, std::string &out)
+jsonGetString(const JsonValue &obj, std::string_view key, std::string &out)
 {
     const JsonValue *v = obj.find(key);
     if (!v || v->type != JsonValue::Type::String)

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace mopt {
 
@@ -94,23 +95,35 @@ logWarn(Args &&...args)
     logMessage(LogLevel::Warn, detail::concat(std::forward<Args>(args)...));
 }
 
+/*
+ * Checks are free when they pass: the message is a view, so a literal
+ * costs nothing until the check fails. A message composed from values
+ * (names, extents) must be built on the failure path only:
+ *
+ *     if (!ok)
+ *         fatal("layer " + name + ": ...");
+ *
+ * never checkUser(ok, "layer " + name + ...), which builds the string
+ * on every call.
+ */
+
 /**
  * Check a user-facing precondition; throws FatalError with @p msg when
  * @p cond is false.
  */
 inline void
-checkUser(bool cond, const std::string &msg)
+checkUser(bool cond, std::string_view msg)
 {
     if (!cond)
-        fatal(msg);
+        fatal(std::string(msg));
 }
 
 /** Check an internal invariant; aborts with @p msg when @p cond is false. */
 inline void
-checkInvariant(bool cond, const std::string &msg)
+checkInvariant(bool cond, std::string_view msg)
 {
     if (!cond)
-        panic(msg);
+        panic(std::string(msg));
 }
 
 } // namespace mopt

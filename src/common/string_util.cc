@@ -1,6 +1,7 @@
 #include "common/string_util.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -60,6 +61,21 @@ formatDouble(double v, int precision)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
     return buf;
+}
+
+void
+appendInt(std::string &out, long long v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+void
+appendInt(std::string &out, std::string_view prefix, long long v)
+{
+    out += prefix;
+    appendInt(out, v);
 }
 
 std::string

@@ -8,6 +8,7 @@
 #define MOPT_COMMON_STRING_UTIL_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mopt {
@@ -27,6 +28,12 @@ bool startsWith(const std::string &s, const std::string &prefix);
 
 /** Fixed-precision formatting of a double (printf "%.*f"). */
 std::string formatDouble(double v, int precision);
+
+/** Append the decimal digits of @p v to @p out (std::to_chars). */
+void appendInt(std::string &out, long long v);
+
+/** Append @p prefix, then the decimal digits of @p v. */
+void appendInt(std::string &out, std::string_view prefix, long long v);
 
 /**
  * Human-readable engineering formatting: 1536 -> "1.5K", 2.5e9 -> "2.5G".

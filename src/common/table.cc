@@ -1,7 +1,7 @@
 #include "common/table.hh"
 
 #include <algorithm>
-#include <sstream>
+#include <ostream>
 
 #include "common/logging.hh"
 #include "common/string_util.hh"
@@ -21,12 +21,12 @@ Table::row()
 }
 
 Table &
-Table::add(const std::string &cell)
+Table::add(std::string cell)
 {
     checkUser(!rows_.empty(), "Table::add before Table::row");
     checkUser(rows_.back().size() < headers_.size(),
               "Table row has more cells than headers");
-    rows_.back().push_back(cell);
+    rows_.back().push_back(std::move(cell));
     return *this;
 }
 
@@ -45,36 +45,44 @@ Table::add(long long v)
 void
 Table::print(std::ostream &os) const
 {
+    os << str();
+}
+
+std::string
+Table::str() const
+{
     std::vector<std::size_t> widths(headers_.size(), 0);
     for (std::size_t c = 0; c < headers_.size(); ++c)
         widths[c] = headers_[c].size();
     for (const auto &r : rows_)
         for (std::size_t c = 0; c < r.size(); ++c)
             widths[c] = std::max(widths[c], r[c].size());
-
-    auto emitRow = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < headers_.size(); ++c) {
-            const std::string &cell = c < cells.size() ? cells[c] : "";
-            os << (c ? "  " : "") << padRight(cell, widths[c]);
-        }
-        os << "\n";
-    };
-
-    emitRow(headers_);
     std::size_t total = 0;
     for (std::size_t c = 0; c < widths.size(); ++c)
         total += widths[c] + (c ? 2 : 0);
-    os << std::string(total, '-') << "\n";
+
+    std::string out;
+    out.reserve((total + 1) * (rows_.size() + 2));
+    auto emitRow = [&](const std::vector<std::string> &cells) {
+        for (std::size_t c = 0; c < headers_.size(); ++c) {
+            if (c)
+                out += "  ";
+            std::size_t len = 0;
+            if (c < cells.size()) {
+                out += cells[c];
+                len = cells[c].size();
+            }
+            out.append(widths[c] - len, ' ');
+        }
+        out += '\n';
+    };
+
+    emitRow(headers_);
+    out.append(total, '-');
+    out += '\n';
     for (const auto &r : rows_)
         emitRow(r);
-}
-
-std::string
-Table::str() const
-{
-    std::ostringstream oss;
-    print(oss);
-    return oss.str();
+    return out;
 }
 
 } // namespace mopt

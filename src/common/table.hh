@@ -27,7 +27,7 @@ class Table
     Table &row();
 
     /** Append a string cell to the current row. */
-    Table &add(const std::string &cell);
+    Table &add(std::string cell);
 
     /** Append a formatted double cell (default 3 decimal places). */
     Table &add(double v, int precision = 3);

@@ -1,9 +1,9 @@
 #include "conv/problem.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/logging.hh"
+#include "common/string_util.hh"
 
 namespace mopt {
 
@@ -48,28 +48,33 @@ ConvProblem::downscaled(std::int64_t max_hw, std::int64_t max_ch) const
 std::string
 ConvProblem::summary() const
 {
-    std::ostringstream oss;
-    oss << name << ": N=" << n << " K=" << k << " C=" << c << " H=" << h
-        << " W=" << w << " R=" << r << " S=" << s << " stride=" << stride;
+    std::string out = name;
+    appendInt(out, ": N=", n);
+    appendInt(out, " K=", k);
+    appendInt(out, " C=", c);
+    appendInt(out, " H=", h);
+    appendInt(out, " W=", w);
+    appendInt(out, " R=", r);
+    appendInt(out, " S=", s);
+    appendInt(out, " stride=", stride);
     if (dilation != 1)
-        oss << " dilation=" << dilation;
+        appendInt(out, " dilation=", dilation);
     if (groups != 1)
-        oss << " groups=" << groups;
-    return oss.str();
+        appendInt(out, " groups=", groups);
+    return out;
 }
 
 void
 ConvProblem::validate() const
 {
-    checkUser(n >= 1 && k >= 1 && c >= 1 && r >= 1 && s >= 1 && h >= 1 &&
-                  w >= 1,
-              "ConvProblem: extents must be >= 1 (" + summary() + ")");
+    if (n < 1 || k < 1 || c < 1 || r < 1 || s < 1 || h < 1 || w < 1)
+        fatal("ConvProblem: extents must be >= 1 (" + summary() + ")");
     checkUser(stride >= 1, "ConvProblem: stride must be >= 1");
     checkUser(dilation >= 1, "ConvProblem: dilation must be >= 1");
     checkUser(groups >= 1, "ConvProblem: groups must be >= 1");
-    checkUser(k % groups == 0 && c % groups == 0,
-              "ConvProblem: groups must divide both K and C (" + summary() +
-                  ")");
+    if (k % groups != 0 || c % groups != 0)
+        fatal("ConvProblem: groups must divide both K and C (" + summary() +
+              ")");
 }
 
 } // namespace mopt

@@ -50,8 +50,8 @@ class CfgParser
     {
         for (const Section &sec : splitSections())
             handleSection(sec);
-        checkUser(net_.has_value() && !net_->layers.empty(),
-                  source_ + ": no [convolutional] or [connected] layers "
+        if (!net_.has_value() || net_->layers.empty())
+            fatal(source_ + ": no [convolutional] or [connected] layers "
                             "found (is this a darknet .cfg?)");
         NetworkDef out = std::move(*net_);
         net_.reset();
@@ -328,7 +328,8 @@ NetworkDef
 parseCfgFile(const std::string &path)
 {
     std::ifstream in(path);
-    checkUser(in.good(), "cannot open network config: " + path);
+    if (!in.good())
+        fatal("cannot open network config: " + path);
     std::ostringstream buf;
     buf << in.rdbuf();
     return parseCfgText(buf.str(), path);

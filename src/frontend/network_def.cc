@@ -1,9 +1,8 @@
 #include "frontend/network_def.hh"
 
-#include <sstream>
-
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/string_util.hh"
 
 namespace mopt {
 
@@ -51,11 +50,11 @@ LayerDef::outW() const
 ConvProblem
 LayerDef::toProblem(std::int64_t batch) const
 {
-    checkUser(in_h + 2 * pad >= effSize() && in_w + 2 * pad >= effSize(),
-              "layer " + name + ": kernel (size " + std::to_string(size) +
-                  ", dilation " + std::to_string(dilation) +
-                  ") does not fit the padded " + std::to_string(in_h) +
-                  "x" + std::to_string(in_w) + " input");
+    if (in_h + 2 * pad < effSize() || in_w + 2 * pad < effSize())
+        fatal("layer " + name + ": kernel (size " + std::to_string(size) +
+              ", dilation " + std::to_string(dilation) +
+              ") does not fit the padded " + std::to_string(in_h) + "x" +
+              std::to_string(in_w) + " input");
     ConvProblem p;
     p.name = name;
     p.n = batch;
@@ -76,8 +75,8 @@ NetworkDef::NetworkDef(std::string net_name, std::int64_t c,
                        std::int64_t h, std::int64_t w)
     : name(std::move(net_name))
 {
-    checkUser(c >= 1 && h >= 1 && w >= 1,
-              "network " + name + ": input extents must be >= 1");
+    if (c < 1 || h < 1 || w < 1)
+        fatal("network " + name + ": input extents must be >= 1");
     cur_ = {c, h, w};
 }
 
@@ -142,12 +141,12 @@ NetworkDef::pool(std::int64_t size, int stride, std::int64_t pad)
 {
     if (pad < 0)
         pad = size - 1;
-    checkUser(size >= 1 && stride >= 1,
-              "network " + name + ": pool size/stride must be >= 1");
-    checkUser(cur_.h + pad >= size && cur_.w + pad >= size,
-              "network " + name + ": pool window larger than the " +
-                  std::to_string(cur_.h) + "x" + std::to_string(cur_.w) +
-                  " tensor");
+    if (size < 1 || stride < 1)
+        fatal("network " + name + ": pool size/stride must be >= 1");
+    if (cur_.h + pad < size || cur_.w + pad < size)
+        fatal("network " + name + ": pool window larger than the " +
+              std::to_string(cur_.h) + "x" + std::to_string(cur_.w) +
+              " tensor");
     cur_.h = (cur_.h + pad - size) / stride + 1;
     cur_.w = (cur_.w + pad - size) / stride + 1;
     return *this;
@@ -164,43 +163,51 @@ NetworkDef::globalPool()
 std::vector<ConvProblem>
 NetworkDef::lower() const
 {
-    validate();
+    if (batch < 1)
+        fatal("network " + name + ": batch must be >= 1");
+    if (layers.empty())
+        fatal("network " + name + ": contains no conv-like layers");
     std::vector<ConvProblem> out;
     out.reserve(layers.size());
     for (const LayerDef &l : layers)
-        out.push_back(l.toProblem(batch));
+        out.push_back(l.toProblem(batch)); // validates each layer
     return out;
 }
 
 void
 NetworkDef::validate() const
 {
-    checkUser(batch >= 1, "network " + name + ": batch must be >= 1");
-    checkUser(!layers.empty(),
-              "network " + name + ": contains no conv-like layers");
-    for (const LayerDef &l : layers)
-        l.toProblem(batch); // validates as a side effect
+    lower();
 }
 
 std::string
 networkDefToJson(const NetworkDef &def)
 {
-    std::ostringstream oss;
-    oss << "{\"name\":\"" << jsonEscape(def.name) << "\",\"layers\":[";
+    std::string out = "{\"name\":\"";
+    jsonAppendEscaped(out, def.name);
+    out += "\",\"layers\":[";
     bool first = true;
     for (const LayerDef &l : def.layers) {
         if (!first)
-            oss << ",";
+            out += ',';
         first = false;
-        oss << "{\"name\":\"" << jsonEscape(l.name) << "\",\"kind\":\""
-            << layerKindName(l.kind) << "\",\"k\":" << l.filters
-            << ",\"c\":" << l.in_c << ",\"h\":" << l.in_h
-            << ",\"w\":" << l.in_w << ",\"size\":" << l.size
-            << ",\"stride\":" << l.stride << ",\"dilation\":" << l.dilation
-            << ",\"groups\":" << l.groups << ",\"pad\":" << l.pad << "}";
+        out += "{\"name\":\"";
+        jsonAppendEscaped(out, l.name);
+        out += "\",\"kind\":\"";
+        out += layerKindName(l.kind);
+        appendInt(out, "\",\"k\":", l.filters);
+        appendInt(out, ",\"c\":", l.in_c);
+        appendInt(out, ",\"h\":", l.in_h);
+        appendInt(out, ",\"w\":", l.in_w);
+        appendInt(out, ",\"size\":", l.size);
+        appendInt(out, ",\"stride\":", l.stride);
+        appendInt(out, ",\"dilation\":", l.dilation);
+        appendInt(out, ",\"groups\":", l.groups);
+        appendInt(out, ",\"pad\":", l.pad);
+        out += '}';
     }
-    oss << "]}";
-    return oss.str();
+    out += "]}";
+    return out;
 }
 
 namespace {

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <cstdio>
 
 #include "common/logging.hh"
+#include "common/string_util.hh"
 #include "conv/problem.hh"
 
 namespace mopt {
@@ -95,20 +96,35 @@ floorTiles(const TileVec &t)
 
 namespace {
 
+void
+appendValue(std::string &out, std::int64_t v)
+{
+    appendInt(out, v);
+}
+
+void
+appendValue(std::string &out, double v)
+{
+    // %g is what an ostream prints a double as by default.
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%g", v);
+    out.append(buf, static_cast<std::size_t>(n));
+}
+
 template <typename Vec>
 std::string
 tilesToStringImpl(const Vec &t)
 {
-    std::ostringstream oss;
-    oss << "[";
+    std::string out = "[";
     for (int d = 0; d < NumDims; ++d) {
         if (d)
-            oss << " ";
-        oss << dimName(static_cast<Dim>(d)) << "="
-            << t[static_cast<std::size_t>(d)];
+            out += ' ';
+        out += dimName(static_cast<Dim>(d));
+        out += '=';
+        appendValue(out, t[static_cast<std::size_t>(d)]);
     }
-    oss << "]";
-    return oss.str();
+    out += ']';
+    return out;
 }
 
 } // namespace

@@ -25,7 +25,7 @@ Permutation::Permutation(const std::array<Dim, NumDims> &order)
 }
 
 Permutation
-Permutation::parse(const std::string &s)
+Permutation::parse(std::string_view s)
 {
     checkUser(s.size() == NumDims,
               "Permutation::parse: need exactly 7 characters");

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "machine/machine.hh"
@@ -31,7 +32,7 @@ class Permutation
     explicit Permutation(const std::array<Dim, NumDims> &order);
 
     /** Parse a compact string like "kcrsnhw" (outermost first). */
-    static Permutation parse(const std::string &s);
+    static Permutation parse(std::string_view s);
 
     /** Dimension at outermost-first index @p i (0-based). */
     Dim at(int i) const { return order_[static_cast<std::size_t>(i)]; }

@@ -44,20 +44,19 @@ parseEndpointList(const std::string &csv)
     std::vector<RpcEndpoint> out;
     for (const std::string &part : split(csv, ',')) {
         const std::string tok = trim(part);
-        checkUser(!tok.empty(),
-                  "--connect: empty endpoint in \"" + csv + "\"");
+        if (tok.empty())
+            fatal("--connect: empty endpoint in \"" + csv + "\"");
         const auto colon = tok.rfind(':');
-        checkUser(colon != std::string::npos && colon > 0,
-                  "--connect: expected host:port, got \"" + tok + "\"");
+        if (colon == std::string::npos || colon == 0)
+            fatal("--connect: expected host:port, got \"" + tok + "\"");
         const std::string host = tok.substr(0, colon);
         const std::string port_str = tok.substr(colon + 1);
-        checkUser(!port_str.empty() &&
-                      port_str.find_first_not_of("0123456789") ==
-                          std::string::npos,
-                  "--connect: bad port in \"" + tok + "\"");
+        if (port_str.empty() ||
+            port_str.find_first_not_of("0123456789") != std::string::npos)
+            fatal("--connect: bad port in \"" + tok + "\"");
         const long port = std::strtol(port_str.c_str(), nullptr, 10);
-        checkUser(port >= 1 && port <= 65535,
-                  "--connect: port out of range in \"" + tok + "\"");
+        if (port < 1 || port > 65535)
+            fatal("--connect: port out of range in \"" + tok + "\"");
         out.push_back(RpcEndpoint{host, static_cast<int>(port)});
     }
     checkUser(!out.empty(), "--connect: no endpoints given");
@@ -291,9 +290,8 @@ ShardRouter::finishResponse(std::size_t node, const RpcResponse &resp,
         // A *refusal* is a fleet misconfiguration (wrong machine,
         // wrong settings, bad shape); silently solving locally would
         // mask it on every future query. Fail loudly.
-        checkUser(false, "moptd node " +
-                             clients_[node].endpoint().str() +
-                             " refused solve: " + resp.error);
+        fatal("moptd node " + clients_[node].endpoint().str() +
+              " refused solve: " + resp.error);
     }
     peers_.reportSuccess(node); // The answer proves the node up.
     (resp.solve.cache_hit ? stats.remote_hits : stats.remote_misses)++;

@@ -1,11 +1,10 @@
 #include "rpc/protocol.hh"
 
-#include <cstdio>
-#include <sstream>
 #include <utility>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/string_util.hh"
 
 namespace mopt {
 
@@ -20,16 +19,21 @@ setError(std::string *err, const std::string &msg)
 
 /** The problem members of a solve request (journal field names). */
 void
-appendProblemFields(std::ostringstream &oss, const ConvProblem &p)
+appendProblemFields(std::string &out, const ConvProblem &p)
 {
-    oss << ",\"n\":" << p.n << ",\"k\":" << p.k << ",\"c\":" << p.c
-        << ",\"r\":" << p.r << ",\"s\":" << p.s << ",\"h\":" << p.h
-        << ",\"w\":" << p.w << ",\"stride\":" << p.stride
-        << ",\"dilation\":" << p.dilation;
+    appendInt(out, ",\"n\":", p.n);
+    appendInt(out, ",\"k\":", p.k);
+    appendInt(out, ",\"c\":", p.c);
+    appendInt(out, ",\"r\":", p.r);
+    appendInt(out, ",\"s\":", p.s);
+    appendInt(out, ",\"h\":", p.h);
+    appendInt(out, ",\"w\":", p.w);
+    appendInt(out, ",\"stride\":", p.stride);
+    appendInt(out, ",\"dilation\":", p.dilation);
     // Optional, default 1: dense-conv requests stay byte-identical to
     // the pre-groups wire format.
     if (p.groups != 1)
-        oss << ",\"groups\":" << p.groups;
+        appendInt(out, ",\"groups\":", p.groups);
 }
 
 bool
@@ -79,22 +83,47 @@ fingerprintFromJson(const JsonValue &root, const char *key,
     return true;
 }
 
+/** ,"<name>":"<16 hex digits>" */
 void
-appendFingerprints(std::ostringstream &oss, std::uint64_t machine_fp,
+appendHexField(std::string &out, std::string_view name, std::uint64_t v)
+{
+    out += ",\"";
+    out += name;
+    out += "\":\"";
+    jsonAppendHex16(out, v);
+    out += '"';
+}
+
+/** ,"<name>":"<escaped s>" */
+void
+appendStringField(std::string &out, std::string_view name,
+                  std::string_view s)
+{
+    out += ",\"";
+    out += name;
+    out += "\":\"";
+    jsonAppendEscaped(out, s);
+    out += '"';
+}
+
+void
+appendFingerprints(std::string &out, std::uint64_t machine_fp,
                    std::uint64_t settings_fp)
 {
     if (machine_fp)
-        oss << ",\"machine\":\"" << jsonHex16(machine_fp) << "\"";
+        appendHexField(out, "machine", machine_fp);
     if (settings_fp)
-        oss << ",\"settings\":\"" << jsonHex16(settings_fp) << "\"";
+        appendHexField(out, "settings", settings_fp);
 }
 
 /** One solved layer: {"cache":"hit","record":{...}}. */
 void
-appendSolveResult(std::ostringstream &oss, const RpcSolveResult &r)
+appendSolveResult(std::string &out, const RpcSolveResult &r)
 {
-    oss << "{\"cache\":\"" << (r.cache_hit ? "hit" : "miss")
-        << "\",\"record\":" << solutionToJsonLine(r.key, r.sol) << "}";
+    out += r.cache_hit ? "{\"cache\":\"hit\",\"record\":"
+                       : "{\"cache\":\"miss\",\"record\":";
+    solutionAppendJson(out, r.key, r.sol);
+    out += '}';
 }
 
 bool
@@ -180,49 +209,55 @@ rpcErrorCodeName(RpcErrorCode code)
 std::string
 requestToJsonLine(const RpcRequest &req)
 {
-    std::ostringstream oss;
-    oss << "{\"v\":" << req.v << ",\"op\":\"" << rpcOpName(req.op)
-        << "\"";
-    appendFingerprints(oss, req.machine_fp, req.settings_fp);
+    std::string out;
+    out.reserve(256);
+    appendInt(out, "{\"v\":", req.v);
+    out += ",\"op\":\"";
+    out += rpcOpName(req.op);
+    out += '"';
+    appendFingerprints(out, req.machine_fp, req.settings_fp);
     // Optional, default 0 = none: deadline-less requests stay
     // byte-identical to the pre-deadline wire format.
     if (req.deadline_ms > 0)
-        oss << ",\"deadline_ms\":" << req.deadline_ms;
+        appendInt(out, ",\"deadline_ms\":", req.deadline_ms);
     switch (req.op) {
     case RpcOp::Solve:
-        appendProblemFields(oss, req.problem);
+        appendProblemFields(out, req.problem);
         break;
     case RpcOp::SolveNetwork:
-        if (req.has_ir)
-            oss << ",\"ir\":" << networkDefToJson(req.ir);
-        else
-            oss << ",\"net\":\"" << jsonEscape(req.net) << "\"";
+        if (req.has_ir) {
+            out += ",\"ir\":";
+            out += networkDefToJson(req.ir);
+        } else {
+            appendStringField(out, "net", req.net);
+        }
         if (req.batch != 1)
-            oss << ",\"batch\":" << req.batch;
+            appendInt(out, ",\"batch\":", req.batch);
         break;
     case RpcOp::Replicate:
-        if (req.repl_digest)
-            oss << ",\"digest\":1";
-        else if (req.repl_pull)
-            oss << ",\"pull\":1";
-        else
-            oss << ",\"record\":"
-                << solutionToJsonLine(req.repl_key, req.repl_sol, 0,
-                                      req.repl_seq);
+        if (req.repl_digest) {
+            out += ",\"digest\":1";
+        } else if (req.repl_pull) {
+            out += ",\"pull\":1";
+        } else {
+            out += ",\"record\":";
+            solutionAppendJson(out, req.repl_key, req.repl_sol, 0,
+                               req.repl_seq);
+        }
         // Optional cursors, absent by default: a full unfiltered pull
         // stays byte-identical to the PR 9 wire format.
         if ((req.repl_digest || req.repl_pull) && req.repl_since >= 0)
-            oss << ",\"since\":" << req.repl_since;
+            appendInt(out, ",\"since\":", req.repl_since);
         if ((req.repl_digest || req.repl_pull) && req.repl_for >= 0)
-            oss << ",\"for\":" << req.repl_for;
+            appendInt(out, ",\"for\":", req.repl_for);
         break;
     case RpcOp::Stats:
     case RpcOp::Shutdown:
     case RpcOp::Ping:
         break;
     }
-    oss << "}";
-    return oss.str();
+    out += '}';
+    return out;
 }
 
 bool
@@ -370,104 +405,113 @@ rpcErrorResponse(const std::string &msg, RpcErrorCode code)
 std::string
 responseToJsonLine(const RpcResponse &resp)
 {
-    std::ostringstream oss;
+    std::string out;
     if (!resp.ok) {
-        oss << "{\"ok\":false,\"error\":\"" << jsonEscape(resp.error)
-            << "\"";
+        out = "{\"ok\":false";
+        appendStringField(out, "error", resp.error);
         if (resp.code != RpcErrorCode::None)
-            oss << ",\"code\":\"" << rpcErrorCodeName(resp.code)
-                << "\"";
-        oss << "}";
-        return oss.str();
+            appendStringField(out, "code", rpcErrorCodeName(resp.code));
+        out += '}';
+        return out;
     }
-    oss << "{\"ok\":true,\"op\":\"" << rpcOpName(resp.op) << "\"";
-    char num[32];
+    // One record is about 350 bytes; escaping the plan text adds a
+    // byte per line.
+    out.reserve(128 + resp.plan_text.size() * 9 / 8 +
+                400 * (resp.layers.size() + resp.repl_records.size()));
+    out += "{\"ok\":true,\"op\":\"";
+    out += rpcOpName(resp.op);
+    out += '"';
     switch (resp.op) {
     case RpcOp::Solve:
-        oss << ",\"cache\":\"" << (resp.solve.cache_hit ? "hit" : "miss")
-            << "\"";
-        std::snprintf(num, sizeof(num), "%.17g", resp.solve_seconds);
-        oss << ",\"solve_s\":" << num
-            << ",\"record\":" << solutionToJsonLine(resp.solve.key,
-                                                    resp.solve.sol);
+        out += resp.solve.cache_hit ? ",\"cache\":\"hit\""
+                                    : ",\"cache\":\"miss\"";
+        out += ",\"solve_s\":";
+        jsonAppendDouble(out, resp.solve_seconds);
+        out += ",\"record\":";
+        solutionAppendJson(out, resp.solve.key, resp.solve.sol);
         break;
     case RpcOp::SolveNetwork:
-        oss << ",\"plan\":\"" << jsonEscape(resp.plan_text) << "\""
-            << ",\"unique\":" << resp.unique_shapes
-            << ",\"hits\":" << resp.cache_hits
-            << ",\"misses\":" << resp.cache_misses
-            << ",\"evals\":" << resp.solver_evals;
-        std::snprintf(num, sizeof(num), "%.17g", resp.solve_seconds);
-        oss << ",\"solve_s\":" << num << ",\"layers\":[";
+        appendStringField(out, "plan", resp.plan_text);
+        appendInt(out, ",\"unique\":", resp.unique_shapes);
+        appendInt(out, ",\"hits\":", resp.cache_hits);
+        appendInt(out, ",\"misses\":", resp.cache_misses);
+        appendInt(out, ",\"evals\":", resp.solver_evals);
+        out += ",\"solve_s\":";
+        jsonAppendDouble(out, resp.solve_seconds);
+        out += ",\"layers\":[";
         for (std::size_t i = 0; i < resp.layers.size(); ++i) {
             if (i)
-                oss << ",";
-            appendSolveResult(oss, resp.layers[i]);
+                out += ',';
+            appendSolveResult(out, resp.layers[i]);
         }
-        oss << "]";
+        out += ']';
         break;
     case RpcOp::Stats:
-        oss << ",\"machine\":\"" << jsonHex16(resp.machine_fp) << "\""
-            << ",\"settings\":\"" << jsonHex16(resp.settings_fp) << "\""
-            << ",\"machine_name\":\"" << jsonEscape(resp.machine_name)
-            << "\",\"entries\":" << resp.entries
-            << ",\"shards\":" << resp.shards
-            << ",\"lookups_hit\":" << resp.cache.hits
-            << ",\"lookups_miss\":" << resp.cache.misses
-            << ",\"inserts\":" << resp.cache.inserts
-            << ",\"evictions\":" << resp.cache.evictions
-            << ",\"journal_loaded\":" << resp.cache.journal_loaded
-            << ",\"journal_skipped\":" << resp.cache.journal_skipped
-            << ",\"sched_solves\":" << resp.sched_solves
-            << ",\"sched_coalesced\":" << resp.sched_coalesced
-            << ",\"sched_inflight\":" << resp.sched_inflight
-            << ",\"sched_peak\":" << resp.sched_peak
-            << ",\"sched_budget\":" << resp.sched_budget
-            << ",\"srv_shed_overload\":" << resp.srv_shed_overload
-            << ",\"srv_shed_client\":" << resp.srv_shed_client
-            << ",\"srv_shed_deadline\":" << resp.srv_shed_deadline
-            << ",\"calib_samples\":" << resp.calib_samples
-            << ",\"calib_active\":" << resp.calib_active
-            << ",\"srv_repl_pushed\":" << resp.srv_repl_pushed
-            << ",\"srv_repl_push_failed\":" << resp.srv_repl_push_failed
-            << ",\"srv_repl_applied\":" << resp.srv_repl_applied
-            << ",\"srv_repl_prefetched\":" << resp.srv_repl_prefetched
-            << ",\"repl_queue_depth\":" << resp.repl_queue_depth
-            << ",\"journal_seq\":" << resp.journal_seq
-            << ",\"entry_hits\":[";
-        for (std::size_t i = 0; i < resp.entry_hits.size(); ++i) {
-            if (i)
-                oss << ",";
-            oss << "{\"key\":\"" << jsonEscape(resp.entry_hits[i].key)
-                << "\",\"hits\":" << resp.entry_hits[i].hits << "}";
+        appendHexField(out, "machine", resp.machine_fp);
+        appendHexField(out, "settings", resp.settings_fp);
+        appendStringField(out, "machine_name", resp.machine_name);
+        for (const auto &[key, v] :
+             {std::pair<const char *, std::int64_t>{"entries", resp.entries},
+              {"shards", resp.shards},
+              {"lookups_hit", resp.cache.hits},
+              {"lookups_miss", resp.cache.misses},
+              {"inserts", resp.cache.inserts},
+              {"evictions", resp.cache.evictions},
+              {"journal_loaded", resp.cache.journal_loaded},
+              {"journal_skipped", resp.cache.journal_skipped},
+              {"sched_solves", resp.sched_solves},
+              {"sched_coalesced", resp.sched_coalesced},
+              {"sched_inflight", resp.sched_inflight},
+              {"sched_peak", resp.sched_peak},
+              {"sched_budget", resp.sched_budget},
+              {"srv_shed_overload", resp.srv_shed_overload},
+              {"srv_shed_client", resp.srv_shed_client},
+              {"srv_shed_deadline", resp.srv_shed_deadline},
+              {"calib_samples", resp.calib_samples},
+              {"calib_active", resp.calib_active},
+              {"srv_repl_pushed", resp.srv_repl_pushed},
+              {"srv_repl_push_failed", resp.srv_repl_push_failed},
+              {"srv_repl_applied", resp.srv_repl_applied},
+              {"srv_repl_prefetched", resp.srv_repl_prefetched},
+              {"repl_queue_depth", resp.repl_queue_depth},
+              {"journal_seq", resp.journal_seq}}) {
+            out += ",\"";
+            out += key;
+            appendInt(out, "\":", v);
         }
-        oss << "]";
+        out += ",\"entry_hits\":[";
+        for (std::size_t i = 0; i < resp.entry_hits.size(); ++i) {
+            out += i ? ",{\"key\":\"" : "{\"key\":\"";
+            jsonAppendEscaped(out, resp.entry_hits[i].key);
+            appendInt(out, "\",\"hits\":", resp.entry_hits[i].hits);
+            out += '}';
+        }
+        out += ']';
         break;
     case RpcOp::Replicate:
         if (resp.repl_has_digest) {
-            oss << ",\"count\":" << resp.repl_digest_count
-                << ",\"fp\":\"" << jsonHex16(resp.repl_digest_fp)
-                << "\"";
+            appendInt(out, ",\"count\":", resp.repl_digest_count);
+            appendHexField(out, "fp", resp.repl_digest_fp);
         } else if (resp.repl_is_pull) {
-            oss << ",\"records\":[";
+            out += ",\"records\":[";
             for (std::size_t i = 0; i < resp.repl_records.size(); ++i) {
                 if (i)
-                    oss << ",";
-                oss << solutionToJsonLine(resp.repl_records[i].key,
-                                          resp.repl_records[i].sol, 0,
-                                          resp.repl_records[i].seq);
+                    out += ',';
+                solutionAppendJson(out, resp.repl_records[i].key,
+                                   resp.repl_records[i].sol, 0,
+                                   resp.repl_records[i].seq);
             }
-            oss << "]";
+            out += ']';
         } else {
-            oss << ",\"applied\":" << resp.repl_applied;
+            appendInt(out, ",\"applied\":", resp.repl_applied);
         }
         break;
     case RpcOp::Shutdown:
     case RpcOp::Ping:
         break;
     }
-    oss << "}";
-    return oss.str();
+    out += '}';
+    return out;
 }
 
 bool

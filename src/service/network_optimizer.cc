@@ -1,10 +1,10 @@
 #include "service/network_optimizer.hh"
 
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/string_util.hh"
 #include "common/table.hh"
 #include "common/timer.hh"
 #include "model/multi_level.hh"
@@ -36,18 +36,22 @@ NetworkPlan::str() const
              "par", "pred ms", "pred GFLOPS"});
     for (const LayerPlan &lp : layers) {
         const ConvProblem &p = lp.problem;
-        std::ostringstream shape;
-        if (p.n > 1)
-            shape << "N" << p.n << " ";
-        shape << "K" << p.k << " C" << p.c << " H" << p.h << " R"
-              << p.r;
+        std::string shape;
+        if (p.n > 1) {
+            appendInt(shape, "N", p.n);
+            shape += ' ';
+        }
+        appendInt(shape, "K", p.k);
+        appendInt(shape, " C", p.c);
+        appendInt(shape, " H", p.h);
+        appendInt(shape, " R", p.r);
         if (p.stride > 1)
-            shape << "/" << p.stride;
+            appendInt(shape, "/", p.stride);
         if (p.groups > 1)
-            shape << " g" << p.groups;
+            appendInt(shape, " g", p.groups);
         t.row()
             .add(p.name)
-            .add(shape.str())
+            .add(std::move(shape))
             .add(lp.best.perm_label)
             .add(tilesToString(lp.best.config.tiles[LvlL1]))
             .add(tilesToString(lp.best.config.tiles[LvlL2]))

@@ -5,11 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/string_util.hh"
 
 namespace mopt {
 
@@ -66,12 +65,11 @@ getTiles(const JsonValue &arr, IntTileVec &out)
 }
 
 void
-appendTiles(std::ostringstream &oss, const IntTileVec &t)
+appendTiles(std::string &out, const IntTileVec &t)
 {
-    oss << "[";
     for (int d = 0; d < NumDims; ++d)
-        oss << (d ? "," : "") << t[static_cast<std::size_t>(d)];
-    oss << "]";
+        appendInt(out, d ? "," : "[", t[static_cast<std::size_t>(d)]);
+    out += ']';
 }
 
 std::size_t
@@ -89,41 +87,59 @@ std::string
 solutionToJsonLine(const CacheKey &key, const CachedSolution &sol,
                    std::int64_t hits, std::int64_t seq)
 {
+    std::string out;
+    out.reserve(512); // Room for one record.
+    solutionAppendJson(out, key, sol, hits, seq);
+    return out;
+}
+
+void
+solutionAppendJson(std::string &out, const CacheKey &key,
+                   const CachedSolution &sol, std::int64_t hits,
+                   std::int64_t seq)
+{
     const ConvProblem &p = key.problem;
-    std::ostringstream oss;
-    oss << "{\"v\":1"
-        << ",\"n\":" << p.n << ",\"k\":" << p.k << ",\"c\":" << p.c
-        << ",\"r\":" << p.r << ",\"s\":" << p.s << ",\"h\":" << p.h
-        << ",\"w\":" << p.w << ",\"stride\":" << p.stride
-        << ",\"dilation\":" << p.dilation;
+    appendInt(out, "{\"v\":1,\"n\":", p.n);
+    appendInt(out, ",\"k\":", p.k);
+    appendInt(out, ",\"c\":", p.c);
+    appendInt(out, ",\"r\":", p.r);
+    appendInt(out, ",\"s\":", p.s);
+    appendInt(out, ",\"h\":", p.h);
+    appendInt(out, ",\"w\":", p.w);
+    appendInt(out, ",\"stride\":", p.stride);
+    appendInt(out, ",\"dilation\":", p.dilation);
     // Written only when != 1 so dense-conv journal lines stay
     // byte-identical to the v1 format; absent parses as 1 below.
     if (p.groups != 1)
-        oss << ",\"groups\":" << p.groups;
-    oss << ",\"machine\":\"" << jsonHex16(key.machine_fp) << "\""
-        << ",\"settings\":\"" << jsonHex16(key.settings_fp) << "\""
-        << ",\"perm\":[";
-    for (int l = 0; l < NumMemLevels; ++l)
-        oss << (l ? "," : "") << "\""
-            << sol.config.perm[static_cast<std::size_t>(l)].str() << "\"";
-    oss << "],\"tiles\":[";
+        appendInt(out, ",\"groups\":", p.groups);
+    out += ",\"machine\":\"";
+    jsonAppendHex16(out, key.machine_fp);
+    out += "\",\"settings\":\"";
+    jsonAppendHex16(out, key.settings_fp);
+    out += "\",\"perm\":[";
+    for (int l = 0; l < NumMemLevels; ++l) {
+        out += l ? ",\"" : "\"";
+        out += sol.config.perm[static_cast<std::size_t>(l)].str();
+        out += '"';
+    }
+    out += "],\"tiles\":[";
     for (int l = 0; l < NumMemLevels; ++l) {
         if (l)
-            oss << ",";
-        appendTiles(oss, sol.config.tiles[static_cast<std::size_t>(l)]);
+            out += ',';
+        appendTiles(out, sol.config.tiles[static_cast<std::size_t>(l)]);
     }
-    oss << "],\"par\":";
-    appendTiles(oss, sol.config.par);
-    char pred[32];
-    std::snprintf(pred, sizeof(pred), "%.17g", sol.predicted_seconds);
-    oss << ",\"pred_s\":" << pred << ",\"label\":\""
-        << jsonEscape(sol.perm_label) << "\"";
+    out += "],\"par\":";
+    appendTiles(out, sol.config.par);
+    out += ",\"pred_s\":";
+    jsonAppendDouble(out, sol.predicted_seconds);
+    out += ",\"label\":\"";
+    jsonAppendEscaped(out, sol.perm_label);
+    out += '"';
     if (hits > 0)
-        oss << ",\"hits\":" << hits;
+        appendInt(out, ",\"hits\":", hits);
     if (seq > 0)
-        oss << ",\"seq\":" << seq;
-    oss << "}";
-    return oss.str();
+        appendInt(out, ",\"seq\":", seq);
+    out += '}';
 }
 
 bool

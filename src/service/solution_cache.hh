@@ -292,6 +292,12 @@ std::string solutionToJsonLine(const CacheKey &key,
                                std::int64_t hits = 0,
                                std::int64_t seq = 0);
 
+/** Append solutionToJsonLine(@p key, @p sol, @p hits, @p seq) to
+ *  @p out (the RPC encoder embeds records without a copy). */
+void solutionAppendJson(std::string &out, const CacheKey &key,
+                        const CachedSolution &sol, std::int64_t hits = 0,
+                        std::int64_t seq = 0);
+
 /**
  * Parse a journal line produced by solutionToJsonLine. Returns false
  * (leaving outputs untouched) on malformed input of any kind.

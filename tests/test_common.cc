@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common utilities: stats, RNG, strings, tables,
- * flags, and the thread pool.
+ * flags, the thread pool, and the JSON parser's accept/refuse table.
  */
 
 #include <gtest/gtest.h>
@@ -9,10 +9,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/flags.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -336,6 +339,148 @@ TEST(Logging, FatalThrows)
     EXPECT_THROW(fatal("nope"), FatalError);
     EXPECT_THROW(checkUser(false, "bad"), FatalError);
     checkUser(true, "fine");
+}
+
+/** n nested arrays around one number. */
+std::string
+nestedArrays(int n)
+{
+    return std::string(static_cast<std::size_t>(n), '[') + "1" +
+           std::string(static_cast<std::size_t>(n), ']');
+}
+
+TEST(Json, NumberAcceptRefuseTable)
+{
+    // strtod's grammar over [-+.0-9eE] and its range (see json.hh).
+    constexpr double kMin = std::numeric_limits<double>::min();
+    constexpr double kMax = std::numeric_limits<double>::max();
+    const struct
+    {
+        const char *text;
+        bool ok;
+        double value;
+    } rows[] = {
+        {"1", true, 1},
+        {"+1", true, 1},
+        {"1.", true, 1},
+        {".5", true, 0.5},
+        {"+.5", true, 0.5},
+        {"-.5", true, -0.5},
+        {"-0", true, 0},
+        {"01", true, 1},
+        {"1.e5", true, 1e5},
+        {"1E+5", true, 1e5},
+        {"-1.5e-3", true, -1.5e-3},
+        {"9007199254740993", true, 9007199254740992.0},
+        {"0e-400", true, 0},
+        {"2.2250738585072014e-308", true, kMin},
+        {"1.7976931348623157e308", true, kMax},
+        {" 7 ", true, 7},
+        {"1e", false, 0},
+        {"1.e", false, 0},
+        {"--1", false, 0},
+        {"+-1", false, 0},
+        {"-+1", false, 0},
+        {"++1", false, 0},
+        {"1e400", false, 0},
+        {"1.7976931348623159e308", false, 0},
+        {"1e-400", false, 0},
+        {"-1e-400", false, 0},
+        {"1e-310", false, 0},                  // subnormal: ERANGE
+        {"2.2250738585072012e-308", false, 0}, // rounds up to kMin
+        {"-", false, 0},
+        {".", false, 0},
+        {".e1", false, 0},
+        {"0x10", false, 0},
+        {"1-", false, 0},
+        {"1e5.5", false, 0},
+        {"1.5.5", false, 0},
+        {"nan", false, 0},
+        {"inf", false, 0},
+        {"-Infinity", false, 0},
+    };
+    for (const auto &row : rows) {
+        JsonValue v;
+        ASSERT_EQ(jsonParse(row.text, v), row.ok) << row.text;
+        if (!row.ok)
+            continue;
+        EXPECT_TRUE(v.isNumber()) << row.text;
+        EXPECT_EQ(v.num, row.value) << row.text;
+    }
+    JsonValue neg_zero;
+    ASSERT_TRUE(jsonParse("-0", neg_zero));
+    EXPECT_TRUE(std::signbit(neg_zero.num));
+}
+
+TEST(Json, StringAndStructureAcceptRefuseTable)
+{
+    const struct
+    {
+        const char *text;
+        bool ok;
+        std::string value;
+    } rows[] = {
+        {R"("a\"b\/c")", true, "a\"b/c"},
+        {R"("\b\f\n\r\t")", true, "\b\f\n\r\t"},
+        {"\"raw\ttab\"", true, "raw\ttab"},
+        {R"("\u0041")", true, "A"},
+        {R"("\u0000")", true, std::string(1, '\0')},
+        // \u escapes decode to UTF-8; surrogates must pair.
+        {R"("\u00e9")", true, "\xc3\xa9"},
+        {R"("\u0141")", true, "\xc5\x81"},
+        {R"("\u20AC")", true, "\xe2\x82\xac"},
+        {R"("\ud83d\ude00")", true, "\xf0\x9f\x98\x80"},
+        {R"("\ud83d")", false, ""},
+        {R"("\ude00")", false, ""},
+        {R"("\ud83dx")", false, ""},
+        {R"("\ud83d\u0041")", false, ""},
+        {R"("\u12")", false, ""},
+        {R"("\u12zz")", false, ""},
+        {R"("\x")", false, ""},
+        {R"("abc)", false, ""},
+        {R"("abc\)", false, ""},
+        {R"("abc\")", false, ""},
+        {"", false, ""},
+        {" ", false, ""},
+        {"1 x", false, ""},
+        {"{} {}", false, ""},
+        {"truex", false, ""},
+        {"nul", false, ""},
+        {"[1,]", false, ""},
+        {"[,1]", false, ""},
+        {"[1 2]", false, ""},
+        {R"({"a":1,})", false, ""},
+        {R"({"a"})", false, ""},
+        {"{1:2}", false, ""},
+    };
+    for (const auto &row : rows) {
+        JsonValue v;
+        ASSERT_EQ(jsonParse(row.text, v), row.ok) << row.text;
+        if (row.ok) {
+            EXPECT_TRUE(v.isString()) << row.text;
+            EXPECT_EQ(v.str, row.value) << row.text;
+        }
+    }
+
+    // Depth: 64 nested containers parse, 65 do not.
+    JsonValue v;
+    EXPECT_TRUE(jsonParse(nestedArrays(64), v));
+    EXPECT_FALSE(jsonParse(nestedArrays(65), v));
+}
+
+TEST(Json, EscapeRoundTripsEveryByte)
+{
+    // The encoder writes \u00XX only below 0x20, so what it escapes
+    // reads back byte for byte.
+    std::string all;
+    for (int c = 0; c < 256; ++c)
+        all += static_cast<char>(c);
+    const std::string quoted = "\"" + jsonEscape(all) + "\"";
+    JsonValue v;
+    ASSERT_TRUE(jsonParse(quoted, v));
+    EXPECT_EQ(v.str, all);
+    EXPECT_EQ(jsonEscape("a\"b\\c\n\t\r\x01"),
+              "a\\\"b\\\\c\\n\\t\\r\\u0001");
 }
 
 } // namespace

@@ -85,6 +85,15 @@ TEST(Dims, FloorTilesRoundTripsLogExtents)
     EXPECT_EQ(v, (IntTileVec{1, 7, 6, 64, 1, 2, 3}));
 }
 
+TEST(Dims, TilesToStringKeepsStreamFormatting)
+{
+    // Real tiles print as an ostream prints a double (%g).
+    EXPECT_EQ(tilesToString(TileVec{1, 2.5, 1e7, 0.1234567, 3, 1e-5, 1e5}),
+              "[n=1 k=2.5 c=1e+07 r=0.123457 s=3 h=1e-05 w=100000]");
+    EXPECT_EQ(tilesToString(IntTileVec{1, -2, 1234567890123, 0, 3, 9, 7}),
+              "[n=1 k=-2 c=1234567890123 r=0 s=3 h=9 w=7]");
+}
+
 TEST(MultiLevel, OverheadAddsCallAndRegionCosts)
 {
     const ConvProblem p = prob();

@@ -10,12 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "conv/workloads.hh"
 #include "machine/machine.hh"
 #include "rpc/client.hh"
@@ -24,6 +31,7 @@
 #include "rpc/tcp.hh"
 #include "service/cache_key.hh"
 #include "service/network_optimizer.hh"
+#include "support/golden_records.hh"
 #include "support/thread_count.hh"
 
 namespace mopt {
@@ -279,6 +287,178 @@ TEST(RpcProtocol, ResponseRoundTrips)
     ASSERT_TRUE(responseFromJsonLine(legacy, back, &err)) << err;
     EXPECT_EQ(back.sched_solves, 0);
     EXPECT_EQ(back.sched_budget, 0);
+}
+
+// Byte pins for the wire: a fixed solve_network response (escaped plan
+// text, a grouped layer, 17-digit doubles, a label that needs
+// escaping) and two requests, compared with committed strings.
+const char *const kGoldenNetworkResponse =
+    "{\"ok\":true,\"op\":\"solve_network\",\"plan\":\"Layer   shape    "
+    "                class   L1 tile                          L2 tile  "
+    "                          L3 tile                            par  "
+    "                          pred ms  pred GFLOPS\\n-----------------"
+    "------------------------------------------------------------------"
+    "------------------------------------------------------------------"
+    "----------------------------------------------\\nconv1   N2 K64 C3"
+    " H112 R7/2      nk|crs  [n=1 k=16 c=3 r=3 s=3 h=2 w=12]  [n=1 k=32"
+    " c=16 r=3 s=3 h=7 w=28]   [n=2 k=64 c=32 r=3 s=3 h=14 w=56]  [n=1 "
+    "k=2 c=1 r=1 s=1 h=2 w=1]  0.123    98.8       \\ndw \\\"2\\\"  N2 "
+    "K32 C32 H56 R3 g32    hw|kc   [n=1 k=16 c=6 r=3 s=3 h=2 w=12]  [n="
+    "1 k=32 c=16 r=3 s=3 h=14 w=28]  [n=2 k=64 c=32 r=3 s=3 h=14 w=56] "
+    " [n=1 k=2 c=1 r=1 s=1 h=4 w=1]  0.247    49.4       \\npw      N2 "
+    "K128 C64 H28 R1/2 g4  nk|crs  [n=1 k=16 c=9 r=3 s=3 h=2 w=12]  [n="
+    "1 k=32 c=16 r=3 s=3 h=21 w=28]  [n=2 k=64 c=32 r=3 s=3 h=14 w=56] "
+    " [n=1 k=2 c=1 r=1 s=1 h=6 w=1]  0.370    32.9       \\n\",\"unique"
+    "\":2,\"hits\":1,\"misses\":1,\"evals\":123456,\"solve_s\":0.100000"
+    "00000000001,\"layers\":[{\"cache\":\"hit\",\"record\":{\"v\":1,\"n"
+    "\":2,\"k\":64,\"c\":3,\"r\":7,\"s\":7,\"h\":112,\"w\":112,\"stride"
+    "\":2,\"dilation\":1,\"machine\":\"0123456789abcdef\",\"settings\":"
+    "\"fedcba9876543210\",\"perm\":[\"nkhwcrs\",\"nhwkcrs\",\"knchwrs\""
+    ",\"wkhncrs\"],\"tiles\":[[1,8,1,1,1,1,6],[1,16,3,3,3,2,12],[1,32,1"
+    "6,3,3,7,28],[2,64,32,3,3,14,56]],\"par\":[1,2,1,1,1,2,1],\"pred_s"
+    "\":2.5000000000000001e-05,\"label\":\"nk|crs\"}},{\"cache\":\"miss"
+    "\",\"record\":{\"v\":1,\"n\":2,\"k\":128,\"c\":64,\"r\":1,\"s\":1,"
+    "\"h\":28,\"w\":28,\"stride\":2,\"dilation\":1,\"groups\":4,\"machi"
+    "ne\":\"0123456789abcdef\",\"settings\":\"fedcba9876543210\",\"perm"
+    "\":[\"nkhwcrs\",\"nhwkcrs\",\"knchwrs\",\"wkhncrs\"],\"tiles\":[[1"
+    ",8,1,1,1,1,6],[1,16,6,3,3,2,12],[1,32,16,3,3,14,28],[2,64,32,3,3,1"
+    "4,56]],\"par\":[1,2,1,1,1,4,1],\"pred_s\":0.33333333333333331,\"la"
+    "bel\":\"kc|hw \\\"q\\\" \\\\ \\t\\u0001\"}}]}";
+
+const char *const kGoldenSolveRequest =
+    "{\"v\":1,\"op\":\"solve\",\"machine\":\"0123456789abcdef\",\"setti"
+    "ngs\":\"fedcba9876543210\",\"deadline_ms\":2500,\"n\":2,\"k\":128,"
+    "\"c\":64,\"r\":1,\"s\":1,\"h\":28,\"w\":28,\"stride\":2,\"dilation"
+    "\":1,\"groups\":4}";
+
+const char *const kGoldenNetworkRequest =
+    "{\"v\":1,\"op\":\"solve_network\",\"machine\":\"0123456789abcdef\""
+    ",\"settings\":\"fedcba9876543210\",\"net\":\"resnet18\",\"batch\":"
+    "8}";
+
+TEST(RpcProtocol, GoldenSolveNetworkResponseBytes)
+{
+    const RpcResponse resp = goldenNetworkResponse();
+    const std::string line = responseToJsonLine(resp);
+    EXPECT_EQ(line, kGoldenNetworkResponse);
+    RpcResponse back;
+    std::string err;
+    ASSERT_TRUE(responseFromJsonLine(line, back, &err)) << err;
+    EXPECT_EQ(back.plan_text, resp.plan_text);
+    ASSERT_EQ(back.layers.size(), 2u);
+    EXPECT_EQ(back.layers[1].key, resp.layers[1].key);
+    EXPECT_EQ(back.layers[1].sol, resp.layers[1].sol);
+    EXPECT_EQ(back.solve_seconds, resp.solve_seconds);
+}
+
+TEST(RpcProtocol, GoldenRequestBytes)
+{
+    EXPECT_EQ(requestToJsonLine(goldenSolveRequest()), kGoldenSolveRequest);
+    EXPECT_EQ(requestToJsonLine(goldenNetworkRequest()),
+              kGoldenNetworkRequest);
+    RpcRequest back;
+    std::string err;
+    ASSERT_TRUE(requestFromJsonLine(kGoldenSolveRequest, back, &err)) << err;
+    EXPECT_EQ(back.problem, goldenSolveRequest().problem);
+    EXPECT_EQ(back.deadline_ms, 2500);
+}
+
+/** One to three seeded mutations of @p s: bit flips, truncations,
+ *  inserted tokens and deleted runs. */
+std::string
+mutate(std::string s, Rng &rng)
+{
+    static const char *const kTokens[] = {
+        "[", "]", "{", "}", "\"", "\\", "\\u", "\\ud83d", ",", ":",
+        "1e999", "-", "+", ".", "e", "null", "\x01", "\xff"};
+    const std::size_t n = 1 + rng.index(3);
+    for (std::size_t i = 0; i < n && !s.empty(); ++i) {
+        const std::size_t at = rng.index(s.size());
+        switch (rng.index(4)) {
+        case 0: s[at] = static_cast<char>(s[at] ^ (1 << rng.index(8))); break;
+        case 1: s.resize(at); break;
+        case 2: s.insert(at, kTokens[rng.index(std::size(kTokens))]); break;
+        default: s.erase(at, 1 + rng.index(3)); break;
+        }
+    }
+    return s;
+}
+
+TEST(RpcProtocol, MutatedGoldenRecordsParseOrRefuse)
+{
+    RpcRequest repl;
+    repl.op = RpcOp::Replicate;
+    repl.repl_key = goldenKey(1);
+    repl.repl_sol = goldenSolution();
+    repl.repl_seq = 9;
+    const std::vector<std::string> seeds = {
+        responseToJsonLine(goldenNetworkResponse()),
+        requestToJsonLine(goldenSolveRequest()),
+        requestToJsonLine(goldenNetworkRequest()),
+        requestToJsonLine(repl),
+        solutionToJsonLine(goldenKey(1), goldenSolution(), 42, 7)};
+    const std::string &record = seeds.back();
+
+    // Every decoder either takes each mutant or refuses it: no crash,
+    // no hang. Bounded in time as well as count for sanitizer builds.
+    Rng rng(20261018);
+    const auto stop =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    std::vector<std::string> journal_lines;
+    std::int64_t mutants = 0, journal_accepted = 0;
+    while (mutants < 20000 && std::chrono::steady_clock::now() < stop) {
+        const std::string &seed = seeds[rng.index(seeds.size())];
+        const std::string m = mutate(seed, rng);
+        ++mutants;
+        JsonValue v;
+        jsonParse(m, v);
+        std::string err;
+        RpcRequest req;
+        requestFromJsonLine(m, req, &err);
+        RpcResponse resp;
+        responseFromJsonLine(m, resp, &err);
+        CacheKey key;
+        CachedSolution sol;
+        const bool accepted = solutionFromJsonLine(m, key, sol);
+        if (accepted) {
+            // What is accepted re-encodes to a line that reads back
+            // the same.
+            CacheKey k2;
+            CachedSolution s2;
+            ASSERT_TRUE(
+                solutionFromJsonLine(solutionToJsonLine(key, sol), k2, s2))
+                << m;
+            EXPECT_EQ(k2, key);
+            EXPECT_EQ(s2, sol);
+        }
+        if (&seed == &record && journal_lines.size() < 2000 &&
+            m.find('\n') == std::string::npos &&
+            m.find_first_not_of(" \t\r") != std::string::npos) {
+            journal_lines.push_back(m);
+            journal_accepted += accepted;
+        }
+    }
+    EXPECT_GE(mutants, 200);
+
+    // Journal replay: each mutated line is applied whole or skipped.
+    const std::string path = ::testing::TempDir() + "mopt_fuzz_journal_" +
+                             std::to_string(::getpid()) + ".jsonl";
+    {
+        std::ofstream out(path);
+        for (const std::string &line : journal_lines)
+            out << line << "\n";
+    }
+    SolutionCacheOptions co;
+    co.journal_path = path;
+    {
+        const SolutionCache cache(co);
+        const SolutionCacheStats stats = cache.stats();
+        EXPECT_EQ(stats.journal_loaded, journal_accepted);
+        EXPECT_EQ(stats.journal_skipped,
+                  static_cast<std::int64_t>(journal_lines.size()) -
+                      journal_accepted);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(RpcProtocol, EndpointListParsing)

@@ -23,6 +23,7 @@
 #include "service/cache_key.hh"
 #include "service/network_optimizer.hh"
 #include "service/solution_cache.hh"
+#include "support/golden_records.hh"
 
 namespace mopt {
 namespace {
@@ -226,6 +227,56 @@ TEST(SolutionJson, HitsFieldRoundTripsAndDefaultsToZero)
     std::string bad = line;
     bad.replace(bad.find("\"hits\":42"), 9, "\"hits\":-7");
     EXPECT_FALSE(solutionFromJsonLine(bad, k2, s2, &hits));
+}
+
+// Byte pins: the journal line and the plan text are compared with
+// committed strings, so a formatting change that moves a single byte
+// fails here before it reaches a journal or a plan file.
+const char *const kGoldenSolutionLine =
+    "{\"v\":1,\"n\":2,\"k\":32,\"c\":32,\"r\":3,\"s\":3,\"h\":56,\"w\":"
+    "56,\"stride\":1,\"dilation\":1,\"groups\":32,\"machine\":\"0123456"
+    "789abcdef\",\"settings\":\"fedcba9876543210\",\"perm\":[\"nkhwcrs"
+    "\",\"nhwkcrs\",\"knchwrs\",\"wkhncrs\"],\"tiles\":[[1,8,1,1,1,1,6]"
+    ",[1,16,6,3,3,2,12],[1,32,16,3,3,14,28],[2,64,32,3,3,14,56]],\"par"
+    "\":[1,2,1,1,1,4,1],\"pred_s\":0.33333333333333331,\"label\":\"kc|h"
+    "w \\\"q\\\" \\\\ \\t\\u0001\",\"hits\":42,\"seq\":7}";
+
+const char *const kGoldenPlanText =
+    "Layer   shape                    class   L1 tile                  "
+    "        L2 tile                            L3 tile                "
+    "            par                            pred ms  pred GFLOPS\n"
+    "------------------------------------------------------------------"
+    "------------------------------------------------------------------"
+    "---------------------------------------------------------------\n"
+    "conv1   N2 K64 C3 H112 R7/2      nk|crs  [n=1 k=16 c=3 r=3 s=3 h=2"
+    " w=12]  [n=1 k=32 c=16 r=3 s=3 h=7 w=28]   [n=2 k=64 c=32 r=3 s=3 "
+    "h=14 w=56]  [n=1 k=2 c=1 r=1 s=1 h=2 w=1]  0.123    98.8       \n"
+    "dw \"2\"  N2 K32 C32 H56 R3 g32    hw|kc   [n=1 k=16 c=6 r=3 s=3 h"
+    "=2 w=12]  [n=1 k=32 c=16 r=3 s=3 h=14 w=28]  [n=2 k=64 c=32 r=3 s="
+    "3 h=14 w=56]  [n=1 k=2 c=1 r=1 s=1 h=4 w=1]  0.247    49.4       "
+    "\n"
+    "pw      N2 K128 C64 H28 R1/2 g4  nk|crs  [n=1 k=16 c=9 r=3 s=3 h=2"
+    " w=12]  [n=1 k=32 c=16 r=3 s=3 h=21 w=28]  [n=2 k=64 c=32 r=3 s=3 "
+    "h=14 w=56]  [n=1 k=2 c=1 r=1 s=1 h=6 w=1]  0.370    32.9       \n";
+
+TEST(SolutionJson, GoldenLineWithHitsAndSeq)
+{
+    const std::string line =
+        solutionToJsonLine(goldenKey(1), goldenSolution(), 42, 7);
+    EXPECT_EQ(line, kGoldenSolutionLine);
+    CacheKey key;
+    CachedSolution sol;
+    std::int64_t hits = 0, seq = 0;
+    ASSERT_TRUE(solutionFromJsonLine(line, key, sol, &hits, &seq));
+    EXPECT_EQ(key, goldenKey(1));
+    EXPECT_EQ(sol, goldenSolution());
+    EXPECT_EQ(hits, 42);
+    EXPECT_EQ(seq, 7);
+}
+
+TEST(NetworkPlan, GoldenText)
+{
+    EXPECT_EQ(goldenPlan().str(), kGoldenPlanText);
 }
 
 TEST(SolutionCache, EntryStatsCountPerEntryHits)
