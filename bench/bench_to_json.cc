@@ -19,37 +19,13 @@
 #include <vector>
 
 #include "common/flags.hh"
+#include "common/json.hh"
 #include "common/string_util.hh"
 
 namespace {
 
+using mopt::jsonEscape;
 using mopt::trim;
-
-/** JSON string escape (control chars, quotes, backslashes). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** True when @p s parses completely as a finite double. */
 bool
@@ -138,7 +114,10 @@ jsonCell(const std::string &cell)
         if (trim(cell.substr(pos)).empty())
             return jsonNumberToken(num, v);
     }
-    return "\"" + jsonEscape(cell) + "\"";
+    std::string out = "\"";
+    mopt::jsonAppendEscaped(out, cell);
+    out += '"';
+    return out;
 }
 
 /** Split a table row on runs of 2+ spaces (mopt::Table's separator). */

@@ -2,7 +2,7 @@
  * @file
  * The fleet's single backoff policy: doubling, capped, jittered
  * retry delays, shared by every path that re-attempts a peer — the
- * client's retry loop (rpc/client.cc), the server's replication push
+ * client's retry loop (rpc/client.cc), the Replicator's push
  * retries, and the PeerTable's half-open probe schedule. One policy
  * means one tuning knob and one set of tested edge cases (base <= 0,
  * attempt overflow against the cap) instead of three divergent ones.

@@ -2,9 +2,9 @@
  * @file
  * PeerTable — per-peer liveness shared by everything that talks to
  * the fleet. One table instance sits behind the ShardRouter's
- * mark-down decisions and another behind the server's replication
- * push thread, but both run the same state machine, so "down" means
- * the same thing on both paths:
+ * mark-down decisions and another behind the Replicator's calls, but
+ * both run the same state machine, so "down" means the same thing on
+ * both paths:
  *
  *     reportSuccess                    reportFailure
  *   ┌──────────────┐              (consecutive >= down_after)

@@ -17,7 +17,7 @@
 #include "optimizer/conv_nlp.hh"
 #include "optimizer/integerize.hh"
 #include "optimizer/load_balance.hh"
-#include "solver/multistart.hh"
+#include "solver/augmented_lagrangian.hh"
 
 namespace mopt {
 
@@ -155,30 +155,37 @@ greedySplit(int cores, const IntTileVec &extents)
     return par;
 }
 
-MultiStartOptions
-effortOptions(OptimizerOptions::Effort effort, std::uint64_t seed)
+/** What an effort level buys: random starts per objective solve (on
+ *  top of the deterministic seeds) and the solver's iteration budget. */
+struct EffortParams
 {
-    MultiStartOptions ms;
-    ms.seed = seed;
+    int random_starts = 0;
+    AugLagOptions auglag;
+};
+
+EffortParams
+effortParams(OptimizerOptions::Effort effort)
+{
+    EffortParams ep;
     switch (effort) {
       case OptimizerOptions::Effort::Fast:
-        ms.random_starts = 1;
-        ms.auglag.outer_iters = 4;
-        ms.auglag.inner.max_steps = 60;
-        ms.auglag.inner.lr = 0.15;
+        ep.random_starts = 1;
+        ep.auglag.outer_iters = 4;
+        ep.auglag.inner.max_steps = 60;
+        ep.auglag.inner.lr = 0.15;
         break;
       case OptimizerOptions::Effort::Standard:
-        ms.random_starts = 2;
-        ms.auglag.outer_iters = 6;
-        ms.auglag.inner.max_steps = 120;
+        ep.random_starts = 2;
+        ep.auglag.outer_iters = 6;
+        ep.auglag.inner.max_steps = 120;
         break;
       case OptimizerOptions::Effort::Thorough:
-        ms.random_starts = 4;
-        ms.auglag.outer_iters = 8;
-        ms.auglag.inner.max_steps = 250;
+        ep.random_starts = 4;
+        ep.auglag.outer_iters = 8;
+        ep.auglag.inner.max_steps = 250;
         break;
     }
-    return ms;
+    return ep;
 }
 
 /**
@@ -259,10 +266,8 @@ struct ComboState
     }
 
     /** All start points for one objective solve: the deterministic
-     *  seeds clamped into the current box plus random starts drawn
-     *  exactly as solveMultiStart would draw them, so the flattened
-     *  parallel sweep visits the same points a per-combo multi-start
-     *  loop would. */
+     *  seeds clamped into the current box, then @p random_starts
+     *  uniform points in it from an Rng seeded by opts.seed + obj. */
     std::vector<std::vector<double>>
     startPoints(int obj, const OptimizerOptions &opts,
                 int random_starts) const
@@ -367,7 +372,7 @@ optimizeConv(const ConvProblem &p, const MachineSpec &m,
     for (const PermCombo &c : combos)
         states.emplace_back(c, p, m, opts);
 
-    const MultiStartOptions ms = effortOptions(opts.effort, opts.seed);
+    const EffortParams effort = effortParams(opts.effort);
 
     std::vector<SolverScratch> scratch(pool.size() + 1);
 
@@ -387,7 +392,7 @@ optimizeConv(const ConvProblem &p, const MachineSpec &m,
                 nlps.push_back(std::make_unique<ConvNlp>(
                     *st.ctx, obj, st.lo, st.hi));
                 for (auto &pt :
-                     st.startPoints(obj, opts, ms.random_starts)) {
+                     st.startPoints(obj, opts, effort.random_starts)) {
                     jobs.push_back(
                         {ci, obj, nlp_idx, starts.size()});
                     starts.push_back(std::move(pt));
@@ -402,7 +407,7 @@ optimizeConv(const ConvProblem &p, const MachineSpec &m,
                 for (std::size_t i = begin; i < end; ++i)
                     results[i] = solveAugLag(
                         *nlps[jobs[i].nlp], starts[jobs[i].start],
-                        ms.auglag,
+                        effort.auglag,
                         &scratch[worker]);
             });
 

@@ -433,7 +433,7 @@ ShardRouter::solveOne(const CacheKey &key, RouteStats &stats)
             // opened) route to it — a retry against a just-opened
             // quarantine IS the half-open re-probe. While the owner
             // is quarantined, fail over to the next live ring node:
-            // under shard-aware replication (rpc/server.cc) the
+            // under shard-aware replication (rpc/replicator.cc) the
             // owner's ring successors are exactly the nodes that hold
             // this key's replica, so the failover answer is warm.
             // With nowhere live to fail over, keep probing the owner

@@ -34,13 +34,12 @@
  *    (or time out entirely) is quarantined for markdown_ms, during
  *    which its keys solve locally, fail over to the owner's ring
  *    successor (which shard-aware replication keeps warm for exactly
- *    those keys — rpc/server.cc), or hedge elsewhere; after the
+ *    those keys — rpc/replicator.cc), or hedge elsewhere; after the
  *    quarantine one call re-probes it (half-open) and success puts it
  *    back in rotation. Nothing is ever marked down forever. The
  *    standing is kept in a fleet::PeerTable — the same state machine
- *    the server's replication push thread runs — configured for the
- *    router's historical semantics (first failure quarantines, fixed
- *    window, no jitter).
+ *    the Replicator runs — configured for the router's historical
+ *    semantics (first failure quarantines, fixed window, no jitter).
  */
 
 #ifndef MOPT_RPC_CLIENT_HH

@@ -17,43 +17,15 @@ setError(std::string *err, const std::string &msg)
         *err = msg;
 }
 
-/** The problem members of a solve request (journal field names). */
-void
-appendProblemFields(std::string &out, const ConvProblem &p)
-{
-    appendInt(out, ",\"n\":", p.n);
-    appendInt(out, ",\"k\":", p.k);
-    appendInt(out, ",\"c\":", p.c);
-    appendInt(out, ",\"r\":", p.r);
-    appendInt(out, ",\"s\":", p.s);
-    appendInt(out, ",\"h\":", p.h);
-    appendInt(out, ",\"w\":", p.w);
-    appendInt(out, ",\"stride\":", p.stride);
-    appendInt(out, ",\"dilation\":", p.dilation);
-    // Optional, default 1: dense-conv requests stay byte-identical to
-    // the pre-groups wire format.
-    if (p.groups != 1)
-        appendInt(out, ",\"groups\":", p.groups);
-}
-
+/** The shape of a solve request: the journal's fields, then
+ *  validated. */
 bool
 problemFromJson(const JsonValue &root, ConvProblem &out, std::string *err)
 {
     ConvProblem p;
-    std::int64_t stride = 0, dilation = 0;
-    if (!jsonGetInt(root, "n", p.n) || !jsonGetInt(root, "k", p.k) ||
-        !jsonGetInt(root, "c", p.c) || !jsonGetInt(root, "r", p.r) ||
-        !jsonGetInt(root, "s", p.s) || !jsonGetInt(root, "h", p.h) ||
-        !jsonGetInt(root, "w", p.w) ||
-        !jsonGetInt(root, "stride", stride) ||
-        !jsonGetInt(root, "dilation", dilation)) {
-        setError(err, "solve: missing or non-integer shape field");
-        return false;
-    }
-    p.stride = static_cast<int>(stride);
-    p.dilation = static_cast<int>(dilation);
-    if (root.find("groups") && !jsonGetInt(root, "groups", p.groups)) {
-        setError(err, "solve: non-integer \"groups\"");
+    std::string why;
+    if (!shapeFromJson(root, p, &why)) {
+        setError(err, "solve: " + why);
         return false;
     }
     try {
@@ -222,7 +194,7 @@ requestToJsonLine(const RpcRequest &req)
         appendInt(out, ",\"deadline_ms\":", req.deadline_ms);
     switch (req.op) {
     case RpcOp::Solve:
-        appendProblemFields(out, req.problem);
+        shapeAppendJson(out, req.problem);
         break;
     case RpcOp::SolveNetwork:
         if (req.has_ir) {
@@ -241,8 +213,8 @@ requestToJsonLine(const RpcRequest &req)
             out += ",\"pull\":1";
         } else {
             out += ",\"record\":";
-            solutionAppendJson(out, req.repl_key, req.repl_sol, 0,
-                               req.repl_seq);
+            solutionAppendJson(out, req.repl_record.key,
+                               req.repl_record.sol, 0, req.repl_record.seq);
         }
         // Optional cursors, absent by default: a full unfiltered pull
         // stays byte-identical to the PR 9 wire format.
@@ -369,8 +341,9 @@ requestFromJsonLine(const std::string &line, RpcRequest &out,
         }
         const JsonValue *rec = root.find("record");
         if (rec) {
-            if (!solutionFromJson(*rec, req.repl_key, req.repl_sol,
-                                  nullptr, &req.repl_seq)) {
+            if (!solutionFromJson(*rec, req.repl_record.key,
+                                  req.repl_record.sol, nullptr,
+                                  &req.repl_record.seq)) {
                 setError(err, "replicate: bad \"record\"");
                 return false;
             }
@@ -671,7 +644,7 @@ responseFromJsonLine(const std::string &line, RpcResponse &out,
             resp.repl_is_pull = true;
             resp.repl_records.reserve(recs->arr.size());
             for (const JsonValue &v : recs->arr) {
-                RpcReplRecord r;
+                SolutionCacheRecord r;
                 if (!solutionFromJson(v, r.key, r.sol, nullptr,
                                       &r.seq)) {
                     setError(err, "replicate: bad record in records");

@@ -188,10 +188,8 @@ struct RpcRequest
     std::int64_t deadline_ms = 0;
 
     /** Replicate (push form): the journal record being replicated,
-     *  and the origin's journal sequence for it (0 = none carried). */
-    CacheKey repl_key;
-    CachedSolution repl_sol;
-    std::int64_t repl_seq = 0;
+     *  with the origin's journal sequence for it (0 = none carried). */
+    SolutionCacheRecord repl_record;
     bool has_record = false;
 
     /** Replicate (pull form): ask the peer for its entries. */
@@ -223,14 +221,6 @@ struct RpcSolveResult
     CacheKey key;       //!< Identity the server solved (cross-check).
     CachedSolution sol; //!< Winning configuration.
     bool cache_hit = false;
-};
-
-/** One replicated cache entry (a journal record on the wire). */
-struct RpcReplRecord
-{
-    CacheKey key;
-    CachedSolution sol;
-    std::int64_t seq = 0; //!< Origin journal sequence (0 = none).
 };
 
 /** Per-entry telemetry row of a stats response. */
@@ -307,7 +297,7 @@ struct RpcResponse
     // Replicate.
     std::int64_t repl_applied = 0; //!< Push form: 1 = newly inserted.
     bool repl_is_pull = false;     //!< Response carries records[].
-    std::vector<RpcReplRecord> repl_records; //!< Pull form payload.
+    std::vector<SolutionCacheRecord> repl_records; //!< Pull payload.
 
     // Replicate (digest form).
     bool repl_has_digest = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <utility>
 
 #include <fcntl.h>
@@ -11,8 +10,6 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "fleet/backoff.hh"
-#include "fleet/ring.hh"
 #include "frontend/registry.hh"
 #include "service/cache_key.hh"
 
@@ -29,29 +26,6 @@ constexpr std::uint64_t kWakeId = 1;
 // it the loop stops reading the socket (TCP backpressure) until the
 // backlog drains. Responses stay in request order regardless.
 constexpr std::size_t kMaxPipelinedLines = 8;
-
-// Replication budgets: pushes and the join-time pull are best-effort
-// and must never wedge on a dead peer.
-constexpr long kReplPushDeadlineMs = 1000;
-constexpr long kReplPullDeadlineMs = 2000;
-constexpr long kReplPingDeadlineMs = 250;
-
-// Bound on queued-but-unpushed replication records; a slow peer
-// drops records (counted) instead of backing up the solve path.
-constexpr std::size_t kMaxReplQueue = 1024;
-
-// Per-peer bound on records spooled for a quarantined peer. Oldest
-// drop first: anti-entropy repairs whatever falls off the spool.
-constexpr std::size_t kMaxSpoolPerPeer = 1024;
-
-// A failed push retries this many times with jittered exponential
-// backoff from kReplPushBackoffMs before the record is spooled.
-constexpr int kReplPushAttempts = 3;
-constexpr long kReplPushBackoffMs = 50;
-
-// The replicator's idle tick: with an empty queue it wakes this often
-// to run half-open probes and the anti-entropy schedule.
-constexpr long kReplLoopSliceMs = 50;
 
 bool
 fdNonBlocking(int fd)
@@ -118,6 +92,7 @@ Server::Server(const MachineSpec &machine, const OptimizerOptions &opts,
       }()),
       machine_fp_(CacheKey::machineFingerprint(machine_)),
       settings_fp_(CacheKey::settingsFingerprint(opts_)),
+      replicator_(cache_, machine_fp_, settings_fp_, options_, counters_),
       scheduler_(machine_, opts_, cache_,
                  [this] {
                      SolveSchedulerOptions so;
@@ -126,7 +101,8 @@ Server::Server(const MachineSpec &machine, const OptimizerOptions &opts,
                          so.on_insert = [this](const CacheKey &key,
                                                const CachedSolution &sol,
                                                std::int64_t seq) {
-                             enqueueReplication(key, sol, seq);
+                             replicator_.enqueue(
+                                 SolutionCacheRecord{key, sol, seq});
                          };
                      return so;
                  }()),
@@ -136,23 +112,10 @@ Server::Server(const MachineSpec &machine, const OptimizerOptions &opts,
 Server::~Server()
 {
     stop();
-    {
-        std::lock_guard<std::mutex> lock(repl_mu_);
-        repl_stop_ = true;
-    }
-    repl_cv_.notify_all();
+    replicator_.stop();
     if (repl_thread_.joinable())
         repl_thread_.join();
-    {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        queue_closed_ = true;
-    }
-    queue_cv_.notify_all();
-    for (std::thread &t : workers_)
-        if (t.joinable())
-            t.join();
-    workers_.clear();
-    conns_.clear();
+    joinWorkers();
     if (epfd_ >= 0)
         ::close(epfd_);
     if (wake_rd_ >= 0)
@@ -161,29 +124,20 @@ Server::~Server()
         ::close(wake_wr_);
     epfd_ = wake_rd_ = wake_wr_ = -1;
     // scheduler_ is destroyed after this body: its runners may still
-    // fire on_insert -> enqueueReplication, which sees repl_stop_ and
-    // drops the record (the queue members outlive the scheduler by
-    // declaration order).
+    // fire on_insert, which replicator_ (declared first) now drops.
 }
 
 bool
 Server::start(std::string *err)
 {
-    if (!options_.replicate.empty()) {
-        try {
-            repl_peers_ = parseEndpointList(options_.replicate);
-        } catch (const FatalError &e) {
-            if (err)
-                *err = e.what();
-            return false;
-        }
-        // Liveness (defaults: 3 strikes to Down, 100..2000 ms jittered
-        // half-open quarantine) plus per-peer spools and anti-entropy
-        // bookkeeping, all sized to the fleet.
-        peer_table_ = std::make_unique<PeerTable>(repl_peers_.size(),
-                                                  PeerTableOptions{});
-        repl_spool_.assign(repl_peers_.size(), {});
-        ae_.assign(repl_peers_.size(), AeState{});
+    std::vector<RpcEndpoint> peers;
+    try {
+        if (!options_.replicate.empty())
+            peers = parseEndpointList(options_.replicate);
+    } catch (const FatalError &e) {
+        if (err)
+            *err = e.what();
+        return false;
     }
     if (!listener_.listenOn(options_.host, options_.port, err))
         return false;
@@ -219,10 +173,11 @@ Server::start(std::string *err)
     ev.data.u64 = kWakeId;
     ::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_rd_, &ev);
 
-    // Converge to warm before the first request can miss.
-    prefetchFromPeers();
-    if (!repl_peers_.empty())
-        repl_thread_ = std::thread([this] { replicatorLoop(); });
+    if (!peers.empty()) {
+        // Converge to warm before the first request can miss.
+        replicator_.join(peers.size(), Replicator::clientTransport(peers));
+        repl_thread_ = std::thread([this] { replicator_.run(); });
+    }
 
     workers_.reserve(static_cast<std::size_t>(options_.workers));
     for (int i = 0; i < options_.workers; ++i)
@@ -281,6 +236,13 @@ Server::serve()
         }
         expireWriteDeadlines();
     }
+    joinWorkers();
+    return served;
+}
+
+void
+Server::joinWorkers()
+{
     {
         std::lock_guard<std::mutex> lock(queue_mu_);
         queue_closed_ = true;
@@ -292,7 +254,6 @@ Server::serve()
     workers_.clear();
     conns_.clear();
     client_conns_.clear();
-    return served;
 }
 
 void
@@ -393,23 +354,27 @@ Server::admitConn(TcpSocket sock)
                             ") reached");
             return;
         }
-        ++client_conns_[client_ip];
     }
+    Conn *c = addConn(std::move(sock), EPOLLIN);
+    if (c && !client_ip.empty()) {
+        ++client_conns_[client_ip];
+        c->client_ip = std::move(client_ip);
+    }
+}
+
+Server::Conn *
+Server::addConn(TcpSocket sock, std::uint32_t events)
+{
     const std::uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Conn>(id, std::move(sock),
                                        options_.max_request_bytes);
-    conn->client_ip = std::move(client_ip);
     epoll_event ev{};
-    ev.events = EPOLLIN;
+    ev.events = events;
     ev.data.u64 = id;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, conn->sock.fd(), &ev) != 0) {
-        if (!conn->client_ip.empty() &&
-            --client_conns_[conn->client_ip] <= 0)
-            client_conns_.erase(conn->client_ip);
-        return; // Cannot watch it; drop (RAII closes).
-    }
-    conn->armed_events = EPOLLIN;
-    conns_.emplace(id, std::move(conn));
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, conn->sock.fd(), &ev) != 0)
+        return nullptr; // Cannot watch it; drop (RAII closes).
+    conn->armed_events = events;
+    return conns_.emplace(id, std::move(conn)).first->second.get();
 }
 
 void
@@ -423,19 +388,12 @@ Server::shedNewConn(TcpSocket sock, const std::string &msg)
         responseToJsonLine(
             rpcErrorResponse(msg, RpcErrorCode::Overloaded)) +
         "\n";
-    const std::uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Conn>(id, std::move(sock),
-                                       options_.max_request_bytes);
-    conn->read_closed = true; // Never read: answer and close.
-    conn->want_read = false;
-    epoll_event ev{};
-    ev.events = 0;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, conn->sock.fd(), &ev) != 0)
+    Conn *c = addConn(std::move(sock), 0);
+    if (!c)
         return;
-    const auto [it, inserted] = conns_.emplace(id, std::move(conn));
-    (void)inserted;
-    appendOutput(*it->second, bytes); // May destroy (fully flushed).
+    c->read_closed = true; // Never read: answer and close.
+    c->want_read = false;
+    appendOutput(*c, bytes); // May destroy (fully flushed).
 }
 
 bool
@@ -723,361 +681,6 @@ Server::workerLoop()
     }
 }
 
-void
-Server::enqueueReplication(const CacheKey &key,
-                           const CachedSolution &sol, std::int64_t seq)
-{
-    {
-        std::lock_guard<std::mutex> lock(repl_mu_);
-        if (repl_stop_)
-            return; // Shutting down; the record is already cached.
-        if (repl_queue_.size() >= kMaxReplQueue) {
-            // Bounded: replication must never back up the solver.
-            // Anti-entropy repairs whatever the overflow dropped.
-            counters_.repl_push_failed.fetch_add(
-                static_cast<std::int64_t>(repl_peers_.size()),
-                std::memory_order_relaxed);
-            return;
-        }
-        RpcReplRecord rec;
-        rec.key = key;
-        rec.sol = sol;
-        rec.seq = seq;
-        repl_queue_.push_back(std::move(rec));
-    }
-    repl_cv_.notify_one();
-}
-
-void
-Server::replicatorLoop()
-{
-    std::vector<Client> peers;
-    peers.reserve(repl_peers_.size());
-    for (const RpcEndpoint &ep : repl_peers_)
-        peers.emplace_back(ep);
-    auto next_ae = std::chrono::steady_clock::now();
-    if (options_.anti_entropy_ms > 0)
-        next_ae += std::chrono::milliseconds(options_.anti_entropy_ms);
-    for (;;) {
-        RpcReplRecord rec;
-        bool have = false;
-        {
-            std::unique_lock<std::mutex> lock(repl_mu_);
-            repl_cv_.wait_for(
-                lock, std::chrono::milliseconds(kReplLoopSliceMs),
-                [this] { return repl_stop_ || !repl_queue_.empty(); });
-            if (repl_stop_)
-                return; // Best-effort: drop what is still queued.
-            if (!repl_queue_.empty()) {
-                rec = std::move(repl_queue_.front());
-                repl_queue_.pop_front();
-                have = true;
-            }
-        }
-        if (have) {
-            pushRecord(peers, rec);
-            continue; // Drain fresh inserts before housekeeping.
-        }
-        // Idle housekeeping: half-open probes of quarantine-expired
-        // Down peers, then the low-priority anti-entropy schedule.
-        probeDownPeers(peers);
-        if (options_.anti_entropy_ms > 0 &&
-            std::chrono::steady_clock::now() >= next_ae) {
-            antiEntropy(peers);
-            next_ae =
-                std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(options_.anti_entropy_ms);
-        }
-    }
-}
-
-void
-Server::pushRecord(std::vector<Client> &peers, const RpcReplRecord &rec)
-{
-    // Walk the ring from the key's owner until F members hold a live
-    // copy. Static replica-set members that are quarantined spool (the
-    // record rides the drain when the peer returns) and do not count
-    // as live, so the walk spills past the set to the next live slot —
-    // the same successor order the ShardRouter fails over along.
-    const std::size_t n = peers.size() + 1; // Fleet = peers + self.
-    const std::size_t want =
-        resolveReplicationFactor(options_.replication_factor, n);
-    const std::size_t owner =
-        static_cast<std::size_t>(rec.key.hash() % n);
-    const std::size_t self =
-        static_cast<std::size_t>(options_.fleet_index) %
-        static_cast<std::size_t>(n);
-    std::size_t live = 0;
-    for (std::size_t off = 0; off < n && live < want; ++off) {
-        const std::size_t slot = (owner + off) % n;
-        const bool member = off < want; // In the static replica set.
-        if (slot == self) {
-            ++live; // This node just inserted the record locally.
-            continue;
-        }
-        {
-            std::lock_guard<std::mutex> lock(repl_mu_);
-            if (repl_stop_)
-                return; // Do not wait out deadlines during shutdown.
-        }
-        const std::size_t peer = slotToPeerIndex(slot, self);
-        if (!peer_table_->offerable(peer)) {
-            // Quarantined: a member gets the record on its return via
-            // the spool; a spillover candidate is simply skipped.
-            if (member)
-                spoolFor(peer, rec);
-            continue;
-        }
-        if (pushToPeer(peers, peer, rec)) {
-            ++live;
-            // The push doubled as a half-open probe: a recovered
-            // member may have records waiting from its quarantine.
-            if (!repl_spool_[peer].empty())
-                drainSpool(peers, peer);
-        } else if (member) {
-            spoolFor(peer, rec);
-        }
-    }
-}
-
-bool
-Server::pushToPeer(std::vector<Client> &peers, std::size_t peer,
-                   const RpcReplRecord &rec)
-{
-    RpcRequest req;
-    req.op = RpcOp::Replicate;
-    req.has_record = true;
-    req.repl_key = rec.key;
-    req.repl_sol = rec.sol;
-    req.repl_seq = rec.seq;
-    req.machine_fp = machine_fp_;
-    req.settings_fp = settings_fp_;
-    req.deadline_ms = kReplPushDeadlineMs;
-    for (int attempt = 1; attempt <= kReplPushAttempts; ++attempt) {
-        {
-            std::lock_guard<std::mutex> lock(repl_mu_);
-            if (repl_stop_)
-                return false; // Don't wait out deadlines at shutdown.
-        }
-        RpcResponse resp;
-        std::string err;
-        const bool ok =
-            peers[peer].call(req, resp, &err,
-                             Deadline::in(kReplPushDeadlineMs)) &&
-            resp.ok;
-        if (ok) {
-            counters_.repl_pushed.fetch_add(1,
-                                            std::memory_order_relaxed);
-            peer_table_->reportSuccess(peer);
-            return true;
-        }
-        peers[peer].disconnect(); // Reconnect fresh next time.
-        peer_table_->reportFailure(peer);
-        if (peer_table_->isDown(peer))
-            break; // Struck out: quarantine, don't keep hammering.
-        if (attempt < kReplPushAttempts) {
-            counters_.repl_push_retries.fetch_add(
-                1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(backoffDelayMs(
-                    kReplPushBackoffMs, attempt, repl_rng_)));
-        }
-    }
-    counters_.repl_push_failed.fetch_add(1, std::memory_order_relaxed);
-    return false;
-}
-
-void
-Server::spoolFor(std::size_t peer, const RpcReplRecord &rec)
-{
-    auto &spool = repl_spool_[peer];
-    if (spool.size() >= kMaxSpoolPerPeer) {
-        // Oldest first: anti-entropy repairs what falls off.
-        spool.pop_front();
-        counters_.repl_push_failed.fetch_add(1,
-                                             std::memory_order_relaxed);
-    }
-    spool.push_back(rec);
-    counters_.repl_spooled.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-Server::drainSpool(std::vector<Client> &peers, std::size_t peer)
-{
-    auto &spool = repl_spool_[peer];
-    while (!spool.empty()) {
-        {
-            std::lock_guard<std::mutex> lock(repl_mu_);
-            if (repl_stop_)
-                return;
-        }
-        if (!peer_table_->offerable(peer) ||
-            !pushToPeer(peers, peer, spool.front()))
-            return; // Failed again; keep the rest for the next drain.
-        spool.pop_front();
-    }
-}
-
-void
-Server::probeDownPeers(std::vector<Client> &peers)
-{
-    if (!peer_table_)
-        return;
-    RpcRequest req;
-    req.op = RpcOp::Ping;
-    req.deadline_ms = kReplPingDeadlineMs;
-    for (std::size_t i = 0; i < peers.size(); ++i) {
-        const PeerInfo info = peer_table_->info(i);
-        if (info.state != PeerState::Down || info.retry_in_ms > 0)
-            continue; // Up/Suspect heal via pushes; quarantine holds.
-        {
-            std::lock_guard<std::mutex> lock(repl_mu_);
-            if (repl_stop_)
-                return;
-        }
-        counters_.repl_probes.fetch_add(1, std::memory_order_relaxed);
-        RpcResponse resp;
-        std::string err;
-        const bool ok =
-            peers[i].call(req, resp, &err,
-                          Deadline::in(kReplPingDeadlineMs)) &&
-            resp.ok;
-        if (ok) {
-            peer_table_->reportSuccess(i);
-            drainSpool(peers, i);
-        } else {
-            peers[i].disconnect();
-            peer_table_->reportFailure(i); // Re-arms the quarantine.
-        }
-    }
-}
-
-void
-Server::antiEntropy(std::vector<Client> &peers)
-{
-    if (!cache_ || !peer_table_)
-        return;
-    RpcRequest req;
-    req.op = RpcOp::Replicate;
-    req.repl_digest = true;
-    req.repl_for = options_.fleet_index;
-    req.machine_fp = machine_fp_;
-    req.settings_fp = settings_fp_;
-    req.deadline_ms = kReplPullDeadlineMs;
-    for (std::size_t i = 0; i < peers.size(); ++i) {
-        if (peer_table_->state(i) != PeerState::Up)
-            continue; // Down/Suspect peers heal via probes first.
-        {
-            std::lock_guard<std::mutex> lock(repl_mu_);
-            if (repl_stop_)
-                return;
-        }
-        RpcResponse resp;
-        std::string err;
-        if (!peers[i].call(req, resp, &err,
-                           Deadline::in(kReplPullDeadlineMs)) ||
-            !resp.ok || !resp.repl_has_digest) {
-            peers[i].disconnect();
-            peer_table_->reportFailure(i);
-            continue;
-        }
-        peer_table_->reportSuccess(i);
-        AeState &ae = ae_[i];
-        const bool changed = resp.repl_digest_fp != ae.last_fp ||
-                             resp.repl_digest_count != ae.last_count;
-        if (changed) {
-            ae.last_fp = resp.repl_digest_fp;
-            ae.last_count = resp.repl_digest_count;
-            ae.full_done = false;
-        }
-        const auto [count, fp] = digestForSlot(options_.fleet_index);
-        if (resp.repl_digest_count == count && resp.repl_digest_fp == fp)
-            continue; // Converged with this peer.
-        // Delta pull first: everything past our high-water sequence.
-        // When the same mismatched digest survives a delta round, the
-        // gap predates our cursor (a pre-sequence journal record, a
-        // spool overflow absorbed long ago) — escalate once per digest
-        // value to a full slot pull.
-        const bool full = !changed && !ae.full_done;
-        const std::int64_t applied = pullFromPeer(
-            peers[i], full ? -1 : cache_->journalSeq(), true);
-        if (full)
-            ae.full_done = true;
-        counters_.repl_ae_applied.fetch_add(applied,
-                                            std::memory_order_relaxed);
-    }
-}
-
-std::int64_t
-Server::pullFromPeer(Client &peer, std::int64_t since, bool for_slot)
-{
-    RpcRequest req;
-    req.op = RpcOp::Replicate;
-    req.repl_pull = true;
-    if (since > 0)
-        req.repl_since = since;
-    if (for_slot)
-        req.repl_for = options_.fleet_index;
-    req.machine_fp = machine_fp_;
-    req.settings_fp = settings_fp_;
-    req.deadline_ms = kReplPullDeadlineMs;
-    RpcResponse resp;
-    std::string err;
-    if (!peer.call(req, resp, &err,
-                   Deadline::in(kReplPullDeadlineMs)) ||
-        !resp.ok)
-        return 0;
-    std::int64_t applied = 0;
-    for (const RpcReplRecord &r : resp.repl_records) {
-        if (r.key.machine_fp != machine_fp_ ||
-            r.key.settings_fp != settings_fp_)
-            continue; // Foreign identity never enters the cache.
-        if (cache_->contains(r.key))
-            continue;
-        cache_->applyReplica(r.key, r.sol, r.seq);
-        ++applied;
-    }
-    return applied;
-}
-
-std::pair<std::int64_t, std::uint64_t>
-Server::digestForSlot(int slot) const
-{
-    const std::size_t n = repl_peers_.size() + 1;
-    std::int64_t count = 0;
-    std::uint64_t fp = 0;
-    for (const SolutionCacheRecord &r : cache_->exportEntries()) {
-        if (slot >= 0 &&
-            !slotHoldsKey(r.key.hash(), n, options_.replication_factor,
-                          static_cast<std::size_t>(slot) % n))
-            continue;
-        ++count;
-        fp ^= mix64(r.key.hash()); // Order-independent fold.
-    }
-    return {count, fp};
-}
-
-void
-Server::prefetchFromPeers()
-{
-    if (!cache_ || repl_peers_.empty())
-        return;
-    // Delta prefetch: the journal's high-water sequence survived the
-    // restart, so ask each peer only for what came after it. A fresh
-    // node (sequence 0) pulls everything — the old join behavior. No
-    // slot filter: a rejoining node warms fully so it can serve any
-    // key a client fails over to it with.
-    const std::int64_t since = cache_->journalSeq();
-    counters_.repl_prefetch_since.store(since,
-                                        std::memory_order_relaxed);
-    for (const RpcEndpoint &ep : repl_peers_) {
-        Client peer(ep); // A peer that is down or too old pushes later.
-        counters_.repl_prefetched.fetch_add(
-            pullFromPeer(peer, since, /*for_slot=*/false),
-            std::memory_order_relaxed);
-    }
-}
-
 bool
 Server::checkIdentity(const RpcRequest &req, RpcResponse &resp) const
 {
@@ -1105,19 +708,25 @@ Server::handle(const RpcRequest &req)
     const Deadline dl = req.deadline_ms > 0
                             ? Deadline::in(req.deadline_ms)
                             : Deadline::never();
+    // Ops that read or write the cache serve only this identity.
+    // Ping is pure liveness: a fleet membership probe works even
+    // across a misconfigured identity (pushes would still be refused).
+    RpcResponse resp;
+    if ((req.op == RpcOp::Solve || req.op == RpcOp::SolveNetwork ||
+         req.op == RpcOp::Replicate) &&
+        !checkIdentity(req, resp))
+        return resp;
     try {
         switch (req.op) {
         case RpcOp::Solve: return handleSolve(req, dl);
         case RpcOp::SolveNetwork: return handleSolveNetwork(req, dl);
         case RpcOp::Stats: return handleStats();
-        case RpcOp::Replicate: return handleReplicate(req);
-        case RpcOp::Ping: return handlePing();
-        case RpcOp::Shutdown: {
-            RpcResponse resp;
+        case RpcOp::Replicate: return replicator_.answer(req);
+        case RpcOp::Ping:
+        case RpcOp::Shutdown:
             resp.ok = true;
-            resp.op = RpcOp::Shutdown;
+            resp.op = req.op;
             return resp;
-        }
         }
         return rpcErrorResponse("unhandled op");
     } catch (const DeadlineExceeded &e) {
@@ -1138,8 +747,6 @@ RpcResponse
 Server::handleSolve(const RpcRequest &req, const Deadline &dl)
 {
     RpcResponse resp;
-    if (!checkIdentity(req, resp))
-        return resp;
     resp.ok = true;
     resp.op = RpcOp::Solve;
     // The scheduler handles the whole miss path: cache lookup,
@@ -1161,9 +768,6 @@ Server::handleSolve(const RpcRequest &req, const Deadline &dl)
 RpcResponse
 Server::handleSolveNetwork(const RpcRequest &req, const Deadline &dl)
 {
-    RpcResponse resp;
-    if (!checkIdentity(req, resp))
-        return resp;
     // Name or inline IR, at the request's batch size: an absent wire
     // batch is 1, so legacy name-only requests keep their semantics.
     NetworkDef def = req.has_ir ? req.ir : networkDefByName(req.net);
@@ -1175,6 +779,7 @@ Server::handleSolveNetwork(const RpcRequest &req, const Deadline &dl)
     // overlapping shapes coalesce fleet-wide. Throws DeadlineExceeded
     // past dl (handle() turns that into the wire code).
     const NetworkPlan plan = optimizer_.optimize(net, dl);
+    RpcResponse resp;
     resp.ok = true;
     resp.op = RpcOp::SolveNetwork;
     resp.plan_text = plan.str();
@@ -1221,106 +826,21 @@ Server::handleStats()
     resp.sched_inflight = ss.in_flight;
     resp.sched_peak = ss.peak_concurrency;
     resp.sched_budget = scheduler_.concurrency();
-    resp.srv_shed_overload =
-        counters_.shed_overload.load(std::memory_order_relaxed);
-    resp.srv_shed_client =
-        counters_.shed_client.load(std::memory_order_relaxed);
-    resp.srv_shed_deadline =
-        counters_.shed_deadline.load(std::memory_order_relaxed);
-    resp.srv_repl_pushed =
-        counters_.repl_pushed.load(std::memory_order_relaxed);
-    resp.srv_repl_push_failed =
-        counters_.repl_push_failed.load(std::memory_order_relaxed);
-    resp.srv_repl_applied =
-        counters_.repl_applied.load(std::memory_order_relaxed);
-    resp.srv_repl_prefetched =
-        counters_.repl_prefetched.load(std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(repl_mu_);
-        resp.repl_queue_depth =
-            static_cast<std::int64_t>(repl_queue_.size());
-    }
+    const auto get = [](const std::atomic<std::int64_t> &c) {
+        return c.load(std::memory_order_relaxed);
+    };
+    resp.srv_shed_overload = get(counters_.shed_overload);
+    resp.srv_shed_client = get(counters_.shed_client);
+    resp.srv_shed_deadline = get(counters_.shed_deadline);
+    resp.srv_repl_pushed = get(counters_.repl_pushed);
+    resp.srv_repl_push_failed = get(counters_.repl_push_failed);
+    resp.srv_repl_applied = get(counters_.repl_applied);
+    resp.srv_repl_prefetched = get(counters_.repl_prefetched);
+    resp.repl_queue_depth = replicator_.queueDepth();
     if (cache_)
         resp.journal_seq = cache_->journalSeq();
     resp.calib_samples = options_.calib_samples;
     resp.calib_active = options_.calib_active ? 1 : 0;
-    return resp;
-}
-
-RpcResponse
-Server::handlePing() const
-{
-    // Pure liveness: answered without identity checks, so a fleet
-    // membership probe works even across a misconfigured identity
-    // (the pushes themselves would still be refused).
-    RpcResponse resp;
-    resp.ok = true;
-    resp.op = RpcOp::Ping;
-    return resp;
-}
-
-RpcResponse
-Server::handleReplicate(const RpcRequest &req)
-{
-    RpcResponse resp;
-    if (!checkIdentity(req, resp))
-        return resp;
-    resp.ok = true;
-    resp.op = RpcOp::Replicate;
-    if (req.repl_digest) {
-        // Anti-entropy digest: (count, XOR of mixed key hashes) over
-        // the entries the *requester's* ring slot should hold, so
-        // both sides compare the same subset even at F < fleet size.
-        // No "for" = the whole cache (an F = all requester).
-        resp.repl_has_digest = true;
-        if (cache_) {
-            const auto [count, fp] =
-                digestForSlot(static_cast<int>(req.repl_for));
-            resp.repl_digest_count = count;
-            resp.repl_digest_fp = fp;
-        }
-        return resp;
-    }
-    if (req.repl_pull) {
-        // Pull: everything we hold, optionally only records newer
-        // than the requester's journal cursor ("since") and only its
-        // ring slot's subset ("for"); it filters by identity and
-        // applies what it is missing.
-        resp.repl_is_pull = true;
-        if (cache_) {
-            const std::size_t n = repl_peers_.size() + 1;
-            for (const SolutionCacheRecord &r :
-                 cache_->exportEntries(req.repl_since)) {
-                if (req.repl_for >= 0 &&
-                    !slotHoldsKey(
-                        r.key.hash(), n, options_.replication_factor,
-                        static_cast<std::size_t>(req.repl_for) % n))
-                    continue;
-                RpcReplRecord rec;
-                rec.key = r.key;
-                rec.sol = r.sol;
-                rec.seq = r.seq;
-                resp.repl_records.push_back(std::move(rec));
-            }
-        }
-        return resp;
-    }
-    // Push form: take the record if it is ours and new. The record's
-    // own fingerprints are checked (not just the request envelope's):
-    // a misconfigured peer must not seed us with foreign plans.
-    if (req.repl_key.machine_fp != machine_fp_ ||
-        req.repl_key.settings_fp != settings_fp_)
-        return rpcErrorResponse(
-            "replicate: record fingerprint does not match this "
-            "server's identity");
-    if (cache_ && !cache_->contains(req.repl_key)) {
-        // applyReplica absorbs the origin's sequence into our journal
-        // high-water mark, so fleet sequences stay loosely comparable
-        // and a later delta pull starts past this record.
-        cache_->applyReplica(req.repl_key, req.repl_sol, req.repl_seq);
-        resp.repl_applied = 1;
-        counters_.repl_applied.fetch_add(1, std::memory_order_relaxed);
-    }
     return resp;
 }
 

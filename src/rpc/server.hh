@@ -41,22 +41,9 @@
  * answers "deadline_exceeded" instead of burning time on an answer
  * nobody is waiting for.
  *
- * Warm-entry replication (optional, --replicate): when a cold solve
- * inserts a fresh entry, the scheduler's on_insert hook enqueues the
- * journal record and a dedicated replicator thread pushes it to the
- * key's replica set — the ring owner (hash % fleet size) and its
- * replication_factor - 1 followers — via the protocol's "replicate"
- * op, asynchronously with bounded-backoff retries. Peer liveness
- * lives in a fleet/peer_table.hh PeerTable: pushes and pings feed it,
- * a Down peer stops receiving pushes (its records spool and ride the
- * drain when a half-open probe succeeds) and the walk spills over to
- * the next live ring slot so the fleet still holds F live copies. At
- * start(), the server *pulls* from its peers — entries newer than its
- * own journal high-water sequence (the "since" cursor), so a
- * rejoining node converges via delta, not a full transfer. A periodic
- * low-priority anti-entropy round exchanges (count, fingerprint)
- * digests with Up peers and pulls only what this node is missing, so
- * even a blackholed push is eventually repaired.
+ * Warm-entry replication (optional, --replicate) is a Replicator
+ * (rpc/replicator.hh): the server runs its loop on one dedicated
+ * thread and forwards the "replicate" op to it.
  *
  * Shutdown paths: a "shutdown" RPC, or stop() from another thread.
  * Both retire the listener and read-side half-close every connection:
@@ -76,15 +63,13 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/rng.hh"
-#include "fleet/peer_table.hh"
 #include "machine/machine.hh"
 #include "optimizer/mopt_optimizer.hh"
 #include "rpc/client.hh"
 #include "rpc/protocol.hh"
+#include "rpc/replicator.hh"
 #include "rpc/tcp.hh"
 #include "service/network_optimizer.hh"
 #include "service/solution_cache.hh"
@@ -280,7 +265,7 @@ class Server
     };
 
     void workerLoop();
-    void replicatorLoop();
+    void joinWorkers(); //!< Close the queue, join, drop every conn.
 
     /** Poke the event loop's wakeup pipe (worker completion or
      *  stop()). Safe from any thread while the loop may run. */
@@ -289,6 +274,7 @@ class Server
     // Event-loop internals (serve() thread only).
     void acceptReady(std::int64_t *served);
     void admitConn(TcpSocket sock);
+    Conn *addConn(TcpSocket sock, std::uint32_t events); //!< Or null.
     void shedNewConn(TcpSocket sock, const std::string &msg);
     bool connReadable(Conn &c);  //!< false = conn destroyed.
     bool flushConn(Conn &c);     //!< false = conn destroyed.
@@ -305,58 +291,10 @@ class Server
     int loopTimeoutMs() const;
     void expireWriteDeadlines();
 
-    /** Walk the record's replica ring: push to live members, spool
-     *  for quarantined ones, spill over to the next live slot until F
-     *  copies are live (replicator thread). */
-    void pushRecord(std::vector<Client> &peers,
-                    const RpcReplRecord &rec);
-
-    /** Bounded-backoff push of one record to one peer; feeds the
-     *  peer table. True = delivered (replicator thread). */
-    bool pushToPeer(std::vector<Client> &peers, std::size_t peer,
-                    const RpcReplRecord &rec);
-
-    /** Append @p rec to @p peer's spool, dropping (and counting) the
-     *  oldest record past the bound (replicator thread). */
-    void spoolFor(std::size_t peer, const RpcReplRecord &rec);
-
-    /** Re-push a recovered peer's spooled records until the spool is
-     *  empty or the peer fails again (replicator thread). */
-    void drainSpool(std::vector<Client> &peers, std::size_t peer);
-
-    /** Half-open probing: ping each Down peer whose quarantine has
-     *  expired; success drains its spool (replicator thread). */
-    void probeDownPeers(std::vector<Client> &peers);
-
-    /** One anti-entropy round: digest exchange with every Up peer,
-     *  delta pull of whatever is missing (replicator thread). */
-    void antiEntropy(std::vector<Client> &peers);
-
-    /** Pull records (seq > since when since >= 0, filtered to this
-     *  node's ring slot when for_slot) and apply the missing ones.
-     *  Returns how many were applied. */
-    std::int64_t pullFromPeer(Client &peer, std::int64_t since,
-                              bool for_slot);
-
-    /** (count, XOR-of-mixed-key-hashes) over the entries ring slot
-     *  @p slot should hold; slot < 0 = the whole cache. Requires
-     *  cache_. Thread-safe (the cache is sharded). */
-    std::pair<std::int64_t, std::uint64_t> digestForSlot(int slot) const;
-
-    /** Join-time delta prefetch: pull entries newer than this node's
-     *  journal high-water sequence from each peer (start()). */
-    void prefetchFromPeers();
-
-    /** Scheduler on_insert target: enqueue for the replicator. */
-    void enqueueReplication(const CacheKey &key,
-                            const CachedSolution &sol, std::int64_t seq);
-
     RpcResponse handleSolve(const RpcRequest &req, const Deadline &dl);
     RpcResponse handleSolveNetwork(const RpcRequest &req,
                                    const Deadline &dl);
     RpcResponse handleStats();
-    RpcResponse handleReplicate(const RpcRequest &req);
-    RpcResponse handlePing() const;
 
     /** Fingerprint guard: nonzero client fingerprints must match the
      *  server's identity. Returns false and fills @p resp on reject. */
@@ -371,33 +309,11 @@ class Server
 
     ServerCounters counters_;
 
-    // Replication state. Declared before scheduler_ on purpose: the
-    // scheduler's on_insert hook may fire from a runner thread during
-    // the scheduler's own destruction, so the queue it targets must
-    // still be alive then (members are destroyed in reverse order).
-    std::vector<RpcEndpoint> repl_peers_;
-    std::mutex repl_mu_;
-    std::condition_variable repl_cv_;
-    std::deque<RpcReplRecord> repl_queue_;
-    bool repl_stop_ = false;
-
-    /** Per-peer anti-entropy bookkeeping (replicator thread only):
-     *  escalate from delta to full pull only when the same mismatched
-     *  peer digest survives a delta round that applied nothing. */
-    struct AeState
-    {
-        std::uint64_t last_fp = 0;    //!< Peer digest, last round.
-        std::int64_t last_count = -1; //!< -1 = no round yet.
-        bool full_done = false; //!< Full pull tried for this digest.
-    };
-
-    /** Shared peer state machine (internally locked; sized by
-     *  start()). The replicator consults it before every push. */
-    std::unique_ptr<PeerTable> peer_table_;
-    std::vector<std::deque<RpcReplRecord>> repl_spool_; //!< Replicator only.
-    std::vector<AeState> ae_;                 //!< Replicator only.
-    Rng repl_rng_{0x5265706c696361ull}; //!< Replicator only (jitter).
-    std::thread repl_thread_;
+    // Declared before scheduler_ on purpose: on_insert may fire while
+    // the scheduler is being destroyed, so the replicator it targets
+    // must outlive it (members are destroyed in reverse order).
+    Replicator replicator_;
+    std::thread repl_thread_; //!< Runs replicator_.run().
 
     /** Single-flight, bounded-concurrency solve admission for every
      *  miss (both solve and solve_network go through it, so their

@@ -83,6 +83,50 @@ roundUpPow2(std::size_t v)
 
 } // namespace
 
+void
+shapeAppendJson(std::string &out, const ConvProblem &p)
+{
+    appendInt(out, ",\"n\":", p.n);
+    appendInt(out, ",\"k\":", p.k);
+    appendInt(out, ",\"c\":", p.c);
+    appendInt(out, ",\"r\":", p.r);
+    appendInt(out, ",\"s\":", p.s);
+    appendInt(out, ",\"h\":", p.h);
+    appendInt(out, ",\"w\":", p.w);
+    appendInt(out, ",\"stride\":", p.stride);
+    appendInt(out, ",\"dilation\":", p.dilation);
+    // Written only when != 1 so dense-conv lines stay byte-identical
+    // to the pre-groups format; absent parses as 1.
+    if (p.groups != 1)
+        appendInt(out, ",\"groups\":", p.groups);
+}
+
+bool
+shapeFromJson(const JsonValue &root, ConvProblem &out, std::string *err)
+{
+    ConvProblem p;
+    std::int64_t stride = 0, dilation = 0;
+    if (!jsonGetInt(root, "n", p.n) || !jsonGetInt(root, "k", p.k) ||
+        !jsonGetInt(root, "c", p.c) || !jsonGetInt(root, "r", p.r) ||
+        !jsonGetInt(root, "s", p.s) || !jsonGetInt(root, "h", p.h) ||
+        !jsonGetInt(root, "w", p.w) ||
+        !jsonGetInt(root, "stride", stride) ||
+        !jsonGetInt(root, "dilation", dilation)) {
+        if (err)
+            *err = "missing or non-integer shape field";
+        return false;
+    }
+    p.stride = static_cast<int>(stride);
+    p.dilation = static_cast<int>(dilation);
+    if (root.find("groups") && !jsonGetInt(root, "groups", p.groups)) {
+        if (err)
+            *err = "non-integer \"groups\"";
+        return false;
+    }
+    out = std::move(p);
+    return true;
+}
+
 std::string
 solutionToJsonLine(const CacheKey &key, const CachedSolution &sol,
                    std::int64_t hits, std::int64_t seq)
@@ -98,20 +142,8 @@ solutionAppendJson(std::string &out, const CacheKey &key,
                    const CachedSolution &sol, std::int64_t hits,
                    std::int64_t seq)
 {
-    const ConvProblem &p = key.problem;
-    appendInt(out, "{\"v\":1,\"n\":", p.n);
-    appendInt(out, ",\"k\":", p.k);
-    appendInt(out, ",\"c\":", p.c);
-    appendInt(out, ",\"r\":", p.r);
-    appendInt(out, ",\"s\":", p.s);
-    appendInt(out, ",\"h\":", p.h);
-    appendInt(out, ",\"w\":", p.w);
-    appendInt(out, ",\"stride\":", p.stride);
-    appendInt(out, ",\"dilation\":", p.dilation);
-    // Written only when != 1 so dense-conv journal lines stay
-    // byte-identical to the v1 format; absent parses as 1 below.
-    if (p.groups != 1)
-        appendInt(out, ",\"groups\":", p.groups);
+    out += "{\"v\":1";
+    shapeAppendJson(out, key.problem);
     out += ",\"machine\":\"";
     jsonAppendHex16(out, key.machine_fp);
     out += "\",\"settings\":\"";
@@ -166,22 +198,7 @@ solutionFromJson(const JsonValue &root, CacheKey &key,
         return false;
 
     CacheKey k;
-    std::int64_t stride = 0, dilation = 0;
-    if (!jsonGetInt(root, "n", k.problem.n) ||
-        !jsonGetInt(root, "k", k.problem.k) ||
-        !jsonGetInt(root, "c", k.problem.c) ||
-        !jsonGetInt(root, "r", k.problem.r) ||
-        !jsonGetInt(root, "s", k.problem.s) ||
-        !jsonGetInt(root, "h", k.problem.h) ||
-        !jsonGetInt(root, "w", k.problem.w) ||
-        !jsonGetInt(root, "stride", stride) ||
-        !jsonGetInt(root, "dilation", dilation))
-        return false;
-    k.problem.stride = static_cast<int>(stride);
-    k.problem.dilation = static_cast<int>(dilation);
-    k.problem.groups = 1; // pre-groups journals carry no field
-    if (root.find("groups") &&
-        !jsonGetInt(root, "groups", k.problem.groups))
+    if (!shapeFromJson(root, k.problem, nullptr))
         return false;
 
     const JsonValue *machine = root.find("machine");

@@ -281,6 +281,22 @@ class SolutionCache
 };
 
 /**
+ * Append the nine shape members of @p p as JSON fields, each with a
+ * leading comma (`,"n":1,"k":64,...,"dilation":1`), plus `"groups"`
+ * when it is not 1. The journal record and the solve request share
+ * this encoding.
+ */
+void shapeAppendJson(std::string &out, const ConvProblem &p);
+
+/**
+ * Read the members shapeAppendJson writes from object @p root (an
+ * absent "groups" is 1). False + @p err on a missing or non-integer
+ * member, leaving @p out untouched. Does not validate the shape.
+ */
+bool shapeFromJson(const JsonValue &root, ConvProblem &out,
+                   std::string *err);
+
+/**
  * Serialize one (key, solution) pair as a single JSON line. @p hits
  * > 0 adds a "hits" telemetry field and @p seq > 0 a "seq" journal-
  * sequence field (absent fields read back as 0, so journals written

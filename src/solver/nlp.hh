@@ -4,7 +4,8 @@
  * substitute for the paper's AMPL + Ipopt stack: the tile-size
  * problems of Secs. 5/7 are smooth, posynomial-like programs in at
  * most 21 variables, solved here by an augmented-Lagrangian method
- * (augmented_lagrangian.hh) with multi-start (multistart.hh).
+ * (augmented_lagrangian.hh) from several start points, keeping the
+ * best result (betterNlpResult).
  */
 
 #ifndef MOPT_SOLVER_NLP_HH

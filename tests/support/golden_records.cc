@@ -134,4 +134,70 @@ goldenNetworkRequest()
     return req;
 }
 
+std::vector<RpcRequest>
+goldenReplicateRequests()
+{
+    RpcRequest push;
+    push.op = RpcOp::Replicate;
+    push.machine_fp = kMachineFp;
+    push.settings_fp = kSettingsFp;
+    push.deadline_ms = 1000;
+    push.has_record = true;
+    push.repl_record = {goldenKey(1), goldenSolution(), 9};
+
+    RpcRequest pull;
+    pull.op = RpcOp::Replicate;
+    pull.machine_fp = kMachineFp;
+    pull.settings_fp = kSettingsFp;
+    pull.deadline_ms = 2000;
+    pull.repl_pull = true;
+    pull.repl_since = 412;
+    pull.repl_for = 2;
+
+    RpcRequest digest;
+    digest.op = RpcOp::Replicate;
+    digest.machine_fp = kMachineFp;
+    digest.settings_fp = kSettingsFp;
+    digest.repl_digest = true;
+    digest.repl_for = 1;
+
+    RpcRequest ping;
+    ping.op = RpcOp::Ping;
+    ping.deadline_ms = 250;
+    return {push, pull, digest, ping};
+}
+
+std::vector<RpcResponse>
+goldenReplicateResponses()
+{
+    RpcResponse applied;
+    applied.ok = true;
+    applied.op = RpcOp::Replicate;
+    applied.repl_applied = 1;
+
+    RpcResponse pull;
+    pull.ok = true;
+    pull.op = RpcOp::Replicate;
+    pull.repl_is_pull = true;
+    pull.repl_records.resize(2);
+    pull.repl_records[0].key = goldenKey(0);
+    pull.repl_records[0].sol =
+        CachedSolution{goldenConfig(0), 2.5e-5, "nk|crs"};
+    pull.repl_records[0].seq = 3;
+    pull.repl_records[1].key = goldenKey(2);
+    pull.repl_records[1].sol = goldenSolution();
+
+    RpcResponse digest;
+    digest.ok = true;
+    digest.op = RpcOp::Replicate;
+    digest.repl_has_digest = true;
+    digest.repl_digest_count = 7;
+    digest.repl_digest_fp = 0xdeadbeefcafef00dull;
+
+    RpcResponse ping;
+    ping.ok = true;
+    ping.op = RpcOp::Ping;
+    return {applied, pull, digest, ping};
+}
+
 } // namespace mopt

@@ -9,6 +9,8 @@
 #ifndef MOPT_TESTS_SUPPORT_GOLDEN_RECORDS_HH
 #define MOPT_TESTS_SUPPORT_GOLDEN_RECORDS_HH
 
+#include <vector>
+
 #include "rpc/protocol.hh"
 #include "service/network_optimizer.hh"
 
@@ -34,6 +36,16 @@ RpcResponse goldenNetworkResponse();
  *  request (batch 8). */
 RpcRequest goldenSolveRequest();
 RpcRequest goldenNetworkRequest();
+
+/** The replicate op's request forms, in order: a push of goldenKey(1)
+ *  with goldenSolution() at sequence 9, a delta pull (since 412) for
+ *  ring slot 2, a digest for ring slot 1, and a ping. */
+std::vector<RpcRequest> goldenReplicateRequests();
+
+/** Their answers, in the same order: a push applied, a pull carrying
+ *  two records (one with a sequence, one without), a digest and a
+ *  ping. */
+std::vector<RpcResponse> goldenReplicateResponses();
 
 } // namespace mopt
 

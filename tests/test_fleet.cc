@@ -4,19 +4,23 @@
  * placement math replica sets and digests key off, the shared backoff
  * policy, and the PeerTable state machine (Up -> Suspect -> Down ->
  * half-open probe) that both the ShardRouter's mark-down path and the
- * server's replication push thread consult.
+ * Replicator consult; and the Replicator (src/rpc/replicator.hh)
+ * itself, driven through a fake transport with no sockets.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <set>
+#include <vector>
 #include <thread>
 
 #include "common/rng.hh"
 #include "fleet/backoff.hh"
 #include "fleet/peer_table.hh"
 #include "fleet/ring.hh"
+#include "rpc/replicator.hh"
+#include "rpc/server.hh"
 
 namespace mopt {
 namespace {
@@ -220,6 +224,189 @@ TEST(PeerTable, RouterConfigHoldsExactlyMarkdownWindow)
     table.reportFailure(2);
     EXPECT_FALSE(table.offerable(2));
     EXPECT_LE(table.info(2).retry_in_ms, 80);
+}
+
+/** A cache key of a fixed identity whose ring owner in a fleet of
+ *  @p n is @p owner (the k extent is searched until it lands there). */
+CacheKey
+keyOwnedBy(std::size_t owner, std::size_t n, std::int64_t skip = 0)
+{
+    CacheKey key;
+    key.problem.k = 1;
+    key.machine_fp = 0x11;
+    key.settings_fp = 0x22;
+    for (std::int64_t found = -1; found < skip; ++key.problem.k)
+        if (key.hash() % n == owner && ++found == skip)
+            break;
+    return key;
+}
+
+/** A fleet of peers behind a Replicator::Transport: each peer answers
+ *  ok while up, logs every call, and remembers the sequence of each
+ *  record pushed to it. */
+struct FakeFleet
+{
+    std::vector<bool> up;
+    std::vector<int> calls;
+    std::vector<std::vector<std::int64_t>> pushed;
+    std::vector<RpcRequest> log;
+    RpcResponse digest; //!< Answer to digest requests.
+
+    explicit FakeFleet(std::size_t peers)
+        : up(peers, true), calls(peers, 0), pushed(peers)
+    {}
+
+    Replicator::Transport transport()
+    {
+        return [this](std::size_t peer, const RpcRequest &req,
+                      RpcResponse &resp, long) {
+            ++calls[peer];
+            log.push_back(req);
+            if (!up[peer])
+                return false;
+            resp = req.repl_digest ? digest : RpcResponse{};
+            resp.ok = true;
+            resp.op = req.op;
+            resp.repl_is_pull = req.repl_pull;
+            if (req.has_record)
+                pushed[peer].push_back(req.repl_record.seq);
+            return true;
+        };
+    }
+};
+
+TEST(Replicator, QuarantinedMemberSpoolsSpilloverSkipsAndSpoolDrains)
+{
+    // Fleet of 4, this node at slot 0, F = 2: a key owned by slot 1
+    // lives on slots {1, 2}; slot 3 is the first spill-over candidate.
+    // Peer index = slot - 1.
+    ServerOptions so;
+    so.replication_factor = 2;
+    ServerCounters counters;
+    Replicator repl(nullptr, 0x11, 0x22, so, counters);
+    FakeFleet fleet(3);
+    repl.join(3, fleet.transport());
+    const auto rec = [](std::int64_t seq) {
+        return SolutionCacheRecord{keyOwnedBy(1, 4, seq), {}, seq};
+    };
+
+    // Member slot 1 and spill-over slot 3 strike out (three attempts,
+    // two backoff retries each): the record spools for the member
+    // only, and slot 2 holds the remote copy.
+    fleet.up[0] = fleet.up[2] = false;
+    repl.pushRecord(rec(1));
+    EXPECT_EQ(fleet.calls[0], 3);
+    EXPECT_EQ(fleet.calls[2], 3);
+    EXPECT_EQ(counters.repl_push_retries.load(), 4);
+    EXPECT_EQ(fleet.pushed[1], (std::vector<std::int64_t>{1}));
+    EXPECT_EQ(counters.repl_spooled.load(), 1);
+
+    // Quarantined: the spill-over candidate is skipped without a call
+    // and the member spools again. (Slot 1's quarantine may already
+    // have lapsed during slot 3's retries; its half-open attempt then
+    // fails once and re-arms a doubled quarantine.)
+    repl.pushRecord(rec(2));
+    EXPECT_EQ(fleet.calls[2], 3);
+    EXPECT_LE(fleet.calls[0], 4);
+    EXPECT_EQ(counters.repl_push_retries.load(), 4);
+    EXPECT_EQ(fleet.pushed[1], (std::vector<std::int64_t>{1, 2}));
+    EXPECT_EQ(counters.repl_spooled.load(), 2);
+    EXPECT_TRUE(fleet.pushed[0].empty());
+
+    // Slot 1 recovers; once its quarantine (at most 300 ms) lapses,
+    // the first successful push drains the spool in order behind it.
+    fleet.up[0] = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    repl.pushRecord(rec(3));
+    EXPECT_EQ(fleet.pushed[0], (std::vector<std::int64_t>{3, 1, 2}));
+    repl.pushRecord(rec(4));
+    EXPECT_EQ(fleet.pushed[0], (std::vector<std::int64_t>{3, 1, 2, 4}));
+    EXPECT_EQ(fleet.calls[2], 3); // {1, 2} held both copies.
+}
+
+TEST(Replicator, AntiEntropyEscalatesToFullPullOnlyWhenDigestSurvives)
+{
+    ServerOptions so;
+    ServerCounters counters;
+    SolutionCache cache;
+    const CacheKey mine = keyOwnedBy(0, 2);
+    ASSERT_EQ(cache.insert(mine, CachedSolution{}), 1);
+    Replicator repl(&cache, 0x11, 0x22, so, counters);
+    FakeFleet fleet(1);
+    repl.join(1, fleet.transport());
+    ASSERT_EQ(fleet.log.size(), 1u); // The join-time delta pull.
+    EXPECT_TRUE(fleet.log[0].repl_pull);
+    EXPECT_EQ(fleet.log[0].repl_since, 1);
+    EXPECT_EQ(fleet.log[0].repl_for, -1);
+
+    // Each round: the digest exchange, then the pull's cursor (-1 =
+    // full slot pull), or -2 when the digests agreed.
+    const auto round = [&] {
+        fleet.log.clear();
+        repl.antiEntropy();
+        EXPECT_TRUE(fleet.log.at(0).repl_digest);
+        EXPECT_EQ(fleet.log.at(0).repl_for, 0);
+        if (fleet.log.size() == 1)
+            return std::int64_t{-2};
+        EXPECT_TRUE(fleet.log.at(1).repl_pull);
+        EXPECT_EQ(fleet.log.at(1).repl_for, 0);
+        return fleet.log.at(1).repl_since;
+    };
+    fleet.digest.repl_has_digest = true;
+    fleet.digest.repl_digest_count = 5;
+    fleet.digest.repl_digest_fp = 0x1234;
+    EXPECT_EQ(round(), 1);  // New digest: delta first.
+    EXPECT_EQ(round(), -1); // Survived a delta round: one full pull.
+    EXPECT_EQ(round(), 1);  // Full pull spent on this digest: delta.
+    fleet.digest.repl_digest_count = 6;
+    EXPECT_EQ(round(), 1);  // A different digest starts over.
+    EXPECT_EQ(round(), -1);
+    fleet.digest.repl_digest_count = 1;
+    fleet.digest.repl_digest_fp = mix64(mine.hash());
+    EXPECT_EQ(round(), -2); // Converged: no pull at all.
+    EXPECT_EQ(counters.repl_ae_applied.load(), 0);
+}
+
+TEST(Replicator, FleetOfTwoConvergesThroughAnswerWithoutSockets)
+{
+    // Two Replicators wired to each other's answer(): a push lands in
+    // the peer's cache once, a foreign record is refused, and a fresh
+    // node's join pulls everything its peer holds.
+    ServerOptions so;
+    ServerCounters ca, cb;
+    SolutionCache cache_a, cache_b;
+    Replicator a(&cache_a, 0x11, 0x22, so, ca);
+    Replicator b(&cache_b, 0x11, 0x22, so, cb);
+    const auto to = [](Replicator &peer) -> Replicator::Transport {
+        return [&peer](std::size_t, const RpcRequest &req,
+                       RpcResponse &resp, long) {
+            resp = peer.answer(req);
+            return resp.ok;
+        };
+    };
+    a.join(1, to(b));
+    const CacheKey key = keyOwnedBy(1, 2);
+    const std::int64_t seq = cache_a.insert(key, CachedSolution{});
+    a.pushRecord({key, {}, seq});
+    a.pushRecord({key, {}, seq});
+    EXPECT_TRUE(cache_b.contains(key));
+    EXPECT_EQ(cb.repl_applied.load(), 1);
+    EXPECT_EQ(ca.repl_pushed.load(), 2);
+
+    RpcRequest foreign;
+    foreign.op = RpcOp::Replicate;
+    foreign.has_record = true;
+    foreign.repl_record.key = keyOwnedBy(0, 2);
+    foreign.repl_record.key.machine_fp = 0x99;
+    EXPECT_FALSE(b.answer(foreign).ok);
+
+    SolutionCache cache_c;
+    ServerCounters cc;
+    Replicator c(&cache_c, 0x11, 0x22, so, cc);
+    c.join(1, to(a));
+    EXPECT_TRUE(cache_c.contains(key));
+    EXPECT_EQ(cc.repl_prefetched.load(), 1);
+    EXPECT_EQ(cache_c.journalSeq(), seq);
 }
 
 } // namespace

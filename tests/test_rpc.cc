@@ -363,6 +363,71 @@ TEST(RpcProtocol, GoldenRequestBytes)
     EXPECT_EQ(back.deadline_ms, 2500);
 }
 
+// The replicate op on the wire: push (with seq), delta pull, digest and
+// ping requests, then their answers (goldenReplicateRequests() and
+// goldenReplicateResponses(), in order).
+const char *const kGoldenReplicateRequests[] = {
+    "{\"v\":1,\"op\":\"replicate\",\"machine\":\"0123456789abcdef\","
+    "\"settings\":\"fedcba9876543210\",\"deadline_ms\":1000,\"record"
+    "\":{\"v\":1,\"n\":2,\"k\":32,\"c\":32,\"r\":3,\"s\":3,\"h\":56,"
+    "\"w\":56,\"stride\":1,\"dilation\":1,\"groups\":32,\"machine\":"
+    "\"0123456789abcdef\",\"settings\":\"fedcba9876543210\",\"perm\":"
+    "[\"nkhwcrs\",\"nhwkcrs\",\"knchwrs\",\"wkhncrs\"],\"tiles\":[[1,"
+    "8,1,1,1,1,6],[1,16,6,3,3,2,12],[1,32,16,3,3,14,28],[2,64,32,3,3,"
+    "14,56]],\"par\":[1,2,1,1,1,4,1],\"pred_s\":0.33333333333333331,"
+    "\"label\":\"kc|hw \\\"q\\\" \\\\ \\t\\u0001\",\"seq\":9}}",
+    "{\"v\":1,\"op\":\"replicate\",\"machine\":\"0123456789abcdef\","
+    "\"settings\":\"fedcba9876543210\",\"deadline_ms\":2000,\"pull\":"
+    "1,\"since\":412,\"for\":2}",
+    "{\"v\":1,\"op\":\"replicate\",\"machine\":\"0123456789abcdef\","
+    "\"settings\":\"fedcba9876543210\",\"digest\":1,\"for\":1}",
+    "{\"v\":1,\"op\":\"ping\",\"deadline_ms\":250}"};
+
+const char *const kGoldenReplicateResponses[] = {
+    "{\"ok\":true,\"op\":\"replicate\",\"applied\":1}",
+    "{\"ok\":true,\"op\":\"replicate\",\"records\":[{\"v\":1,\"n\":2,"
+    "\"k\":64,\"c\":3,\"r\":7,\"s\":7,\"h\":112,\"w\":112,\"stride\":"
+    "2,\"dilation\":1,\"machine\":\"0123456789abcdef\",\"settings\":"
+    "\"fedcba9876543210\",\"perm\":[\"nkhwcrs\",\"nhwkcrs\",\"knchwrs"
+    "\",\"wkhncrs\"],\"tiles\":[[1,8,1,1,1,1,6],[1,16,3,3,3,2,12],[1,"
+    "32,16,3,3,7,28],[2,64,32,3,3,14,56]],\"par\":[1,2,1,1,1,2,1],\"p"
+    "red_s\":2.5000000000000001e-05,\"label\":\"nk|crs\",\"seq\":3},{"
+    "\"v\":1,\"n\":2,\"k\":128,\"c\":64,\"r\":1,\"s\":1,\"h\":28,\"w"
+    "\":28,\"stride\":2,\"dilation\":1,\"groups\":4,\"machine\":\"012"
+    "3456789abcdef\",\"settings\":\"fedcba9876543210\",\"perm\":[\"nk"
+    "hwcrs\",\"nhwkcrs\",\"knchwrs\",\"wkhncrs\"],\"tiles\":[[1,8,1,1"
+    ",1,1,6],[1,16,6,3,3,2,12],[1,32,16,3,3,14,28],[2,64,32,3,3,14,56"
+    "]],\"par\":[1,2,1,1,1,4,1],\"pred_s\":0.33333333333333331,\"labe"
+    "l\":\"kc|hw \\\"q\\\" \\\\ \\t\\u0001\"}]}",
+    "{\"ok\":true,\"op\":\"replicate\",\"count\":7,\"fp\":\"deadbeefc"
+    "afef00d\"}",
+    "{\"ok\":true,\"op\":\"ping\"}"};
+
+TEST(RpcProtocol, GoldenReplicateBytes)
+{
+    // Each form encodes to exactly its committed line, and each line
+    // decodes to a value that encodes back to the same bytes.
+    const std::vector<RpcRequest> reqs = goldenReplicateRequests();
+    ASSERT_EQ(reqs.size(), std::size(kGoldenReplicateRequests));
+    std::string err;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        const std::string golden = kGoldenReplicateRequests[i];
+        EXPECT_EQ(requestToJsonLine(reqs[i]), golden);
+        RpcRequest back;
+        ASSERT_TRUE(requestFromJsonLine(golden, back, &err)) << err;
+        EXPECT_EQ(requestToJsonLine(back), golden);
+    }
+    const std::vector<RpcResponse> resps = goldenReplicateResponses();
+    ASSERT_EQ(resps.size(), std::size(kGoldenReplicateResponses));
+    for (std::size_t i = 0; i < resps.size(); ++i) {
+        const std::string golden = kGoldenReplicateResponses[i];
+        EXPECT_EQ(responseToJsonLine(resps[i]), golden);
+        RpcResponse back;
+        ASSERT_TRUE(responseFromJsonLine(golden, back, &err)) << err;
+        EXPECT_EQ(responseToJsonLine(back), golden);
+    }
+}
+
 /** One to three seeded mutations of @p s: bit flips, truncations,
  *  inserted tokens and deleted runs. */
 std::string
@@ -388,9 +453,7 @@ TEST(RpcProtocol, MutatedGoldenRecordsParseOrRefuse)
 {
     RpcRequest repl;
     repl.op = RpcOp::Replicate;
-    repl.repl_key = goldenKey(1);
-    repl.repl_sol = goldenSolution();
-    repl.repl_seq = 9;
+    repl.repl_record = {goldenKey(1), goldenSolution(), 9};
     const std::vector<std::string> seeds = {
         responseToJsonLine(goldenNetworkResponse()),
         requestToJsonLine(goldenSolveRequest()),
@@ -999,17 +1062,15 @@ TEST(RpcProtocol, ReplicateRecordSequenceRoundTrips)
     RpcRequest push;
     push.op = RpcOp::Replicate;
     push.has_record = true;
-    push.repl_key = solved.solve.key;
-    push.repl_sol = solved.solve.sol;
-    push.repl_seq = 99;
+    push.repl_record = {solved.solve.key, solved.solve.sol, 99};
     RpcRequest back;
     std::string err;
     ASSERT_TRUE(requestFromJsonLine(requestToJsonLine(push), back, &err))
         << err;
     ASSERT_TRUE(back.has_record);
-    EXPECT_EQ(back.repl_key, push.repl_key);
-    EXPECT_EQ(back.repl_sol, push.repl_sol);
-    EXPECT_EQ(back.repl_seq, 99);
+    EXPECT_EQ(back.repl_record.key, push.repl_record.key);
+    EXPECT_EQ(back.repl_record.sol, push.repl_record.sol);
+    EXPECT_EQ(back.repl_record.seq, 99);
 
     // Pull responses carry per-record sequences the same way; a PR 9
     // record without one reads as seq 0 (never newer than anything).
@@ -1018,7 +1079,7 @@ TEST(RpcProtocol, ReplicateRecordSequenceRoundTrips)
     pull.op = RpcOp::Replicate;
     pull.repl_is_pull = true;
     pull.repl_records.push_back(
-        RpcReplRecord{solved.solve.key, solved.solve.sol, 7});
+        SolutionCacheRecord{solved.solve.key, solved.solve.sol, 7});
     RpcResponse pull_back;
     ASSERT_TRUE(responseFromJsonLine(responseToJsonLine(pull),
                                      pull_back, &err))

@@ -11,8 +11,8 @@
 
 #include <cmath>
 
+#include "solver/augmented_lagrangian.hh"
 #include "solver/discrete_refine.hh"
-#include "solver/multistart.hh"
 
 namespace mopt {
 namespace {
@@ -76,9 +76,9 @@ TEST(AugLag, EqualityLikeConstraint)
             g[0] = 2.0 - x[0] - x[1]; // <= 0
             return x[0] * x[0] + x[1] * x[1];
         });
-    MultiStartOptions opts;
-    opts.auglag.inner.max_steps = 300;
-    const NlpResult r = solveMultiStart(nlp, {{0.0, 0.0}}, opts);
+    AugLagOptions opts;
+    opts.inner.max_steps = 300;
+    const NlpResult r = solveAugLag(nlp, {0.0, 0.0}, opts);
     ASSERT_TRUE(r.feasible);
     EXPECT_NEAR(r.x[0], 1.0, 5e-2);
     EXPECT_NEAR(r.x[1], 1.0, 5e-2);
@@ -102,11 +102,10 @@ TEST(AugLag, MatmulTileProblem)
             g[0] = std::log((ti * tk + tj * tk + ti * tj) / C);
             return std::log(1.0 / ti + 1.0 / tj);
         });
-    MultiStartOptions opts;
-    opts.random_starts = 4;
-    opts.auglag.inner.max_steps = 300;
-    const NlpResult r = solveMultiStart(
-        nlp, {{std::log(8.0), std::log(8.0), std::log(8.0)}}, opts);
+    AugLagOptions opts;
+    opts.inner.max_steps = 300;
+    const NlpResult r = solveAugLag(
+        nlp, {std::log(8.0), std::log(8.0), std::log(8.0)}, opts);
     ASSERT_TRUE(r.feasible);
     const double ti = std::exp(r.x[0]);
     const double tj = std::exp(r.x[1]);
@@ -176,7 +175,8 @@ TEST(DiscreteRefine, HillClimbHonorsInfeasibility)
 TEST(MultiStart, PicksBestOfSeeds)
 {
     // Two local minima: x = -2 (f = 1) and x = 2 (f = 0). A start near
-    // each; multi-start must return the global one.
+    // each; keeping the better result (the optimizer's reduction over
+    // its starts) must return the global one, whatever the order.
     FunctionalNlp nlp(
         1, 0, {-4.0}, {4.0},
         [](const std::vector<double> &x, std::vector<double> &) {
@@ -185,11 +185,15 @@ TEST(MultiStart, PicksBestOfSeeds)
             // Double-well: min value 0 at +2, 1 at -2.
             return 0.25 * a * a * b * b + 0.125 * (2.0 - x[0]);
         });
-    MultiStartOptions opts;
-    opts.random_starts = 0;
-    opts.auglag.inner.max_steps = 300;
-    const NlpResult r = solveMultiStart(nlp, {{-2.2}, {2.2}}, opts);
-    EXPECT_NEAR(r.x[0], 2.0, 0.2);
+    AugLagOptions opts;
+    opts.inner.max_steps = 300;
+    const NlpResult left = solveAugLag(nlp, {-2.2}, opts);
+    const NlpResult right = solveAugLag(nlp, {2.2}, opts);
+    EXPECT_NEAR(left.x[0], -2.0, 0.2);
+    EXPECT_NEAR(right.x[0], 2.0, 0.2);
+    EXPECT_TRUE(betterNlpResult(right, left));
+    EXPECT_FALSE(betterNlpResult(left, right));
+    EXPECT_FALSE(betterNlpResult(right, right)); // Ties keep the first.
 }
 
 } // namespace
