@@ -104,29 +104,26 @@ Replicator::run()
 {
     const std::chrono::milliseconds period(options_.anti_entropy_ms);
     auto next_ae = std::chrono::steady_clock::now() + period;
-    try {
-        for (;;) {
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait_for(lock, std::chrono::milliseconds(kReplLoopSliceMs),
-                         [this] { return stop_ || !queue_.empty(); });
-            if (stop_)
-                return; // Best-effort: drop what is still queued.
-            if (!queue_.empty()) {
-                const SolutionCacheRecord rec = std::move(queue_.front());
-                queue_.pop_front();
-                lock.unlock();
-                pushRecord(rec);
-                continue; // Drain fresh inserts before housekeeping.
-            }
+    for (;;) {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait_for(lock, std::chrono::milliseconds(kReplLoopSliceMs),
+                     [this] { return stop_ || !queue_.empty(); });
+        if (stop_)
+            return; // Best-effort: drop what is still queued.
+        if (!queue_.empty()) {
+            const SolutionCacheRecord rec = std::move(queue_.front());
+            queue_.pop_front();
             lock.unlock();
-            probeDownPeers();
-            if (period.count() > 0 &&
-                std::chrono::steady_clock::now() >= next_ae) {
-                antiEntropy();
-                next_ae = std::chrono::steady_clock::now() + period;
-            }
+            pushRecord(rec);
+            continue; // Drain fresh inserts before housekeeping.
         }
-    } catch (const Stopped &) {
+        lock.unlock();
+        probeDownPeers();
+        if (period.count() > 0 &&
+            std::chrono::steady_clock::now() >= next_ae) {
+            antiEntropy();
+            next_ae = std::chrono::steady_clock::now() + period;
+        }
     }
 }
 
@@ -147,25 +144,22 @@ Replicator::queueDepth() const
     return static_cast<std::int64_t>(queue_.size());
 }
 
-/** The one outbound call: throws Stopped after stop(), else sends
- *  @p req under its deadline and reports the outcome to the peer
- *  table. True = @p resp is a usable answer. */
+/** The one outbound call: false at once after stop(), else sends
+ *  @p req under its deadline and, when @p report, feeds the outcome
+ *  to the peer table. True = @p resp is a usable answer. */
 bool
 Replicator::callPeer(std::size_t peer, RpcRequest &req, RpcResponse &resp,
-                     long deadline_ms)
+                     long deadline_ms, bool report)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stop_)
-            throw Stopped{}; // Do not wait out deadlines at shutdown.
-    }
+    if (stop_)
+        return false; // Do not wait out deadlines at shutdown.
     req.deadline_ms = deadline_ms;
     // A digest request answered without a digest is no answer.
     const bool ok = transport_(peer, req, resp, deadline_ms) &&
                     (!req.repl_digest || resp.repl_has_digest);
-    if (ok)
+    if (report && ok)
         peers_->reportSuccess(peer);
-    else
+    else if (report)
         peers_->reportFailure(peer);
     return ok;
 }
@@ -231,6 +225,8 @@ Replicator::pushToPeer(std::size_t peer, const SolutionCacheRecord &rec)
             counters_.repl_pushed.fetch_add(1, std::memory_order_relaxed);
             return true;
         }
+        if (stop_)
+            return false; // Shutting down: no backoff, no failure.
         if (peers_->isDown(peer))
             break; // Struck out: quarantine, don't keep hammering.
         if (attempt < kReplPushAttempts) {
@@ -313,7 +309,8 @@ Replicator::antiEntropy()
 }
 
 /** Pull records (seq > since when since > 0; this node's ring slot
- *  only when @p for_slot) and apply the missing ones. */
+ *  only when @p for_slot) and apply the missing ones. Unreported: a
+ *  failed pull must not take a peer out of the anti-entropy rounds. */
 std::int64_t
 Replicator::pullFrom(std::size_t peer, std::int64_t since, bool for_slot)
 {
@@ -324,20 +321,20 @@ Replicator::pullFrom(std::size_t peer, std::int64_t since, bool for_slot)
     if (for_slot)
         req.repl_for = options_.fleet_index;
     RpcResponse resp;
-    if (!callPeer(peer, req, resp, kReplPullDeadlineMs))
+    if (!callPeer(peer, req, resp, kReplPullDeadlineMs, /*report=*/false))
         return 0;
     std::int64_t applied = 0;
     for (const SolutionCacheRecord &r : resp.repl_records)
-        applied += absorb(r);
+        if (ours(r.key)) // Foreign identity never enters the cache.
+            applied += absorb(r);
     return applied;
 }
 
-/** Insert @p rec when it carries this node's identity and is new. */
+/** Insert @p rec (identity already checked) when it is new. */
 bool
 Replicator::absorb(const SolutionCacheRecord &rec)
 {
-    if (!cache_ || rec.key.machine_fp != machine_fp_ ||
-        rec.key.settings_fp != settings_fp_ || cache_->contains(rec.key))
+    if (!cache_ || cache_->contains(rec.key))
         return false;
     // applyReplica absorbs the origin's sequence into our journal
     // high-water mark, so fleet sequences stay loosely comparable and
@@ -400,8 +397,7 @@ Replicator::answer(const RpcRequest &req)
     // Push: take the record if it is ours and new. The record's own
     // fingerprints are checked (not just the request envelope's): a
     // misconfigured peer must not seed us with foreign plans.
-    const CacheKey &key = req.repl_record.key;
-    if (key.machine_fp != machine_fp_ || key.settings_fp != settings_fp_)
+    if (!ours(req.repl_record.key))
         return rpcErrorResponse(
             "replicate: record fingerprint does not match this "
             "server's identity");

@@ -26,6 +26,7 @@
 #ifndef MOPT_RPC_REPLICATOR_HH
 #define MOPT_RPC_REPLICATOR_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -77,7 +78,8 @@ class Replicator
      *  anti-entropy schedule. Returns after stop(). */
     void run();
 
-    /** End run() and any call in flight; enqueue() drops from now on. */
+    /** End run(); from now on enqueue() drops and every step below
+     *  returns without a call. */
     void stop();
 
     /** Answer a "replicate" request (identity already checked): a
@@ -98,8 +100,6 @@ class Replicator
     void antiEntropy();
 
   private:
-    struct Stopped {}; //!< Thrown by callPeer after stop().
-
     /** Per-peer anti-entropy state: escalate from delta to full pull
      *  only when the same mismatched digest survives a delta round. */
     struct AeState
@@ -110,7 +110,7 @@ class Replicator
     };
 
     bool callPeer(std::size_t peer, RpcRequest &req, RpcResponse &resp,
-                  long deadline_ms);
+                  long deadline_ms, bool report = true);
     bool pushToPeer(std::size_t peer, const SolutionCacheRecord &rec);
     void drainSpool(std::size_t peer);
     std::int64_t pullFrom(std::size_t peer, std::int64_t since,
@@ -123,6 +123,8 @@ class Replicator
                                                  std::int64_t since) const;
 
     RpcRequest request() const; //!< Replicate op, this identity.
+    bool ours(const CacheKey &k) const //!< Carries this identity.
+    { return k.machine_fp == machine_fp_ && k.settings_fp == settings_fp_; }
 
     SolutionCache *cache_;
     std::uint64_t machine_fp_;
@@ -137,10 +139,10 @@ class Replicator
     std::vector<AeState> ae_;
     Rng rng_{0x5265706c696361ull}; //!< Push backoff jitter.
 
-    mutable std::mutex mu_; //!< Guards queue_ and stop_.
+    mutable std::mutex mu_; //!< Guards queue_; stop_ is set under it.
     std::condition_variable cv_;
     std::deque<SolutionCacheRecord> queue_;
-    bool stop_ = false;
+    std::atomic<bool> stop_{false};
 };
 
 } // namespace mopt

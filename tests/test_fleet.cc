@@ -250,7 +250,8 @@ struct FakeFleet
     std::vector<int> calls;
     std::vector<std::vector<std::int64_t>> pushed;
     std::vector<RpcRequest> log;
-    RpcResponse digest; //!< Answer to digest requests.
+    RpcResponse digest;      //!< Answer to digest requests.
+    bool pulls_fail = false; //!< Up peers still fail pull requests.
 
     explicit FakeFleet(std::size_t peers)
         : up(peers, true), calls(peers, 0), pushed(peers)
@@ -262,7 +263,7 @@ struct FakeFleet
                       RpcResponse &resp, long) {
             ++calls[peer];
             log.push_back(req);
-            if (!up[peer])
+            if (!up[peer] || (req.repl_pull && pulls_fail))
                 return false;
             resp = req.repl_digest ? digest : RpcResponse{};
             resp.ok = true;
@@ -365,6 +366,52 @@ TEST(Replicator, AntiEntropyEscalatesToFullPullOnlyWhenDigestSurvives)
     fleet.digest.repl_digest_fp = mix64(mine.hash());
     EXPECT_EQ(round(), -2); // Converged: no pull at all.
     EXPECT_EQ(counters.repl_ae_applied.load(), 0);
+}
+
+TEST(Replicator, FailedPullsKeepThePeerInAntiEntropyRounds)
+{
+    // The first node of a fleet starts before its peer: its join pull
+    // fails. Once the peer is up, anti-entropy must still reach it, and
+    // a pull that fails after a good digest must not end the rounds.
+    ServerOptions so;
+    ServerCounters counters;
+    SolutionCache cache;
+    Replicator repl(&cache, 0x11, 0x22, so, counters);
+    FakeFleet fleet(1);
+    fleet.up[0] = false;
+    repl.join(1, fleet.transport());
+    EXPECT_EQ(fleet.calls[0], 1);
+    fleet.up[0] = true;
+    fleet.digest.repl_has_digest = true;
+    fleet.digest.repl_digest_count = 3; // Mismatched: a pull follows.
+    fleet.pulls_fail = true;
+    for (int round = 0; round < 3; ++round) {
+        fleet.log.clear();
+        repl.antiEntropy();
+        ASSERT_EQ(fleet.log.size(), 2u) << "round " << round;
+        EXPECT_TRUE(fleet.log[0].repl_digest);
+        EXPECT_TRUE(fleet.log[1].repl_pull);
+    }
+}
+
+TEST(Replicator, StepsAfterStopReturnWithoutACall)
+{
+    ServerOptions so;
+    ServerCounters counters;
+    SolutionCache cache;
+    Replicator repl(&cache, 0x11, 0x22, so, counters);
+    FakeFleet fleet(1);
+    repl.join(1, fleet.transport());
+    fleet.calls[0] = 0;
+    repl.stop();
+    repl.pushRecord({keyOwnedBy(1, 2), {}, 1});
+    repl.probeDownPeers();
+    repl.antiEntropy();
+    repl.run(); // Returns at once.
+    repl.enqueue({keyOwnedBy(1, 2), {}, 2});
+    EXPECT_EQ(fleet.calls[0], 0);
+    EXPECT_EQ(repl.queueDepth(), 0);
+    EXPECT_EQ(counters.repl_push_failed.load(), 0);
 }
 
 TEST(Replicator, FleetOfTwoConvergesThroughAnswerWithoutSockets)
