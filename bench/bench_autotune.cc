@@ -8,9 +8,9 @@
  *
  * Unlike the simulated-testbed harnesses (Figs. 5/6), every "measured"
  * number here is a wall-clock execution on the machine running the
- * bench — so BENCH_autotune.json carries real hardware in the
- * trajectory. The in-process runner is used for determinism (no host
- * compiler dependency); `mopt autotune` exercises the emitted path.
+ * bench, so its table reports real hardware. The in-process runner is
+ * used for determinism (no host compiler dependency); `mopt autotune`
+ * exercises the emitted path.
  */
 
 #include <cmath>

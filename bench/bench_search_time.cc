@@ -12,14 +12,10 @@
 
 #include "baselines/autotuner.hh"
 #include "bench_common.hh"
-#include "common/flags.hh"
 #include "common/table.hh"
-#include "common/timer.hh"
 #include "conv/workloads.hh"
 #include "machine/machine.hh"
 #include "optimizer/mopt_optimizer.hh"
-#include "service/network_optimizer.hh"
-#include "service/solution_cache.hh"
 
 int
 main()
@@ -33,11 +29,6 @@ main()
     const int trials = scaled(3, 1000);
     const int threads = std::min<int>(
         8, std::max(1u, std::thread::hardware_concurrency()));
-    // MOPT_BENCH_SEARCH_ONLY=1 skips the auto-tuner comparison (whose
-    // cost is real conv executions) so CI can track the search-time
-    // trajectory cheaply.
-    const bool search_only =
-        Flags().getBool("bench-search-only", false);
 
     Table t({"Layer", "GFLOP", "MOpt search (s)", "MOpt evals",
              "MOpt top-1 (ms)", "tuner trials", "tuner time (s)",
@@ -54,58 +45,21 @@ main()
         oo.parallel = true;
         const OptimizeOutput opt = optimizeConv(p, m, oo);
 
-        Table &row = t.row();
-        row.add(name)
+        TunerOptions to;
+        to.trials = trials;
+        const TunerResult tuned =
+            autotune(p, m, makeExecutionMeasure(p, threads), to);
+        t.row()
+            .add(name)
             .add(p.flops() / 1e9, 1)
             .add(opt.seconds, 1)
             .add(static_cast<long long>(opt.solver_evals))
-            .add(opt.candidates.front().predicted.total_seconds * 1e3,
-                 3);
-        if (search_only) {
-            // Blank cells, not fabricated zeros: the CI-uploaded JSON
-            // must not look like a real tuner measurement.
-            row.add("-").add("-").add("-");
-        } else {
-            TunerOptions to;
-            to.trials = trials;
-            const TunerResult tuned =
-                autotune(p, m, makeExecutionMeasure(p, threads), to);
-            row.add(static_cast<long long>(tuned.trials))
-                .add(tuned.tuning_seconds, 1)
-                .add(tuned.tuning_seconds / tuned.trials, 2);
-        }
+            .add(opt.candidates.front().predicted.total_seconds * 1e3, 3)
+            .add(static_cast<long long>(tuned.trials))
+            .add(tuned.tuning_seconds, 1)
+            .add(tuned.tuning_seconds / tuned.trials, 2);
     }
     t.print(std::cout);
-
-    // Network-level cache effectiveness: the same ResNet-18 batch
-    // solved cold (empty cache) and then warm (same in-memory cache).
-    // Emitted as scalar "key: value" metrics so bench_to_json uploads
-    // them with the search-time trajectory.
-    {
-        SolutionCache cache;
-        OptimizerOptions no;
-        no.effort = OptimizerOptions::Effort::Fast;
-        no.parallel = true;
-        const NetworkOptimizer nopt(m, no, &cache);
-        const std::vector<ConvProblem> net = resnet18Workloads();
-
-        Timer cold_timer;
-        const NetworkPlan cold = nopt.optimize(net);
-        const double cold_s = cold_timer.seconds();
-        Timer warm_timer;
-        const NetworkPlan warm = nopt.optimize(net);
-        const double warm_s = warm_timer.seconds();
-
-        std::cout << "\nNetwork cache effectiveness (ResNet-18 table, "
-                  << net.size() << " layers, "
-                  << cold.stats.unique_shapes << " unique shapes):\n";
-        std::cout << "cache cold wall s: " << cold_s << "\n";
-        std::cout << "cache warm wall s: " << warm_s << "\n";
-        std::cout << "cache warm hit rate: " << warm.stats.hitRate()
-                  << "\n";
-        std::cout << "cache cold-to-warm speedup: "
-                  << (warm_s > 0 ? cold_s / warm_s : 0.0) << "\n";
-    }
 
     std::cout << "\nMOpt's search cost is dominated by the nonlinear "
                  "solves and does not grow with the\noperator's work; "

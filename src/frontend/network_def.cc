@@ -99,24 +99,6 @@ NetworkDef::conv(const std::string &layer_name, std::int64_t filters,
 }
 
 NetworkDef &
-NetworkDef::depthwise(const std::string &layer_name, std::int64_t size,
-                      int stride)
-{
-    const std::int64_t ch = cur_.c;
-    conv(layer_name, ch, size, stride, ch);
-    layers.back().kind = LayerKind::Depthwise;
-    return *this;
-}
-
-NetworkDef &
-NetworkDef::matmul(const std::string &layer_name, std::int64_t filters)
-{
-    conv(layer_name, filters, 1);
-    layers.back().kind = LayerKind::Matmul;
-    return *this;
-}
-
-NetworkDef &
 NetworkDef::branchConv(const std::string &layer_name, std::int64_t filters,
                        std::int64_t in_c, std::int64_t in_hw,
                        std::int64_t size, int stride)

@@ -12,7 +12,7 @@
  * protocol's inline-network payload.
  *
  * Shape propagation happens at construction time instead: the builder
- * methods (conv/depthwise/matmul/pool) carry a cursor — the current
+ * methods (conv/branchConv/pool) carry a cursor — the current
  * tensor shape — forward through the network, which is also how the
  * darknet .cfg parser (cfg_parser.hh) drives this type.
  */
@@ -93,13 +93,6 @@ struct NetworkDef
     NetworkDef &conv(const std::string &layer_name, std::int64_t filters,
                      std::int64_t size, int stride = 1,
                      std::int64_t groups = 1);
-
-    /** Append a depthwise conv (groups == filters == cursor channels). */
-    NetworkDef &depthwise(const std::string &layer_name, std::int64_t size,
-                          int stride = 1);
-
-    /** Append a matmul as a 1x1 conv over the cursor. */
-    NetworkDef &matmul(const std::string &layer_name, std::int64_t filters);
 
     /**
      * Append a conv reading an *explicit* input shape (a residual /

@@ -274,8 +274,8 @@ Replicator::antiEntropy()
     if (!cache_)
         return;
     for (std::size_t i = 0; i < peers_->size(); ++i) {
-        if (peers_->state(i) != PeerState::Up)
-            continue; // Down/Suspect peers heal via probes first.
+        if (peers_->isDown(i))
+            continue; // Down peers heal via probes first.
         RpcRequest req = request();
         req.repl_digest = true;
         req.repl_for = options_.fleet_index;

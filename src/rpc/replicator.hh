@@ -14,8 +14,8 @@
  * journal high-water sequence (the "since" cursor), so a rejoining
  * node converges via delta, not a full transfer. A periodic
  * low-priority anti-entropy round exchanges (count, fingerprint)
- * digests with Up peers and pulls only what this node is missing, so
- * even a blackholed push is eventually repaired.
+ * digests with every peer that is not Down and pulls only what this
+ * node is missing, so even a blackholed push is eventually repaired.
  *
  * Every outbound call (push, ping, digest, pull) goes through one
  * Transport function, so tests drive a fleet with no sockets. The
@@ -96,7 +96,8 @@ class Replicator
     /** Ping each Down peer whose quarantine expired; drain on success. */
     void probeDownPeers();
 
-    /** Swap digests with every Up peer and pull what is missing. */
+    /** Swap digests with every peer that is not Down and pull what
+     *  is missing. */
     void antiEntropy();
 
   private:

@@ -394,6 +394,37 @@ TEST(Replicator, FailedPullsKeepThePeerInAntiEntropyRounds)
     }
 }
 
+TEST(Replicator, PeerThatFailsOneDigestIsAskedAgainAndReturnsToUp)
+{
+    // Only Down peers leave the anti-entropy rounds (probes heal
+    // them): a peer that failed one digest exchange is Suspect and
+    // must be asked again in the next round.
+    ServerOptions so;
+    ServerCounters counters;
+    SolutionCache cache;
+    Replicator repl(&cache, 0x11, 0x22, so, counters);
+    FakeFleet fleet(1);
+    repl.join(1, fleet.transport());
+    fleet.digest.repl_has_digest = true; // Empty on both sides.
+    const auto round = [&] {
+        fleet.calls[0] = 0;
+        repl.antiEntropy();
+        return fleet.calls[0];
+    };
+    fleet.up[0] = false;
+    EXPECT_EQ(round(), 1);
+    fleet.up[0] = true;
+    EXPECT_EQ(round(), 1); // Suspect, asked again: it answers.
+
+    // Back to Up: it again takes three consecutive failures (down_after)
+    // to go Down, after which the rounds skip it.
+    fleet.up[0] = false;
+    EXPECT_EQ(round(), 1);
+    EXPECT_EQ(round(), 1);
+    EXPECT_EQ(round(), 1);
+    EXPECT_EQ(round(), 0);
+}
+
 TEST(Replicator, StepsAfterStopReturnWithoutACall)
 {
     ServerOptions so;

@@ -160,6 +160,20 @@ TEST(Optimizer, TopKLimitsCandidates)
     EXPECT_LE(out.candidates.size(), 2u);
 }
 
+// The search-time claim's deterministic guard: the model evaluations
+// a Standard-effort search spends on the first and last Yolo stages
+// (Y0, Y23; the paper's Sec. 12 layers). Unlike wall time, the count
+// depends on neither the machine nor the thread count. A change that
+// moves these counts lists the new values in CHANGES.md.
+TEST(Optimizer, StandardSearchEvalCountsArePinned)
+{
+    const MachineSpec m = i7_9700k();
+    EXPECT_EQ(optimizeConv(workloadByName("Y0"), m, {}).solver_evals,
+              145558);
+    EXPECT_EQ(optimizeConv(workloadByName("Y23"), m, {}).solver_evals,
+              184492);
+}
+
 TEST(Integerize, OutputRespectsCapacityAndBlocks)
 {
     const ConvProblem p = prob();

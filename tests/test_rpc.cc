@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -24,6 +26,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "conv/workloads.hh"
+#include "frontend/cfg_parser.hh"
 #include "machine/machine.hh"
 #include "rpc/client.hh"
 #include "rpc/protocol.hh"
@@ -900,59 +903,143 @@ TEST(RpcRouter, NoFallbackTurnsDeadNodeIntoError)
     EXPECT_THROW(router.optimize({smallProblem()}), FatalError);
 }
 
+/** Lift this process's soft RLIMIT_NOFILE toward its hard limit:
+ *  both ends of every test connection live in this one process. */
+void
+raiseFdLimit(rlim_t want)
+{
+    rlimit rl{};
+    if (::getrlimit(RLIMIT_NOFILE, &rl) != 0 || rl.rlim_cur >= want)
+        return;
+    rl.rlim_cur = std::min(want, rl.rlim_max);
+    ::setrlimit(RLIMIT_NOFILE, &rl);
+}
+
 // The readiness core's defining property: connections are registered
-// fds, not threads. A hundred open-but-idle connections must be
-// served by the same fixed thread count, and frames arriving one byte
-// at a time, interleaved across connections, must reassemble into
-// complete requests (the per-connection LineReader buffers resume
-// across reads).
+// fds, not threads. 512 open connections must be served by the same
+// fixed thread count, and frames arriving one byte at a time,
+// interleaved across connections, must reassemble into complete
+// requests (the per-connection LineReader buffers resume across
+// reads). Then one warm query through every connection must come back
+// a hit, equal to the first answer, with a bounded p99 round trip.
 TEST(RpcServer, IdleConnectionsCostNoThreadsAndFragmentsInterleave)
 {
+    constexpr std::size_t kConns = 512;
+    constexpr std::size_t kActive = 8;
+    raiseFdLimit(4096);
     ServerOptions so;
     so.workers = 2;
     TestServer ts(so);
     const int threads_before = threadCount();
     ASSERT_GT(threads_before, 0);
 
-    constexpr int kConns = 100;
-    constexpr int kActive = 8;
     std::vector<TcpSocket> conns;
     conns.reserve(kConns);
-    for (int i = 0; i < kConns; ++i) {
+    for (std::size_t i = 0; i < kConns; ++i) {
         std::string err;
         TcpSocket s = TcpSocket::connectTo(ts.ep().host, ts.ep().port,
                                            &err, Deadline::in(5000));
-        ASSERT_TRUE(s.valid()) << err;
+        ASSERT_TRUE(s.valid()) << "connection " << i << ": " << err;
         conns.push_back(std::move(s));
     }
+    std::vector<LineReader> readers;
+    readers.reserve(kConns);
+    for (TcpSocket &sock : conns)
+        readers.emplace_back(sock, 1u << 20);
+    const auto answer = [&](std::size_t i, RpcResponse &resp) {
+        std::string resp_line, err;
+        ASSERT_EQ(readers[i].readLine(resp_line, Deadline::in(30000)),
+                  LineReader::Status::Ok);
+        ASSERT_TRUE(responseFromJsonLine(resp_line, resp, &err)) << err;
+        ASSERT_TRUE(resp.ok) << resp.error;
+    };
 
     // Dribble the same request over the first kActive connections,
     // one byte per connection per round, while the rest stay idle.
     const std::string line =
         requestToJsonLine(solveRequest(smallProblem())) + "\n";
     for (std::size_t pos = 0; pos < line.size(); ++pos)
-        for (int i = 0; i < kActive; ++i)
-            ASSERT_TRUE(conns[static_cast<std::size_t>(i)].sendAll(
-                line.substr(pos, 1)));
-
-    for (int i = 0; i < kActive; ++i) {
-        LineReader reader(conns[static_cast<std::size_t>(i)], 1u << 20);
-        std::string resp_line;
-        ASSERT_EQ(reader.readLine(resp_line, Deadline::in(30000)),
-                  LineReader::Status::Ok);
+        for (std::size_t i = 0; i < kActive; ++i)
+            ASSERT_TRUE(conns[i].sendAll(line.substr(pos, 1)));
+    RpcResponse first;
+    for (std::size_t i = 0; i < kActive; ++i) {
         RpcResponse resp;
-        std::string err;
-        ASSERT_TRUE(responseFromJsonLine(resp_line, resp, &err)) << err;
-        EXPECT_TRUE(resp.ok) << resp.error;
+        ASSERT_NO_FATAL_FAILURE(answer(i, resp));
+        if (i == 0)
+            first = resp;
+        EXPECT_EQ(resp.solve.sol, first.solve.sol) << "connection " << i;
     }
 
-    // Identical concurrent shapes coalesced onto one solve, and the
-    // hundred connections recruited not a single extra thread.
+    // One warm query through every connection, round trips timed.
+    std::vector<double> rtt_ms;
+    rtt_ms.reserve(kConns);
+    for (std::size_t i = 0; i < kConns; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        ASSERT_TRUE(conns[i].sendAll(line));
+        RpcResponse resp;
+        ASSERT_NO_FATAL_FAILURE(answer(i, resp));
+        rtt_ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+        EXPECT_TRUE(resp.solve.cache_hit) << "connection " << i;
+        EXPECT_EQ(resp.solve.sol, first.solve.sol) << "connection " << i;
+    }
+
+    // Sampled with every connection still open: identical concurrent
+    // shapes coalesced onto one solve, and the connections recruited
+    // not a single extra thread.
     EXPECT_EQ(ts.server().schedulerStats().solves, 1);
     EXPECT_EQ(threadCount(), threads_before);
     EXPECT_EQ(
         ts.server().counters().connections.load(std::memory_order_relaxed),
-        kConns);
+        static_cast<std::int64_t>(kConns));
+    // A warm hit is microseconds of work; hundreds of milliseconds
+    // means the loop is wedged or readiness never fired.
+    std::sort(rtt_ms.begin(), rtt_ms.end());
+    EXPECT_LE(rtt_ms[rtt_ms.size() * 99 / 100], 250.0);
+}
+
+// Four clients post the same grouped/depthwise .cfg network at batch
+// 4 as concurrent solve_network calls: every unique layer shape is
+// solved exactly once across them, and all four plans render the same
+// bytes.
+TEST(RpcServer, ConcurrentCfgNetworksSolveEachShapeOnce)
+{
+    ServerOptions so;
+    so.workers = 4;
+    so.solve_concurrency = 4;
+    TestServer ts(so);
+    RpcRequest req;
+    req.op = RpcOp::SolveNetwork;
+    req.ir = parseCfgFile(std::string(MOPT_TEST_DATA_DIR) + "/tiny.cfg");
+    req.has_ir = true;
+    req.batch = 4;
+    req.machine_fp = CacheKey::machineFingerprint(tiny());
+    req.settings_fp = CacheKey::settingsFingerprint(fastOpts());
+
+    constexpr std::size_t kClients = 4;
+    std::vector<RpcResponse> resps(kClients);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kClients);
+    for (std::size_t t = 0; t < kClients; ++t) {
+        threads.emplace_back([&, t] {
+            Client c(ts.ep());
+            if (!c.call(req, resps[t]) || !resps[t].ok)
+                failures.fetch_add(1);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    ASSERT_EQ(failures.load(), 0);
+
+    // The four layer shapes (dense, grouped, depthwise, connected) all
+    // differ.
+    EXPECT_EQ(resps[0].unique_shapes,
+              static_cast<std::int64_t>(req.ir.layers.size()));
+    EXPECT_EQ(ts.server().schedulerStats().solves, resps[0].unique_shapes);
+    for (const RpcResponse &r : resps)
+        EXPECT_EQ(r.plan_text, resps[0].plan_text);
 }
 
 TEST(RpcProtocol, PingRoundTripAndServerAnswersWithoutIdentity)
