@@ -89,7 +89,7 @@ main()
         const TuneSample &s = rep.samples[i];
         t.row()
             .add(static_cast<long long>(i + 1))
-            .add(s.problem.summary())
+            .add(s.key.problem.summary())
             .add(s.predicted_seconds * 1e3, 3)
             .add(s.measured_seconds * 1e3, 3)
             .add(s.measured_seconds / s.predicted_seconds, 2);

@@ -22,8 +22,8 @@
 #include "common/stats.hh"
 #include "common/string_util.hh"
 #include "common/table.hh"
-#include "conv/workloads.hh"
 #include "exec/measure.hh"
+#include "frontend/registry.hh"
 #include "machine/machine.hh"
 #include "service/network_optimizer.hh"
 #include "service/solution_cache.hh"
@@ -50,7 +50,7 @@ main(int argc, char **argv)
     SolutionCache cache(co);
 
     std::vector<ConvProblem> net;
-    for (const auto &orig : resnet18Network())
+    for (const auto &orig : networkDefByName("resnet18").lower())
         net.push_back(downscale ? orig.downscaled(28, 128) : orig);
 
     std::cout << "ResNet-18 conv2d pipeline on " << m.name << ", "

@@ -16,7 +16,7 @@
 #include <thread>
 
 #include "common/flags.hh"
-#include "conv/workloads.hh"
+#include "frontend/registry.hh"
 #include "machine/machine.hh"
 #include "rpc/client.hh"
 #include "rpc/server.hh"
@@ -103,7 +103,8 @@ main(int argc, char **argv)
     ShardRouter router({RpcEndpoint{"127.0.0.1", 1}, ep}, machine,
                        opts);
     RouteStats rs;
-    const NetworkPlan plan = router.optimize(resnet18Network(), &rs);
+    const NetworkPlan plan =
+        router.optimize(networkDefByName("resnet18").lower(), &rs);
     std::cout << "degraded fleet: " << rs.remote_hits << " remote hits, "
               << rs.fallbacks << " local fallbacks; plan "
               << (plan.str() == cold.plan_text ? "still byte-identical"

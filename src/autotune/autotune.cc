@@ -155,8 +155,6 @@ autotuneProblems(const std::vector<ConvProblem> &net, const MachineSpec &m,
     OptimizerOptions solve_opts = opts;
     solve_opts.top_k = std::max(opts.top_k, aopts.top_k);
 
-    const std::uint64_t settings_fp =
-        CacheKey::settingsFingerprint(opts);
     int next_idx = 0;
     for (const LayerGroup &g : groups) {
         const ConvProblem &p = g.key.problem;
@@ -174,9 +172,7 @@ autotuneProblems(const std::vector<ConvProblem> &net, const MachineSpec &m,
             const CostBreakdown cb = evalMultiLevel(cfg, p, m, false);
 
             TuneSample sample;
-            sample.problem = p;
-            sample.machine_fp = report.machine_fp;
-            sample.settings_fp = settings_fp;
+            sample.key = g.key;
             sample.config = cfg;
             sample.predicted_seconds = cb.total_seconds;
             for (int l = 0; l < NumMemLevels; ++l)

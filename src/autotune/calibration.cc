@@ -1,201 +1,59 @@
 #include "autotune/calibration.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
+#include "common/journal.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "service/solution_cache.hh"
 
 namespace mopt {
-
-namespace {
-
-/** fsync @p path (or, with O_DIRECTORY, a directory): a rename is
- *  only durable once the directory entry is on disk, the file's bytes
- *  only once the file is. Warn-and-continue on failure. */
-void
-syncPath(const std::string &path, int open_flags)
-{
-    const int fd = ::open(path.c_str(), open_flags);
-    if (fd < 0) {
-        logWarn("CalibrationStore: cannot open ", path, " for fsync");
-        return;
-    }
-    if (::fsync(fd) != 0)
-        logWarn("CalibrationStore: fsync ", path, " failed");
-    ::close(fd);
-}
-
-/** Parent directory of @p path ("." when it has none). */
-std::string
-parentDir(const std::string &path)
-{
-    const std::size_t slash = path.rfind('/');
-    if (slash == std::string::npos)
-        return ".";
-    if (slash == 0)
-        return "/";
-    return path.substr(0, slash);
-}
-
-void
-appendTiles(std::ostringstream &oss, const IntTileVec &t)
-{
-    oss << "[";
-    for (int d = 0; d < NumDims; ++d)
-        oss << (d ? "," : "") << t[static_cast<std::size_t>(d)];
-    oss << "]";
-}
-
-bool
-getTiles(const JsonValue &arr, IntTileVec &out)
-{
-    if (arr.type != JsonValue::Type::Array ||
-        arr.arr.size() != static_cast<std::size_t>(NumDims))
-        return false;
-    for (int d = 0; d < NumDims; ++d) {
-        const JsonValue &v = arr.arr[static_cast<std::size_t>(d)];
-        if (v.type != JsonValue::Type::Number ||
-            v.num != std::floor(v.num) || v.num < 1 || v.num > 1e15)
-            return false;
-        out[static_cast<std::size_t>(d)] =
-            static_cast<std::int64_t>(v.num);
-    }
-    return true;
-}
-
-void
-appendSeconds(std::ostringstream &oss, double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    oss << buf;
-}
-
-bool
-getNonNegative(const JsonValue &root, const char *key, double &out)
-{
-    const JsonValue *v = root.find(key);
-    if (!v || v->type != JsonValue::Type::Number || v->num < 0)
-        return false;
-    out = v->num;
-    return true;
-}
-
-} // namespace
 
 std::string
 tuneSampleToJsonLine(const TuneSample &s)
 {
-    const ConvProblem &p = s.problem;
-    std::ostringstream oss;
-    oss << "{\"v\":1"
-        << ",\"n\":" << p.n << ",\"k\":" << p.k << ",\"c\":" << p.c
-        << ",\"r\":" << p.r << ",\"s\":" << p.s << ",\"h\":" << p.h
-        << ",\"w\":" << p.w << ",\"stride\":" << p.stride
-        << ",\"dilation\":" << p.dilation;
-    if (p.groups != 1)
-        oss << ",\"groups\":" << p.groups;
-    oss << ",\"machine\":\"" << jsonHex16(s.machine_fp) << "\""
-        << ",\"settings\":\"" << jsonHex16(s.settings_fp) << "\""
-        << ",\"perm\":[";
-    for (int l = 0; l < NumMemLevels; ++l)
-        oss << (l ? "," : "") << "\""
-            << s.config.perm[static_cast<std::size_t>(l)].str() << "\"";
-    oss << "],\"tiles\":[";
+    std::string out;
+    recordPrefixAppendJson(out, s.key, s.config);
+    out += ",\"measured_s\":";
+    jsonAppendDouble(out, s.measured_seconds);
+    out += ",\"pred_s\":";
+    jsonAppendDouble(out, s.predicted_seconds);
+    out += ",\"pred_level_s\":[";
     for (int l = 0; l < NumMemLevels; ++l) {
         if (l)
-            oss << ",";
-        appendTiles(oss, s.config.tiles[static_cast<std::size_t>(l)]);
+            out += ',';
+        jsonAppendDouble(out,
+                         s.pred_level_seconds[static_cast<std::size_t>(l)]);
     }
-    oss << "],\"par\":";
-    appendTiles(oss, s.config.par);
-    oss << ",\"measured_s\":";
-    appendSeconds(oss, s.measured_seconds);
-    oss << ",\"pred_s\":";
-    appendSeconds(oss, s.predicted_seconds);
-    oss << ",\"pred_level_s\":[";
-    for (int l = 0; l < NumMemLevels; ++l) {
-        if (l)
-            oss << ",";
-        appendSeconds(oss,
-                      s.pred_level_seconds[static_cast<std::size_t>(l)]);
-    }
-    oss << "],\"pred_compute_s\":";
-    appendSeconds(oss, s.pred_compute_seconds);
-    oss << ",\"runner\":\"" << jsonEscape(s.runner) << "\"}";
-    return oss.str();
+    out += "],\"pred_compute_s\":";
+    jsonAppendDouble(out, s.pred_compute_seconds);
+    out += ",\"runner\":\"";
+    jsonAppendEscaped(out, s.runner);
+    out += "\"}";
+    return out;
 }
 
 bool
 tuneSampleFromJsonLine(const std::string &line, TuneSample &s)
 {
     JsonValue root;
-    if (!jsonParse(line, root) || root.type != JsonValue::Type::Object)
-        return false;
-
-    std::int64_t version = 0;
-    if (!jsonGetInt(root, "v", version) || version != 1)
-        return false;
-
     TuneSample t;
-    std::int64_t stride = 0, dilation = 0;
-    if (!jsonGetInt(root, "n", t.problem.n) ||
-        !jsonGetInt(root, "k", t.problem.k) ||
-        !jsonGetInt(root, "c", t.problem.c) ||
-        !jsonGetInt(root, "r", t.problem.r) ||
-        !jsonGetInt(root, "s", t.problem.s) ||
-        !jsonGetInt(root, "h", t.problem.h) ||
-        !jsonGetInt(root, "w", t.problem.w) ||
-        !jsonGetInt(root, "stride", stride) ||
-        !jsonGetInt(root, "dilation", dilation))
-        return false;
-    t.problem.stride = static_cast<int>(stride);
-    t.problem.dilation = static_cast<int>(dilation);
-    t.problem.groups = 1;
-    if (root.find("groups") &&
-        !jsonGetInt(root, "groups", t.problem.groups))
+    if (!jsonParse(line, root) ||
+        !recordPrefixFromJson(root, t.key, t.config))
         return false;
 
-    const JsonValue *machine = root.find("machine");
-    const JsonValue *settings = root.find("settings");
-    if (!machine || machine->type != JsonValue::Type::String ||
-        !jsonParseHex16(machine->str, t.machine_fp) || !settings ||
-        settings->type != JsonValue::Type::String ||
-        !jsonParseHex16(settings->str, t.settings_fp))
-        return false;
-
-    const JsonValue *perm = root.find("perm");
-    const JsonValue *tiles = root.find("tiles");
-    if (!perm || perm->type != JsonValue::Type::Array ||
-        perm->arr.size() != static_cast<std::size_t>(NumMemLevels) ||
-        !tiles || tiles->type != JsonValue::Type::Array ||
-        tiles->arr.size() != static_cast<std::size_t>(NumMemLevels))
-        return false;
-    for (int l = 0; l < NumMemLevels; ++l) {
-        const auto sl = static_cast<std::size_t>(l);
-        if (perm->arr[sl].type != JsonValue::Type::String)
+    const auto nonNegative = [&root](const char *key, double &out) {
+        const JsonValue *v = root.find(key);
+        if (!v || v->type != JsonValue::Type::Number || v->num < 0)
             return false;
-        try {
-            t.config.perm[sl] = Permutation::parse(perm->arr[sl].str);
-        } catch (const FatalError &) {
-            return false;
-        }
-        if (!getTiles(tiles->arr[sl], t.config.tiles[sl]))
-            return false;
-    }
-    const JsonValue *par = root.find("par");
-    if (!par || !getTiles(*par, t.config.par))
-        return false;
-
-    if (!getNonNegative(root, "measured_s", t.measured_seconds) ||
-        !getNonNegative(root, "pred_s", t.predicted_seconds) ||
-        !getNonNegative(root, "pred_compute_s", t.pred_compute_seconds))
+        out = v->num;
+        return true;
+    };
+    if (!nonNegative("measured_s", t.measured_seconds) ||
+        !nonNegative("pred_s", t.predicted_seconds) ||
+        !nonNegative("pred_compute_s", t.pred_compute_seconds))
         return false;
     const JsonValue *lvl = root.find("pred_level_s");
     if (!lvl || lvl->type != JsonValue::Type::Array ||
@@ -212,12 +70,6 @@ tuneSampleFromJsonLine(const std::string &line, TuneSample &s)
     if (!runner || runner->type != JsonValue::Type::String)
         return false;
     t.runner = runner->str;
-
-    try {
-        t.problem.validate();
-    } catch (const FatalError &) {
-        return false;
-    }
 
     s = std::move(t);
     return true;
@@ -276,7 +128,7 @@ fitCalibration(const std::vector<TuneSample> &samples,
 
     std::vector<const TuneSample *> use;
     for (const TuneSample &s : samples)
-        if (s.machine_fp == machine_fp && s.measured_seconds > 0)
+        if (s.key.machine_fp == machine_fp && s.measured_seconds > 0)
             use.push_back(&s);
     cal.samples_used = static_cast<std::int64_t>(use.size());
     if (use.empty())
@@ -341,27 +193,18 @@ void
 CalibrationStore::load()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    {
-        std::ifstream in(path_);
-        std::string line;
-        while (in && std::getline(in, line)) {
-            if (line.find_first_not_of(" \t\r") == std::string::npos)
-                continue;
+    const JournalLoad counts = journalLoad(
+        path_, "CalibrationStore",
+        [this](const std::string &line) {
             TuneSample s;
-            if (tuneSampleFromJsonLine(line, s)) {
-                samples_.push_back(std::move(s));
-                ++stats_.loaded;
-            } else {
-                ++stats_.skipped;
-            }
-        }
-    }
-    if (stats_.skipped > 0)
-        logWarn("CalibrationStore: skipped ", stats_.skipped,
-                " corrupt journal line(s) in ", path_);
-    journal_.open(path_, std::ios::out | std::ios::app);
-    if (!journal_.is_open())
-        fatal("CalibrationStore: cannot open journal " + path_);
+            if (!tuneSampleFromJsonLine(line, s))
+                return false;
+            samples_.push_back(std::move(s));
+            return true;
+        },
+        journal_);
+    stats_.loaded = counts.loaded;
+    stats_.skipped = counts.skipped;
     if (stats_.skipped > 0)
         compactLocked();
 }
@@ -372,10 +215,8 @@ CalibrationStore::addSample(const TuneSample &s)
     std::lock_guard<std::mutex> lock(mu_);
     samples_.push_back(s);
     ++stats_.appended;
-    if (journal_.is_open()) {
-        journal_ << tuneSampleToJsonLine(s) << "\n";
-        journal_.flush();
-    }
+    if (journal_.is_open())
+        journalAppend(journal_, tuneSampleToJsonLine(s));
 }
 
 std::vector<TuneSample>
@@ -418,31 +259,13 @@ CalibrationStore::compactLocked()
 {
     if (path_.empty())
         return;
-    const std::string tmp = path_ + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::out | std::ios::trunc);
-        if (!out.is_open()) {
-            logWarn("CalibrationStore: cannot write ", tmp,
-                    "; journal left uncompacted");
-            return;
-        }
-        for (const TuneSample &s : samples_)
-            out << tuneSampleToJsonLine(s) << "\n";
-    }
-    if (journal_.is_open())
-        journal_.close();
-    // Same crash-safety order as the solution cache: file bytes on
-    // disk before the rename, directory entry synced after — a kill
-    // at any point leaves a complete old or complete new journal.
-    syncPath(tmp, O_RDONLY);
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-        logWarn("CalibrationStore: rename to ", path_,
-                " failed; journal left uncompacted");
-        std::remove(tmp.c_str());
-    } else {
-        syncPath(parentDir(path_), O_RDONLY | O_DIRECTORY);
-    }
-    journal_.open(path_, std::ios::out | std::ios::app);
+    journalRewrite(
+        path_, "CalibrationStore",
+        [this](std::ostream &out) {
+            for (const TuneSample &s : samples_)
+                out << tuneSampleToJsonLine(s) << "\n";
+        },
+        journal_);
 }
 
 } // namespace mopt

@@ -12,10 +12,13 @@
  * and an identity calibration leaves the spec, the fingerprint, and
  * therefore every solved plan byte-identical.
  *
- * Samples persist in a journal-backed CalibrationStore speaking the
- * solution cache's JSON-lines dialect: one flushed line per
- * acknowledged sample, corrupt lines skipped loudly on reload,
- * fsync-disciplined compaction.
+ * Samples persist in a CalibrationStore on the same journal file as
+ * the solution cache (common/journal.hh): one flushed line per
+ * acknowledged sample, corrupt lines skipped loudly on reload, and a
+ * crash-safe rewrite. A sample's line starts with the solution
+ * record's prefix (key and configuration, recordPrefixAppendJson in
+ * service/solution_cache.hh) and adds the measured and predicted
+ * times.
  */
 
 #ifndef MOPT_AUTOTUNE_CALIBRATION_HH
@@ -28,24 +31,19 @@
 #include <string>
 #include <vector>
 
-#include "conv/problem.hh"
 #include "machine/machine.hh"
 #include "model/tile_config.hh"
+#include "service/cache_key.hh"
 
 namespace mopt {
 
 /** One measured (plan, machine) observation. */
 struct TuneSample
 {
-    /** Canonical shape (name cleared, as in CacheKey). */
-    ConvProblem problem;
-
-    /** Fingerprint of the *base* (uncalibrated) MachineSpec the
-     *  predicted breakdown was evaluated on. */
-    std::uint64_t machine_fp = 0;
-
-    /** Fingerprint of the search settings that produced the config. */
-    std::uint64_t settings_fp = 0;
+    /** Canonical shape, the fingerprint of the *base* (uncalibrated)
+     *  MachineSpec the predicted breakdown was evaluated on, and the
+     *  fingerprint of the search settings that produced the config. */
+    CacheKey key;
 
     /** The measured configuration (par forced serial; see autotune). */
     ExecConfig config;
@@ -108,7 +106,7 @@ struct Calibration
  * (assign each sample to its currently-bottleneck component; refit
  * each component's factor by least squares through the origin over
  * its assigned samples) a fixed number of rounds. Only samples whose
- * machine_fp matches are used; none -> identity. Factors are clamped
+ * key.machine_fp matches are used; none -> identity. Factors are clamped
  * to [0.05, 20].
  */
 Calibration fitCalibration(const std::vector<TuneSample> &samples,
@@ -126,7 +124,7 @@ struct CalibrationStoreStats
  * Durable sample store: an append-only JSON-lines journal, one
  * flushed line per acknowledged addSample (a crash after addSample
  * returns loses nothing), corrupt lines skipped loudly on load and
- * rewritten away by an fsync-disciplined compaction. Thread-safe.
+ * rewritten away by a crash-safe compaction. Thread-safe.
  */
 class CalibrationStore
 {
@@ -148,7 +146,7 @@ class CalibrationStore
     /** fitCalibration over the stored samples for @p machine_fp. */
     Calibration fit(std::uint64_t machine_fp) const;
 
-    /** Rewrite the journal from memory (tmp + fsync + rename). */
+    /** Rewrite the journal from memory (journalRewrite). */
     void compact();
 
   private:

@@ -19,14 +19,6 @@ Hierarchy::Hierarchy(const std::vector<std::int64_t> &capacities_words,
     }
 }
 
-Hierarchy
-Hierarchy::fromMachine(const MachineSpec &spec, std::int64_t line_words)
-{
-    return Hierarchy({spec.capacityWords(LvlL1), spec.capacityWords(LvlL2),
-                      spec.capacityWords(LvlL3)},
-                     line_words);
-}
-
 void
 Hierarchy::access(std::int64_t word_addr, bool is_write)
 {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cachesim/lru_cache.hh"
-#include "machine/machine.hh"
 
 namespace mopt {
 
@@ -41,10 +40,6 @@ class Hierarchy
      */
     explicit Hierarchy(const std::vector<std::int64_t> &capacities_words,
                        std::int64_t line_words = 1);
-
-    /** Build the L1/L2/L3 stack of @p spec with unit lines. */
-    static Hierarchy fromMachine(const MachineSpec &spec,
-                                 std::int64_t line_words = 1);
 
     /** Access a word; cascades through the levels on misses. */
     void access(std::int64_t word_addr, bool is_write);

@@ -1,26 +1,17 @@
 /**
  * @file
- * Benchmark workloads at two granularities.
+ * Benchmark workloads: the 32 conv2d shapes of the paper's Table 1
+ * (11 from Yolo-9000, 12 from ResNet-18, 9 from MobileNet). Batch
+ * size 1; stride 2 for layers marked '*' in the paper, stride 1
+ * otherwise. H/W in Table 1 are *input* image sizes; output extents
+ * follow the same-padding convention (see conv/problem.hh).
  *
- * Operator tables: the 32 conv2d shapes of the paper's Table 1 (11
- * from Yolo-9000, 12 from ResNet-18, 9 from MobileNet). Batch size 1;
- * stride 2 for layers marked '*' in the paper, stride 1 otherwise.
- * H/W in Table 1 are *input* image sizes; output extents follow the
- * same-padding convention (see conv/problem.hh).
- *
- * Full networks: complete per-layer conv sequences (repeats included,
- * network order) for ResNet-18, VGG-16, and the YOLOv3/Darknet-53
- * backbone — the inputs the network-level batch optimizer
- * (src/service/network_optimizer.hh) consumes. Real networks repeat
- * identical shapes many times (VGG-16's 13 convs collapse to 9 unique
- * shapes, ResNet-18's 20 to 11), which is exactly what the solution
- * cache exploits.
- *
- * The network builders below are compatibility wrappers: each network
- * is *defined* as a frontend NetworkDef IR constructor in
- * src/frontend/registry.cc (resnet18Def() etc.) and lowered here at
- * batch 1. Arbitrary models arrive through the same IR via the
- * darknet .cfg parser (src/frontend/cfg_parser.hh).
+ * Full networks (ResNet-18, VGG-16, the YOLOv3/Darknet-53 backbone)
+ * are frontend NetworkDef IR constructors in src/frontend/registry.hh;
+ * `networkDefByName(name).lower()` gives their per-layer conv
+ * sequences. Real networks repeat identical shapes many times (VGG-16's
+ * 13 convs collapse to 9 unique shapes, ResNet-18's 20 to 11), which
+ * is exactly what the solution cache exploits.
  */
 
 #ifndef MOPT_CONV_WORKLOADS_HH
@@ -47,27 +38,6 @@ std::vector<ConvProblem> allWorkloads();
 
 /** Look up a single operator by name (e.g. "Y5", "R9", "M2"). */
 ConvProblem workloadByName(const std::string &name);
-
-/**
- * Full ResNet-18: conv1 plus every block conv and 1x1 downsample, 20
- * conv2d layers in network order (224x224 input, batch 1).
- */
-std::vector<ConvProblem> resnet18Network();
-
-/** Full VGG-16: the 13 3x3 conv layers (224x224 input, batch 1). */
-std::vector<ConvProblem> vgg16Network();
-
-/**
- * YOLOv3's Darknet-53 backbone: the 52 conv2d layers (416x416 input,
- * batch 1) — the detection-head convs are omitted.
- */
-std::vector<ConvProblem> yolov3Network();
-
-/**
- * Look up a full network by name ("resnet18", "vgg16", "yolov3",
- * case-insensitive). Unknown names fail with the list of valid names.
- */
-std::vector<ConvProblem> networkByName(const std::string &name);
 
 } // namespace mopt
 

@@ -128,30 +128,4 @@ loadNetworkDef(const std::string &spec)
     return networkDefByName(spec);
 }
 
-// Batch-1 compatibility wrappers declared in conv/workloads.hh.
-
-std::vector<ConvProblem>
-resnet18Network()
-{
-    return resnet18Def().lower();
-}
-
-std::vector<ConvProblem>
-vgg16Network()
-{
-    return vgg16Def().lower();
-}
-
-std::vector<ConvProblem>
-yolov3Network()
-{
-    return yolov3Def().lower();
-}
-
-std::vector<ConvProblem>
-networkByName(const std::string &name)
-{
-    return networkDefByName(name).lower();
-}
-
 } // namespace mopt

@@ -43,7 +43,7 @@ double
 ConvNlp::evalWithGrad(const std::vector<double> &x,
                       std::vector<double> &g,
                       std::vector<double> &grad_f,
-                      std::vector<double> &jac, double /*fd_h*/) const
+                      std::vector<double> &jac) const
 {
     return evalImpl(x, g, &grad_f, &jac);
 }

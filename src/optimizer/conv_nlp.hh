@@ -57,12 +57,10 @@ class ConvNlp : public NlpProblem
     double evalAll(const std::vector<double> &x,
                    std::vector<double> &g) const override;
 
-    bool hasGradient() const override { return true; }
     double evalWithGrad(const std::vector<double> &x,
                         std::vector<double> &g,
                         std::vector<double> &grad_f,
-                        std::vector<double> &jac,
-                        double fd_h = 1e-6) const override;
+                        std::vector<double> &jac) const override;
 
     int objectiveLevel() const { return obj_lvl_; }
 

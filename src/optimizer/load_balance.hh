@@ -24,14 +24,6 @@ namespace mopt {
 void loadBalance(ExecConfig &cfg, const ConvProblem &p,
                  const MachineSpec &m);
 
-/**
- * Fraction of core-steps idle under @p cfg: 1 - (useful work) /
- * (cores x makespan), using per-chunk MAC counts as the work
- * estimate. 0 means perfectly balanced.
- */
-double idleFraction(const ExecConfig &cfg, const ConvProblem &p,
-                    const MachineSpec &m);
-
 } // namespace mopt
 
 #endif // MOPT_OPTIMIZER_LOAD_BALANCE_HH

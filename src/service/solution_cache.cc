@@ -1,11 +1,9 @@
 #include "service/solution_cache.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 
+#include "common/journal.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/string_util.hh"
@@ -13,39 +11,6 @@
 namespace mopt {
 
 namespace {
-
-/**
- * fsync @p path (a file or, with O_DIRECTORY, its parent). A rename
- * is only durable once the *directory* entry is on disk; the file's
- * bytes only once the file is. False (with a warning) on failure —
- * compaction proceeds, the window just stays open.
- */
-bool
-syncPath(const std::string &path, int open_flags)
-{
-    const int fd = ::open(path.c_str(), open_flags);
-    if (fd < 0) {
-        logWarn("SolutionCache: cannot open ", path, " for fsync");
-        return false;
-    }
-    const bool ok = ::fsync(fd) == 0;
-    if (!ok)
-        logWarn("SolutionCache: fsync ", path, " failed");
-    ::close(fd);
-    return ok;
-}
-
-/** Parent directory of @p path ("." when it has none). */
-std::string
-parentDir(const std::string &path)
-{
-    const std::size_t slash = path.rfind('/');
-    if (slash == std::string::npos)
-        return ".";
-    if (slash == 0)
-        return "/";
-    return path.substr(0, slash);
-}
 
 bool
 getTiles(const JsonValue &arr, IntTileVec &out)
@@ -138,9 +103,8 @@ solutionToJsonLine(const CacheKey &key, const CachedSolution &sol,
 }
 
 void
-solutionAppendJson(std::string &out, const CacheKey &key,
-                   const CachedSolution &sol, std::int64_t hits,
-                   std::int64_t seq)
+recordPrefixAppendJson(std::string &out, const CacheKey &key,
+                       const ExecConfig &config)
 {
     out += "{\"v\":1";
     shapeAppendJson(out, key.problem);
@@ -151,17 +115,82 @@ solutionAppendJson(std::string &out, const CacheKey &key,
     out += "\",\"perm\":[";
     for (int l = 0; l < NumMemLevels; ++l) {
         out += l ? ",\"" : "\"";
-        out += sol.config.perm[static_cast<std::size_t>(l)].str();
+        out += config.perm[static_cast<std::size_t>(l)].str();
         out += '"';
     }
     out += "],\"tiles\":[";
     for (int l = 0; l < NumMemLevels; ++l) {
         if (l)
             out += ',';
-        appendTiles(out, sol.config.tiles[static_cast<std::size_t>(l)]);
+        appendTiles(out, config.tiles[static_cast<std::size_t>(l)]);
     }
     out += "],\"par\":";
-    appendTiles(out, sol.config.par);
+    appendTiles(out, config.par);
+}
+
+bool
+recordPrefixFromJson(const JsonValue &root, CacheKey &key,
+                     ExecConfig &config)
+{
+    if (root.type != JsonValue::Type::Object)
+        return false;
+
+    std::int64_t version = 0;
+    if (!jsonGetInt(root, "v", version) || version != 1)
+        return false;
+
+    CacheKey k;
+    if (!shapeFromJson(root, k.problem, nullptr))
+        return false;
+
+    const JsonValue *machine = root.find("machine");
+    const JsonValue *settings = root.find("settings");
+    if (!machine || machine->type != JsonValue::Type::String ||
+        !jsonParseHex16(machine->str, k.machine_fp) || !settings ||
+        settings->type != JsonValue::Type::String ||
+        !jsonParseHex16(settings->str, k.settings_fp))
+        return false;
+
+    ExecConfig c;
+    const JsonValue *perm = root.find("perm");
+    const JsonValue *tiles = root.find("tiles");
+    if (!perm || perm->type != JsonValue::Type::Array ||
+        perm->arr.size() != static_cast<std::size_t>(NumMemLevels) ||
+        !tiles || tiles->type != JsonValue::Type::Array ||
+        tiles->arr.size() != static_cast<std::size_t>(NumMemLevels))
+        return false;
+    for (int l = 0; l < NumMemLevels; ++l) {
+        const auto sl = static_cast<std::size_t>(l);
+        if (perm->arr[sl].type != JsonValue::Type::String)
+            return false;
+        try {
+            c.perm[sl] = Permutation::parse(perm->arr[sl].str);
+        } catch (const FatalError &) {
+            return false;
+        }
+        if (!getTiles(tiles->arr[sl], c.tiles[sl]))
+            return false;
+    }
+    const JsonValue *par = root.find("par");
+    if (!par || !getTiles(*par, c.par))
+        return false;
+
+    try {
+        k.problem.validate();
+    } catch (const FatalError &) {
+        return false;
+    }
+    key = std::move(k);
+    config = c;
+    return true;
+}
+
+void
+solutionAppendJson(std::string &out, const CacheKey &key,
+                   const CachedSolution &sol, std::int64_t hits,
+                   std::int64_t seq)
+{
+    recordPrefixAppendJson(out, key, sol.config);
     out += ",\"pred_s\":";
     jsonAppendDouble(out, sol.predicted_seconds);
     out += ",\"label\":\"";
@@ -190,47 +219,9 @@ solutionFromJson(const JsonValue &root, CacheKey &key,
                  CachedSolution &sol, std::int64_t *hits,
                  std::int64_t *seq)
 {
-    if (root.type != JsonValue::Type::Object)
-        return false;
-
-    std::int64_t version = 0;
-    if (!jsonGetInt(root, "v", version) || version != 1)
-        return false;
-
     CacheKey k;
-    if (!shapeFromJson(root, k.problem, nullptr))
-        return false;
-
-    const JsonValue *machine = root.find("machine");
-    const JsonValue *settings = root.find("settings");
-    if (!machine || machine->type != JsonValue::Type::String ||
-        !jsonParseHex16(machine->str, k.machine_fp) || !settings ||
-        settings->type != JsonValue::Type::String ||
-        !jsonParseHex16(settings->str, k.settings_fp))
-        return false;
-
     CachedSolution s;
-    const JsonValue *perm = root.find("perm");
-    const JsonValue *tiles = root.find("tiles");
-    if (!perm || perm->type != JsonValue::Type::Array ||
-        perm->arr.size() != static_cast<std::size_t>(NumMemLevels) ||
-        !tiles || tiles->type != JsonValue::Type::Array ||
-        tiles->arr.size() != static_cast<std::size_t>(NumMemLevels))
-        return false;
-    for (int l = 0; l < NumMemLevels; ++l) {
-        const auto sl = static_cast<std::size_t>(l);
-        if (perm->arr[sl].type != JsonValue::Type::String)
-            return false;
-        try {
-            s.config.perm[sl] = Permutation::parse(perm->arr[sl].str);
-        } catch (const FatalError &) {
-            return false;
-        }
-        if (!getTiles(tiles->arr[sl], s.config.tiles[sl]))
-            return false;
-    }
-    const JsonValue *par = root.find("par");
-    if (!par || !getTiles(*par, s.config.par))
+    if (!recordPrefixFromJson(root, k, s.config))
         return false;
 
     const JsonValue *pred = root.find("pred_s");
@@ -257,12 +248,6 @@ solutionFromJson(const JsonValue &root, CacheKey &key,
     const JsonValue *qv = root.find("seq");
     if (qv && (!jsonGetInt(root, "seq", entry_seq) || entry_seq < 0))
         return false;
-
-    try {
-        k.problem.validate();
-    } catch (const FatalError &) {
-        return false;
-    }
 
     key = std::move(k);
     sol = std::move(s);
@@ -500,54 +485,38 @@ SolutionCache::contains(const CacheKey &key) const
 void
 SolutionCache::loadJournal()
 {
-    std::int64_t loaded = 0, skipped = 0, lines = 0;
     const std::int64_t evictions_before =
         evictions_.load(std::memory_order_relaxed);
-    {
-        std::ifstream in(opts_.journal_path);
-        std::string line;
-        while (in && std::getline(in, line)) {
-            if (line.find_first_not_of(" \t\r") == std::string::npos)
-                continue;
-            ++lines;
-            CacheKey key;
-            CachedSolution sol;
-            std::int64_t entry_hits = 0;
-            std::int64_t entry_seq = 0;
-            if (solutionFromJsonLine(line, key, sol, &entry_hits,
-                                     &entry_seq)) {
-                insertInMemory(key, sol, entry_hits, entry_seq);
-                ++loaded;
-                std::int64_t hw =
-                    journal_seq_.load(std::memory_order_relaxed);
-                if (entry_seq > hw)
-                    journal_seq_.store(entry_seq,
-                                       std::memory_order_relaxed);
-            } else {
-                ++skipped;
-            }
-        }
-    }
-    journal_loaded_ += loaded;
-    journal_skipped_ += skipped;
-    // Replay is bookkeeping, not traffic: only live lookup/insert
-    // calls should show up in the insert/eviction counters.
-    inserts_.fetch_sub(loaded, std::memory_order_relaxed);
-    evictions_.store(evictions_before, std::memory_order_relaxed);
-    if (skipped > 0)
-        logWarn("SolutionCache: skipped ", skipped,
-                " corrupt journal line(s) in ", opts_.journal_path);
-
+    JournalLoad counts;
     {
         std::lock_guard<std::mutex> lock(journal_mu_);
-        journal_lines_ = lines;
-        journal_.open(opts_.journal_path,
-                      std::ios::out | std::ios::app);
-        if (!journal_.is_open())
-            fatal("SolutionCache: cannot open journal " +
-                  opts_.journal_path);
+        counts = journalLoad(
+            opts_.journal_path, "SolutionCache",
+            [this](const std::string &line) {
+                CacheKey key;
+                CachedSolution sol;
+                std::int64_t entry_hits = 0;
+                std::int64_t entry_seq = 0;
+                if (!solutionFromJsonLine(line, key, sol, &entry_hits,
+                                          &entry_seq))
+                    return false;
+                insertInMemory(key, sol, entry_hits, entry_seq);
+                if (entry_seq >
+                    journal_seq_.load(std::memory_order_relaxed))
+                    journal_seq_.store(entry_seq,
+                                       std::memory_order_relaxed);
+                return true;
+            },
+            journal_);
+        journal_lines_ = counts.loaded + counts.skipped;
     }
-    if (skipped > 0 || journalNeedsCompaction())
+    journal_loaded_ += counts.loaded;
+    journal_skipped_ += counts.skipped;
+    // Replay is bookkeeping, not traffic: only live lookup/insert
+    // calls should show up in the insert/eviction counters.
+    inserts_.fetch_sub(counts.loaded, std::memory_order_relaxed);
+    evictions_.store(evictions_before, std::memory_order_relaxed);
+    if (counts.skipped > 0 || journalNeedsCompaction())
         compact();
 }
 
@@ -555,11 +524,8 @@ void
 SolutionCache::appendJournalLine(const Entry &e)
 {
     std::lock_guard<std::mutex> lock(journal_mu_);
-    if (!journal_.is_open())
-        return;
-    journal_ << solutionToJsonLine(e.key, e.sol, 0, e.seq) << "\n";
-    journal_.flush();
-    ++journal_lines_;
+    if (journalAppend(journal_, solutionToJsonLine(e.key, e.sol, 0, e.seq)))
+        ++journal_lines_;
 }
 
 bool
@@ -580,7 +546,6 @@ SolutionCache::compact()
     if (opts_.journal_path.empty())
         return;
     std::lock_guard<std::mutex> journal_lock(journal_mu_);
-    const std::string tmp = opts_.journal_path + ".tmp";
     std::int64_t written = 0;
     std::int64_t shed_count = 0;
     // Telemetry-driven shedding: a *capacity-limited* cache (at its
@@ -598,66 +563,46 @@ SolutionCache::compact()
                       opts_.capacity;
     const std::int64_t epoch =
         compact_epoch_.fetch_add(1, std::memory_order_relaxed);
-    {
-        std::ofstream out(tmp, std::ios::out | std::ios::trunc);
-        if (!out.is_open()) {
-            logWarn("SolutionCache: cannot write ", tmp,
-                    "; journal left uncompacted");
-            return;
-        }
-        for (const auto &sh : shards_) {
-            std::lock_guard<std::mutex> lock(sh->mu);
-            // Least recent first, so replay restores the LRU order.
-            for (auto it = sh->lru.end(); it != sh->lru.begin();) {
-                --it;
-                if (shed && it->hits == 0 && it->epoch < epoch) {
-                    auto mit = sh->map.find(it->key.hash());
-                    checkInvariant(mit != sh->map.end(),
-                                   "SolutionCache: shed victim missing "
-                                   "from map");
-                    auto &chain = mit->second;
-                    const auto cit =
-                        std::find(chain.begin(), chain.end(), it);
-                    checkInvariant(cit != chain.end(),
-                                   "SolutionCache: shed victim missing "
-                                   "from chain");
-                    chain.erase(cit);
-                    if (chain.empty())
-                        sh->map.erase(mit);
-                    it = sh->lru.erase(it);
-                    ++shed_count;
-                    continue;
+    const bool renamed = journalRewrite(
+        opts_.journal_path, "SolutionCache",
+        [&](std::ostream &out) {
+            for (const auto &sh : shards_) {
+                std::lock_guard<std::mutex> lock(sh->mu);
+                // Least recent first, so replay restores the LRU order.
+                for (auto it = sh->lru.end(); it != sh->lru.begin();) {
+                    --it;
+                    if (shed && it->hits == 0 && it->epoch < epoch) {
+                        auto mit = sh->map.find(it->key.hash());
+                        checkInvariant(mit != sh->map.end(),
+                                       "SolutionCache: shed victim "
+                                       "missing from map");
+                        auto &chain = mit->second;
+                        const auto cit =
+                            std::find(chain.begin(), chain.end(), it);
+                        checkInvariant(cit != chain.end(),
+                                       "SolutionCache: shed victim "
+                                       "missing from chain");
+                        chain.erase(cit);
+                        if (chain.empty())
+                            sh->map.erase(mit);
+                        it = sh->lru.erase(it);
+                        ++shed_count;
+                        continue;
+                    }
+                    out << solutionToJsonLine(it->key, it->sol, it->hits,
+                                              it->seq)
+                        << "\n";
+                    ++written;
                 }
-                out << solutionToJsonLine(it->key, it->sol, it->hits,
-                                          it->seq)
-                    << "\n";
-                ++written;
             }
-        }
-    }
+        },
+        journal_);
     if (shed_count > 0) {
         live_.fetch_sub(shed_count, std::memory_order_relaxed);
         evictions_.fetch_add(shed_count, std::memory_order_relaxed);
     }
-    if (journal_.is_open())
-        journal_.close();
-    // Crash-safety order: the tmp file's bytes must be on disk
-    // *before* the rename makes it the journal, and the rename itself
-    // is only durable once the directory entry is synced. A kill -9
-    // (or power cut) at any point leaves either the complete old
-    // journal or the complete new one — never a short or empty file
-    // under the journal's name.
-    syncPath(tmp, O_RDONLY);
-    if (std::rename(tmp.c_str(), opts_.journal_path.c_str()) != 0) {
-        logWarn("SolutionCache: rename to ", opts_.journal_path,
-                " failed; journal left uncompacted");
-        std::remove(tmp.c_str());
-    } else {
-        syncPath(parentDir(opts_.journal_path),
-                 O_RDONLY | O_DIRECTORY);
+    if (renamed)
         journal_lines_ = written;
-    }
-    journal_.open(opts_.journal_path, std::ios::out | std::ios::app);
 }
 
 } // namespace mopt

@@ -297,6 +297,25 @@ bool shapeFromJson(const JsonValue &root, ConvProblem &out,
                    std::string *err);
 
 /**
+ * Append the prefix every journal record starts with: `{"v":1`, the
+ * shape (shapeAppendJson), then "machine" and "settings" from @p key
+ * and "perm", "tiles" and "par" from @p config. The object is left
+ * open for the record's own fields. Solution records and calibration
+ * samples (autotune/calibration.hh) share this encoding.
+ */
+void recordPrefixAppendJson(std::string &out, const CacheKey &key,
+                            const ExecConfig &config);
+
+/**
+ * Read the prefix recordPrefixAppendJson writes from @p root and
+ * validate the shape. False on a non-object, a version other than 1,
+ * or any missing, mistyped or invalid field, leaving the outputs
+ * untouched.
+ */
+bool recordPrefixFromJson(const JsonValue &root, CacheKey &key,
+                          ExecConfig &config);
+
+/**
  * Serialize one (key, solution) pair as a single JSON line. @p hits
  * > 0 adds a "hits" telemetry field and @p seq > 0 a "seq" journal-
  * sequence field (absent fields read back as 0, so journals written

@@ -8,47 +8,6 @@
 
 namespace mopt {
 
-std::vector<double>
-adamMinimize(const std::function<double(const std::vector<double> &)> &f,
-             std::vector<double> x0, const std::vector<double> &lo,
-             const std::vector<double> &hi, const AdamOptions &opts,
-             long &evals)
-{
-    const std::size_t n = x0.size();
-    checkUser(lo.size() == n && hi.size() == n, "adamMinimize: size mismatch");
-
-    // Derivative-free facade over the single Adam loop: a combined
-    // value+gradient evaluator built from box-projected central
-    // differences with reused probe buffers.
-    std::vector<double> xp = x0, xm = x0;
-    auto fg = [&](const std::vector<double> &x,
-                  std::vector<double> &grad) {
-        xp = x;
-        xm = x;
-        for (std::size_t i = 0; i < n; ++i) {
-            const double h =
-                opts.grad_h * std::max(1.0, std::fabs(x[i]));
-            xp[i] = std::min(hi[i], x[i] + h);
-            xm[i] = std::max(lo[i], x[i] - h);
-            const double denom = xp[i] - xm[i];
-            if (denom > 0.0) {
-                grad[i] = (f(xp) - f(xm)) / denom;
-                evals += 2;
-            } else {
-                grad[i] = 0.0;
-            }
-            xp[i] = x[i];
-            xm[i] = x[i];
-        }
-        ++evals;
-        return f(x);
-    };
-
-    AdamScratch scratch;
-    adamMinimizeGrad(fg, x0, lo, hi, opts, scratch);
-    return x0;
-}
-
 double
 adamMinimizeGrad(const std::function<double(const std::vector<double> &,
                                             std::vector<double> &)> &fg,

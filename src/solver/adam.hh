@@ -1,11 +1,9 @@
 /**
  * @file
  * Box-constrained first-order minimizer (Adam) used as the inner
- * solver of the augmented-Lagrangian method. The primary entry point
- * is the gradient-based adamMinimizeGrad (one caller-supplied
- * value+gradient evaluation per step, allocation-free via
- * AdamScratch); adamMinimize is a derivative-free facade over it that
- * builds the gradient from central differences.
+ * solver of the augmented-Lagrangian method: adamMinimizeGrad takes
+ * one caller-supplied value+gradient evaluation per step and is
+ * allocation-free via AdamScratch.
  */
 
 #ifndef MOPT_SOLVER_ADAM_HH
@@ -16,7 +14,7 @@
 
 namespace mopt {
 
-/** Options for adamMinimize. */
+/** Options for adamMinimizeGrad. */
 struct AdamOptions
 {
     int max_steps = 200;
@@ -25,27 +23,8 @@ struct AdamOptions
     double beta1 = 0.9;
     double beta2 = 0.999;
     double eps = 1e-8;
-    double grad_h = 1e-5;     //!< Relative finite-difference step.
     double tol = 1e-10;       //!< Stop when step size drops below this.
 };
-
-/**
- * Minimize @p f over the box [lo, hi] starting from @p x0 (clamped).
- * A derivative-free facade over adamMinimizeGrad: gradients come from
- * box-projected central differences with step opts.grad_h, so there is
- * a single Adam update loop to maintain.
- *
- * @param f       scalar function of a dim-sized vector
- * @param x0      starting point
- * @param lo,hi   box bounds
- * @param opts    algorithm options
- * @param evals   incremented by the number of f evaluations
- * @return        the best point visited
- */
-std::vector<double> adamMinimize(
-    const std::function<double(const std::vector<double> &)> &f,
-    std::vector<double> x0, const std::vector<double> &lo,
-    const std::vector<double> &hi, const AdamOptions &opts, long &evals);
 
 /**
  * Reusable state of adamMinimizeGrad. Buffers grow to the problem
@@ -58,16 +37,15 @@ struct AdamScratch
 };
 
 /**
- * Gradient-based Adam: one combined value+gradient evaluation per
- * step instead of 2*dim central-difference probes. This is the inner
- * solver of the analytic-gradient augmented-Lagrangian path.
+ * Minimize over the box [lo, hi] with Adam: one combined
+ * value+gradient evaluation per step.
  *
  * @param fg       evaluates the function at x and fills its gradient
  *                 (sized dim on entry); returns the value
  * @param x        in: starting point (clamped into the box);
  *                 out: best point visited
  * @param lo,hi    box bounds
- * @param opts     algorithm options (grad_h unused on this path)
+ * @param opts     algorithm options
  * @param scratch  reusable buffers
  * @return         best value visited
  */

@@ -31,7 +31,6 @@ solveAugLag(const NlpProblem &prob, std::vector<double> x0,
     s.lambda.assign(static_cast<std::size_t>(m), 0.0);
     double mu = opts.mu0;
     long evals = 0;
-    const long grad_cost = prob.gradEvalCost();
 
     NlpResult best;
     best.objective = std::numeric_limits<double>::infinity();
@@ -66,9 +65,8 @@ solveAugLag(const NlpProblem &prob, std::vector<double> x0,
         //   dL = df + sum_i max(0, l_i + mu g_i) dg_i
         auto al = [&](const std::vector<double> &xx,
                       std::vector<double> &grad) {
-            const double f = prob.evalWithGrad(xx, s.g, s.grad_f, s.jac,
-                                               opts.inner.grad_h);
-            evals += grad_cost;
+            const double f = prob.evalWithGrad(xx, s.g, s.grad_f, s.jac);
+            ++evals;
             grad = s.grad_f;
             double value = f;
             for (int i = 0; i < m; ++i) {

@@ -52,8 +52,7 @@ struct SolverScratch
  *
  * The inner minimization runs gradient-based Adam on the augmented
  * Lagrangian, whose exact gradient is assembled from
- * NlpProblem::evalWithGrad: one model evaluation per step for
- * problems with analytic derivatives, central differences otherwise.
+ * NlpProblem::evalWithGrad: one model evaluation per step.
  *
  * @param scratch  optional reusable buffers (a local scratch is used
  *                 when null)

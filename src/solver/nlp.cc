@@ -1,9 +1,6 @@
 #include "solver/nlp.hh"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/logging.hh"
 
 namespace mopt {
 
@@ -36,70 +33,6 @@ NlpProblem::maxViolation(const std::vector<double> &x) const
     for (double gi : g)
         worst = std::max(worst, gi);
     return worst;
-}
-
-double
-NlpProblem::evalWithGrad(const std::vector<double> &x,
-                         std::vector<double> &g,
-                         std::vector<double> &grad_f,
-                         std::vector<double> &jac, double fd_h) const
-{
-    const int n = dim();
-    const int m = numConstraints();
-    grad_f.assign(static_cast<std::size_t>(n), 0.0);
-    jac.assign(static_cast<std::size_t>(m) * static_cast<std::size_t>(n),
-               0.0);
-    const double f0 = evalAll(x, g);
-
-    thread_local std::vector<double> xt, gp, gm;
-    xt = x;
-    const std::vector<double> &lo = lowerBounds();
-    const std::vector<double> &hi = upperBounds();
-    for (int i = 0; i < n; ++i) {
-        const auto si = static_cast<std::size_t>(i);
-        const double h = fd_h * std::max(1.0, std::fabs(x[si]));
-        const double xp = std::min(hi[si], x[si] + h);
-        const double xm = std::max(lo[si], x[si] - h);
-        const double denom = xp - xm;
-        if (denom <= 0.0)
-            continue;
-        xt[si] = xp;
-        const double fp = evalAll(xt, gp);
-        xt[si] = xm;
-        const double fm = evalAll(xt, gm);
-        xt[si] = x[si];
-        grad_f[si] = (fp - fm) / denom;
-        for (int j = 0; j < m; ++j)
-            jac[static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
-                si] = (gp[static_cast<std::size_t>(j)] -
-                       gm[static_cast<std::size_t>(j)]) /
-                      denom;
-    }
-    return f0;
-}
-
-FunctionalNlp::FunctionalNlp(int dim, int num_constraints,
-                             std::vector<double> lo, std::vector<double> hi,
-                             BatchFn fn)
-    : dim_(dim), num_constraints_(num_constraints), lo_(std::move(lo)),
-      hi_(std::move(hi)), fn_(std::move(fn))
-{
-    checkUser(dim_ >= 1, "FunctionalNlp: dim must be >= 1");
-    checkUser(static_cast<int>(lo_.size()) == dim_ &&
-                  static_cast<int>(hi_.size()) == dim_,
-              "FunctionalNlp: bound size mismatch");
-    for (int i = 0; i < dim_; ++i)
-        checkUser(lo_[static_cast<std::size_t>(i)] <=
-                      hi_[static_cast<std::size_t>(i)],
-                  "FunctionalNlp: lo > hi");
-}
-
-double
-FunctionalNlp::evalAll(const std::vector<double> &x,
-                       std::vector<double> &g) const
-{
-    g.resize(static_cast<std::size_t>(num_constraints_));
-    return fn_(x, g);
 }
 
 } // namespace mopt

@@ -11,7 +11,6 @@
 #ifndef MOPT_SOLVER_NLP_HH
 #define MOPT_SOLVER_NLP_HH
 
-#include <functional>
 #include <vector>
 
 namespace mopt {
@@ -45,20 +44,6 @@ class NlpProblem
     virtual double evalAll(const std::vector<double> &x,
                            std::vector<double> &g) const = 0;
 
-    /** Whether evalWithGrad computes analytic (closed-form) gradients. */
-    virtual bool hasGradient() const { return false; }
-
-    /**
-     * Cost of one evalWithGrad call in evalAll-equivalent model
-     * evaluations: 1 for analytic gradients, 2*dim() + 1 for the
-     * central-difference fallback. Solvers use this to keep eval
-     * counters comparable across both paths.
-     */
-    virtual long gradEvalCost() const
-    {
-        return hasGradient() ? 1 : 2 * dim() + 1;
-    }
-
     /**
      * Evaluate objective, constraints, and their first derivatives.
      *
@@ -67,59 +52,21 @@ class NlpProblem
      * @param grad_f  objective gradient, resized to dim()
      * @param jac     constraint Jacobian, row-major numConstraints() x
      *                dim(), resized accordingly
-     * @param fd_h    relative finite-difference step for the fallback
-     *                implementation (solvers pass their configured
-     *                step, e.g. AdamOptions::grad_h); ignored by
-     *                analytic implementations
      * @return objective value
      *
-     * The default implementation uses central finite differences of
-     * evalAll with steps projected onto the box; problems with
-     * closed-form derivatives override it and return true from
-     * hasGradient().
+     * One call counts as one model evaluation in the solvers' eval
+     * counters.
      */
     virtual double evalWithGrad(const std::vector<double> &x,
                                 std::vector<double> &g,
                                 std::vector<double> &grad_f,
-                                std::vector<double> &jac,
-                                double fd_h = 1e-6) const;
+                                std::vector<double> &jac) const = 0;
 
     /** Objective only (default: evalAll and discard constraints). */
     virtual double objective(const std::vector<double> &x) const;
 
     /** Largest constraint value at @p x (<= 0 means feasible). */
     double maxViolation(const std::vector<double> &x) const;
-};
-
-/** NlpProblem assembled from std::functions. */
-class FunctionalNlp : public NlpProblem
-{
-  public:
-    using BatchFn =
-        std::function<double(const std::vector<double> &,
-                             std::vector<double> &)>;
-
-    /**
-     * @param dim             number of variables
-     * @param num_constraints number of inequality constraints
-     * @param fn              batch evaluator (returns objective, fills
-     *                        the constraint vector)
-     */
-    FunctionalNlp(int dim, int num_constraints, std::vector<double> lo,
-                  std::vector<double> hi, BatchFn fn);
-
-    int dim() const override { return dim_; }
-    int numConstraints() const override { return num_constraints_; }
-    const std::vector<double> &lowerBounds() const override { return lo_; }
-    const std::vector<double> &upperBounds() const override { return hi_; }
-    double evalAll(const std::vector<double> &x,
-                   std::vector<double> &g) const override;
-
-  private:
-    int dim_;
-    int num_constraints_;
-    std::vector<double> lo_, hi_;
-    BatchFn fn_;
 };
 
 /** Result of a solve. */

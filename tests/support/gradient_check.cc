@@ -7,6 +7,62 @@
 
 namespace mopt {
 
+FunctionalNlp::FunctionalNlp(int dim, int num_constraints,
+                             std::vector<double> lo, std::vector<double> hi,
+                             BatchFn fn, double fd_h)
+    : dim_(dim), num_constraints_(num_constraints), lo_(std::move(lo)),
+      hi_(std::move(hi)), fn_(std::move(fn)), fd_h_(fd_h)
+{
+    checkUser(dim_ >= 1, "FunctionalNlp: dim must be >= 1");
+    checkUser(static_cast<int>(lo_.size()) == dim_ &&
+                  static_cast<int>(hi_.size()) == dim_,
+              "FunctionalNlp: bound size mismatch");
+    for (int i = 0; i < dim_; ++i)
+        checkUser(lo_[static_cast<std::size_t>(i)] <=
+                      hi_[static_cast<std::size_t>(i)],
+                  "FunctionalNlp: lo > hi");
+}
+
+double
+FunctionalNlp::evalAll(const std::vector<double> &x,
+                       std::vector<double> &g) const
+{
+    g.resize(static_cast<std::size_t>(num_constraints_));
+    return fn_(x, g);
+}
+
+double
+FunctionalNlp::evalWithGrad(const std::vector<double> &x,
+                            std::vector<double> &g,
+                            std::vector<double> &grad_f,
+                            std::vector<double> &jac) const
+{
+    const auto n = static_cast<std::size_t>(dim_);
+    const auto m = static_cast<std::size_t>(num_constraints_);
+    grad_f.assign(n, 0.0);
+    jac.assign(m * n, 0.0);
+    const double f0 = evalAll(x, g);
+
+    std::vector<double> xt = x, gp, gm;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double h = fd_h_ * std::max(1.0, std::fabs(x[i]));
+        const double xp = std::min(hi_[i], x[i] + h);
+        const double xm = std::max(lo_[i], x[i] - h);
+        const double denom = xp - xm;
+        if (denom <= 0.0)
+            continue;
+        xt[i] = xp;
+        const double fp = evalAll(xt, gp);
+        xt[i] = xm;
+        const double fm = evalAll(xt, gm);
+        xt[i] = x[i];
+        grad_f[i] = (fp - fm) / denom;
+        for (std::size_t j = 0; j < m; ++j)
+            jac[j * n + i] = (gp[j] - gm[j]) / denom;
+    }
+    return f0;
+}
+
 GradCheckResult
 gradientCheck(const NlpProblem &prob, const std::vector<double> &x,
               double h)
@@ -21,7 +77,14 @@ gradientCheck(const NlpProblem &prob, const std::vector<double> &x,
 
     const std::vector<double> &lo = prob.lowerBounds();
     const std::vector<double> &hi = prob.upperBounds();
-    std::vector<double> xt = x, gp, gm;
+    const FunctionalNlp fd(
+        n, m, lo, hi,
+        [&prob](const std::vector<double> &xx, std::vector<double> &gg) {
+            return prob.evalAll(xx, gg);
+        },
+        h);
+    std::vector<double> fd_grad, fd_jac;
+    fd.evalWithGrad(x, g, fd_grad, fd_jac);
 
     GradCheckResult res;
     auto record = [&res](double analytic, double fd, int row, int col) {
@@ -37,23 +100,14 @@ gradientCheck(const NlpProblem &prob, const std::vector<double> &x,
 
     for (int i = 0; i < n; ++i) {
         const auto si = static_cast<std::size_t>(i);
-        const double step = h * std::max(1.0, std::fabs(x[si]));
-        const double xp = std::min(hi[si], x[si] + step);
-        const double xm = std::max(lo[si], x[si] - step);
-        const double denom = xp - xm;
-        if (denom <= 0.0)
+        if (lo[si] >= hi[si])
             continue; // collapsed (fixed) coordinate
-        xt[si] = xp;
-        const double fp = prob.evalAll(xt, gp);
-        xt[si] = xm;
-        const double fm = prob.evalAll(xt, gm);
-        xt[si] = x[si];
-
-        record(grad_f[si], (fp - fm) / denom, -1, i);
+        record(grad_f[si], fd_grad[si], -1, i);
         for (int j = 0; j < m; ++j) {
-            const auto sj = static_cast<std::size_t>(j);
-            record(jac[sj * static_cast<std::size_t>(n) + si],
-                   (gp[sj] - gm[sj]) / denom, j, i);
+            const std::size_t at =
+                static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
+                si;
+            record(jac[at], fd_jac[at], j, i);
         }
     }
     return res;

@@ -1,20 +1,64 @@
 /**
  * @file
- * Gradient verification: compares a problem's evalWithGrad derivatives
- * (analytic or fallback) against independent central finite
- * differences of evalAll. The gradient tests use it to validate the
- * closed-form model gradients; it is also a debugging aid when adding
- * new differentiable objectives.
+ * Finite differences for the solver and gradient tests. FunctionalNlp
+ * is an NlpProblem assembled from a std::function whose evalWithGrad
+ * takes box-projected central differences of evalAll; gradientCheck
+ * compares a problem's evalWithGrad derivatives against those
+ * differences. The gradient tests use it to validate the closed-form
+ * model gradients; it is also a debugging aid when adding new
+ * differentiable objectives.
  */
 
 #ifndef MOPT_TESTS_SUPPORT_GRADIENT_CHECK_HH
 #define MOPT_TESTS_SUPPORT_GRADIENT_CHECK_HH
 
+#include <functional>
 #include <vector>
 
 #include "solver/nlp.hh"
 
 namespace mopt {
+
+/** NlpProblem assembled from std::functions, with central-difference
+ *  derivatives. */
+class FunctionalNlp : public NlpProblem
+{
+  public:
+    using BatchFn =
+        std::function<double(const std::vector<double> &,
+                             std::vector<double> &)>;
+
+    /**
+     * @param dim             number of variables
+     * @param num_constraints number of inequality constraints
+     * @param fn              batch evaluator (returns objective, fills
+     *                        the constraint vector)
+     * @param fd_h            relative finite-difference step
+     */
+    FunctionalNlp(int dim, int num_constraints, std::vector<double> lo,
+                  std::vector<double> hi, BatchFn fn, double fd_h = 1e-6);
+
+    int dim() const override { return dim_; }
+    int numConstraints() const override { return num_constraints_; }
+    const std::vector<double> &lowerBounds() const override { return lo_; }
+    const std::vector<double> &upperBounds() const override { return hi_; }
+    double evalAll(const std::vector<double> &x,
+                   std::vector<double> &g) const override;
+
+    /** Central differences of evalAll with steps projected onto the
+     *  box; a coordinate with a collapsed interval gets 0. */
+    double evalWithGrad(const std::vector<double> &x,
+                        std::vector<double> &g,
+                        std::vector<double> &grad_f,
+                        std::vector<double> &jac) const override;
+
+  private:
+    int dim_;
+    int num_constraints_;
+    std::vector<double> lo_, hi_;
+    BatchFn fn_;
+    double fd_h_;
+};
 
 /** Worst observed discrepancy of one gradientCheck call. */
 struct GradCheckResult
@@ -27,9 +71,9 @@ struct GradCheckResult
 };
 
 /**
- * Check evalWithGrad against central differences of evalAll at @p x.
- * Finite-difference steps are projected onto the box; coordinates with
- * a collapsed interval are skipped.
+ * Check evalWithGrad against central differences of evalAll at @p x
+ * (FunctionalNlp's). Coordinates with a collapsed interval are
+ * skipped.
  *
  * @param prob  the problem
  * @param x     evaluation point (size dim())

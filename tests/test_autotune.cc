@@ -51,9 +51,9 @@ TuneSample
 sampleFor(const ConvProblem &p, double measured)
 {
     TuneSample s;
-    s.problem = CacheKey::canonicalProblem(p);
-    s.machine_fp = 0x1234abcd5678ef01ull;
-    s.settings_fp = 0xfeedbeefcafe0042ull;
+    s.key.problem = CacheKey::canonicalProblem(p);
+    s.key.machine_fp = 0x1234abcd5678ef01ull;
+    s.key.settings_fp = 0xfeedbeefcafe0042ull;
     s.config = defaultConfig(p);
     s.measured_seconds = measured;
     s.predicted_seconds = 2e-4;
@@ -77,9 +77,9 @@ TEST(TuneSampleJson, RoundTripsEveryField)
     TuneSample r;
     ASSERT_TRUE(tuneSampleFromJsonLine(line, r)) << line;
 
-    EXPECT_EQ(r.problem, s.problem);
-    EXPECT_EQ(r.machine_fp, s.machine_fp);
-    EXPECT_EQ(r.settings_fp, s.settings_fp);
+    EXPECT_EQ(r.key.problem, s.key.problem);
+    EXPECT_EQ(r.key.machine_fp, s.key.machine_fp);
+    EXPECT_EQ(r.key.settings_fp, s.key.settings_fp);
     EXPECT_EQ(r.config.str(), s.config.str());
     EXPECT_DOUBLE_EQ(r.measured_seconds, s.measured_seconds);
     EXPECT_DOUBLE_EQ(r.predicted_seconds, s.predicted_seconds);
@@ -115,6 +115,45 @@ TEST(TuneSampleJson, RejectsCorruptLines)
     EXPECT_FALSE(tuneSampleFromJsonLine(bad, s));
 }
 
+/** A grouped, strided sample whose doubles need all 17 digits. */
+TuneSample
+goldenSample()
+{
+    ConvProblem p = tinyProblem();
+    p.groups = 2;
+    p.stride = 2;
+    p.validate();
+    TuneSample s = sampleFor(p, 1.0 / 3.0 * 1e-3);
+    s.predicted_seconds = 2.0 / 7.0 * 1e-3;
+    s.pred_level_seconds = {0.1 / 3.0, 1e-4 / 7.0, 5e-5, 0.0};
+    s.pred_compute_seconds = 8.125e-5;
+    s.runner = "emitted";
+    return s;
+}
+
+/** The journal line of goldenSample(), pinned byte for byte. */
+const char kGoldenTuneSampleLine[] =
+    "{\"v\":1,\"n\":1,\"k\":8,\"c\":4,\"r\":3,\"s\":3,\"h\":6,\"w\":6,"
+    "\"stride\":2,\"dilation\":1,\"groups\":2,"
+    "\"machine\":\"1234abcd5678ef01\",\"settings\":\"feedbeefcafe0042\","
+    "\"perm\":[\"nhwkcrs\",\"nkcrshw\",\"nkcrshw\",\"nkcrshw\"],"
+    "\"tiles\":[[1,8,1,1,1,1,6],[1,8,4,3,3,6,6],[1,4,2,3,3,6,6],"
+    "[1,4,2,3,3,6,6]],\"par\":[1,1,1,1,1,1,1],"
+    "\"measured_s\":0.00033333333333333332,"
+    "\"pred_s\":0.00028571428571428568,"
+    "\"pred_level_s\":[0.033333333333333333,1.4285714285714287e-05,"
+    "5.0000000000000002e-05,0],\"pred_compute_s\":8.1249999999999996e-05,"
+    "\"runner\":\"emitted\"}";
+
+TEST(TuneSampleJson, GoldenLine)
+{
+    const std::string line = tuneSampleToJsonLine(goldenSample());
+    EXPECT_EQ(line, kGoldenTuneSampleLine);
+    TuneSample r;
+    ASSERT_TRUE(tuneSampleFromJsonLine(line, r));
+    EXPECT_EQ(tuneSampleToJsonLine(r), line);
+}
+
 TEST(CalibrationFit, RecoversKnownFactorsFromCleanSamples)
 {
     // Per component j, plant samples whose predicted breakdown is
@@ -129,7 +168,7 @@ TEST(CalibrationFit, RecoversKnownFactorsFromCleanSamples)
     for (int j = 0; j < NumMemLevels + 1; ++j) {
         for (int rep = 0; rep < 2; ++rep) {
             TuneSample s = sampleFor(tinyProblem(), 0.0);
-            s.machine_fp = fp;
+            s.key.machine_fp = fp;
             s.pred_level_seconds = {0.01, 0.01, 0.01, 0.01};
             s.pred_compute_seconds = 0.01;
             if (j < NumMemLevels) {
@@ -159,14 +198,14 @@ TEST(CalibrationFit, IgnoresOtherMachinesAndClamps)
 {
     std::vector<TuneSample> samples;
     TuneSample other = sampleFor(tinyProblem(), 1.0);
-    other.machine_fp = 7; // not ours
+    other.key.machine_fp = 7; // not ours
     samples.push_back(other);
     EXPECT_TRUE(fitCalibration(samples, 42).isIdentity());
     EXPECT_EQ(fitCalibration(samples, 42).samples_used, 0);
 
     // A wildly wrong measurement clamps instead of exploding.
     TuneSample wild = sampleFor(tinyProblem(), 0.0);
-    wild.machine_fp = 42;
+    wild.key.machine_fp = 42;
     wild.pred_level_seconds = {1.0, 0.01, 0.01, 0.01};
     wild.pred_compute_seconds = 0.01;
     wild.measured_seconds = 1e6;
@@ -235,7 +274,7 @@ TEST(CalibrationStore, PersistsSamplesAcrossReload)
     EXPECT_EQ(reloaded.stats().loaded, 2);
     EXPECT_EQ(reloaded.stats().skipped, 0);
     const Calibration cal =
-        reloaded.fit(sampleFor(tinyProblem(), 0).machine_fp);
+        reloaded.fit(sampleFor(tinyProblem(), 0).key.machine_fp);
     EXPECT_EQ(cal.samples_used, 2);
     std::remove(path.c_str());
 }
@@ -262,6 +301,32 @@ TEST(CalibrationStore, SkipsCorruptTrailingLineLoudlyAndCompacts)
     CalibrationStore again(path);
     EXPECT_EQ(again.stats().loaded, 2);
     EXPECT_EQ(again.stats().skipped, 0);
+    std::remove(path.c_str());
+}
+
+TEST(CalibrationStore, CompactionRewritesTheJournalByteForByte)
+{
+    const std::string path =
+        ::testing::TempDir() + "/calib_compact_bytes.json";
+    std::remove(path.c_str());
+    const std::string golden = kGoldenTuneSampleLine;
+    {
+        std::ofstream f(path);
+        f << golden << "\n"
+          << golden.substr(0, golden.size() / 3) << "\n\n"
+          << golden << "\n";
+    }
+    {
+        CalibrationStore store(path); // The corrupt line compacts.
+        EXPECT_EQ(store.stats().loaded, 2);
+        EXPECT_EQ(store.stats().skipped, 1);
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_EQ(bytes.str(), golden + "\n" + golden + "\n");
+    std::ifstream tmp(path + ".tmp");
+    EXPECT_FALSE(tmp.is_open());
     std::remove(path.c_str());
 }
 

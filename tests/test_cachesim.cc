@@ -110,13 +110,6 @@ TEST(Hierarchy, L2CatchesL1CapacityMisses)
     EXPECT_EQ(h.traffic(2).misses, 4);
 }
 
-TEST(Hierarchy, FromMachineUsesCacheCapacities)
-{
-    const MachineSpec m = tinyTestMachine();
-    Hierarchy h = Hierarchy::fromMachine(m);
-    EXPECT_EQ(h.numLevels(), 3);
-}
-
 /** Trace accounting identities on a small convolution. */
 TEST(ConvTrace, AccessCountMatchesAnalyticCount)
 {

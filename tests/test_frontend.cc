@@ -55,27 +55,28 @@ expectSameProblem(const ConvProblem &a, const ConvProblem &b)
 
 // ---------------------------------------------------------------------
 // Registry: the builtin builders are the single source of truth for
-// the legacy network lists.
+// the named networks.
 
-TEST(Registry, BuildersMatchLegacyWrappers)
+TEST(Registry, BuildersMatchNamedLookup)
 {
     const struct
     {
         NetworkDef (*def)();
-        std::vector<ConvProblem> (*legacy)();
+        const char *name;
         std::size_t layers;
     } cases[] = {
-        {resnet18Def, resnet18Network, 20},
-        {vgg16Def, vgg16Network, 13},
-        {yolov3Def, yolov3Network, 52},
+        {resnet18Def, "resnet18", 20},
+        {vgg16Def, "vgg16", 13},
+        {yolov3Def, "yolov3", 52},
     };
     for (const auto &tc : cases) {
         const std::vector<ConvProblem> lowered = tc.def().lower();
-        const std::vector<ConvProblem> legacy = tc.legacy();
+        const std::vector<ConvProblem> named =
+            networkDefByName(tc.name).lower();
         ASSERT_EQ(lowered.size(), tc.layers);
-        ASSERT_EQ(lowered.size(), legacy.size());
+        ASSERT_EQ(lowered.size(), named.size());
         for (std::size_t i = 0; i < lowered.size(); ++i)
-            expectSameProblem(lowered[i], legacy[i]);
+            expectSameProblem(lowered[i], named[i]);
     }
 }
 
@@ -98,8 +99,6 @@ TEST(Registry, UnknownNameListsValidNames)
             EXPECT_NE(msg.find(name), std::string::npos) << msg;
         EXPECT_NE(msg.find(".cfg"), std::string::npos) << msg;
     }
-    // The legacy wrapper goes through the same front door.
-    EXPECT_THROW(networkByName("nope"), FatalError);
 }
 
 TEST(Registry, AliasesAndCase)

@@ -20,6 +20,7 @@
 #include "optimizer/mopt_optimizer.hh"
 #include "frontend/registry.hh"
 #include "service/network_optimizer.hh"
+#include "support/idle_fraction.hh"
 
 namespace mopt {
 namespace {
@@ -222,7 +223,7 @@ TEST(LoadBalance, EvenSplitHasNoIdling)
             EXPECT_EQ(cfg.tiles[LvlL3][sd] % cfg.par[sd], 0);
         }
     }
-    EXPECT_NEAR(idleFraction(cfg, p, m), 0.0, 0.3);
+    EXPECT_NEAR(idleFraction(cfg, p), 0.0, 0.3);
 }
 
 TEST(Optimizer, HandlesOnebyOneKernels)

@@ -13,6 +13,7 @@
 #include "model/pruned_classes.hh"
 #include "optimizer/load_balance.hh"
 #include "optimizer/mopt_optimizer.hh"
+#include "support/idle_fraction.hh"
 
 namespace mopt {
 namespace {
@@ -194,7 +195,7 @@ TEST(LoadBalanceExtra, PrimeExtentStillBalances)
     for (std::int64_t f : cfg.par)
         par *= f;
     EXPECT_EQ(par, m.cores);
-    EXPECT_LT(idleFraction(cfg, p, m), 0.35);
+    EXPECT_LT(idleFraction(cfg, p), 0.35);
 }
 
 TEST(PerCoreTile, DividesByParallelFactors)

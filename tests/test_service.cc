@@ -19,6 +19,7 @@
 #include "common/logging.hh"
 #include "common/timer.hh"
 #include "conv/workloads.hh"
+#include "frontend/registry.hh"
 #include "machine/machine.hh"
 #include "service/cache_key.hh"
 #include "service/network_optimizer.hh"
@@ -767,9 +768,11 @@ TEST(NetworkOptimizer, ColdAndWarmPlansAreIdentical)
 
 TEST(NetworkOptimizer, NetworkBuildersAreWellFormed)
 {
-    const std::vector<ConvProblem> resnet = resnet18Network();
-    const std::vector<ConvProblem> vgg = vgg16Network();
-    const std::vector<ConvProblem> yolo = yolov3Network();
+    const std::vector<ConvProblem> resnet =
+        networkDefByName("resnet18").lower();
+    const std::vector<ConvProblem> vgg = networkDefByName("vgg16").lower();
+    const std::vector<ConvProblem> yolo =
+        networkDefByName("yolov3").lower();
     EXPECT_EQ(resnet.size(), 20u);
     EXPECT_EQ(vgg.size(), 13u);
     EXPECT_EQ(yolo.size(), 52u);
@@ -784,8 +787,8 @@ TEST(NetworkOptimizer, NetworkBuildersAreWellFormed)
     EXPECT_EQ(yolo.back().h, 13);
     EXPECT_EQ(yolo.back().k, 1024);
 
-    EXPECT_EQ(networkByName("ResNet18").size(), resnet.size());
-    EXPECT_THROW(networkByName("alexnet"), FatalError);
+    EXPECT_EQ(networkDefByName("ResNet18").lower().size(), resnet.size());
+    EXPECT_THROW(networkDefByName("alexnet"), FatalError);
 
     // The dedup ratios documented in conv/workloads.hh.
     const OptimizerOptions opts = fastOpts();

@@ -13,34 +13,44 @@
 
 #include "solver/augmented_lagrangian.hh"
 #include "solver/discrete_refine.hh"
+#include "support/gradient_check.hh"
 
 namespace mopt {
 namespace {
 
 TEST(Adam, QuadraticBowl)
 {
-    long evals = 0;
-    const auto f = [](const std::vector<double> &x) {
+    int calls = 0;
+    const auto fg = [&calls](const std::vector<double> &x,
+                             std::vector<double> &grad) {
+        ++calls;
+        grad = {2.0 * (x[0] - 3.0), 4.0 * (x[1] + 1.0)};
         return (x[0] - 3.0) * (x[0] - 3.0) +
                2.0 * (x[1] + 1.0) * (x[1] + 1.0);
     };
     AdamOptions opts;
     opts.max_steps = 600;
     opts.lr = 0.2;
-    const auto x = adamMinimize(f, {0.0, 0.0}, {-10.0, -10.0},
-                                {10.0, 10.0}, opts, evals);
+    std::vector<double> x = {0.0, 0.0};
+    AdamScratch scratch;
+    adamMinimizeGrad(fg, x, {-10.0, -10.0}, {10.0, 10.0}, opts, scratch);
     EXPECT_NEAR(x[0], 3.0, 1e-2);
     EXPECT_NEAR(x[1], -1.0, 1e-2);
-    EXPECT_GT(evals, 0);
+    EXPECT_GT(calls, 0);
 }
 
 TEST(Adam, RespectsBoxBounds)
 {
-    long evals = 0;
-    const auto f = [](const std::vector<double> &x) { return -x[0]; };
+    const auto fg = [](const std::vector<double> &x,
+                       std::vector<double> &grad) {
+        grad = {-1.0};
+        return -x[0];
+    };
     AdamOptions opts;
     opts.max_steps = 200;
-    const auto x = adamMinimize(f, {0.0}, {-1.0}, {2.0}, opts, evals);
+    std::vector<double> x = {0.0};
+    AdamScratch scratch;
+    adamMinimizeGrad(fg, x, {-1.0}, {2.0}, opts, scratch);
     EXPECT_NEAR(x[0], 2.0, 1e-6);
 }
 

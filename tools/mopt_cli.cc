@@ -461,7 +461,7 @@ runAutotune(int argc, char **argv)
         const TuneSample &s = rep.samples[i];
         t.row()
             .add(static_cast<long long>(i + 1))
-            .add(s.problem.summary())
+            .add(s.key.problem.summary())
             .add(s.runner)
             .add(s.predicted_seconds * 1e3, 3)
             .add(s.measured_seconds * 1e3, 3)
