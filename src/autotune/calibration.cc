@@ -38,38 +38,36 @@ tuneSampleToJsonLine(const TuneSample &s)
 bool
 tuneSampleFromJsonLine(const std::string &line, TuneSample &s)
 {
-    JsonValue root;
+    JsonReader reader;
     TuneSample t;
-    if (!jsonParse(line, root) ||
-        !recordPrefixFromJson(root, t.key, t.config))
+    if (!reader.read(line) ||
+        !recordPrefixFromJson(reader.root(), t.key, t.config))
         return false;
+    const JsonView root = reader.root();
 
     const auto nonNegative = [&root](const char *key, double &out) {
-        const JsonValue *v = root.find(key);
-        if (!v || v->type != JsonValue::Type::Number || v->num < 0)
+        const JsonView v = root.find(key);
+        if (!v.isNumber() || v.num() < 0)
             return false;
-        out = v->num;
+        out = v.num();
         return true;
     };
     if (!nonNegative("measured_s", t.measured_seconds) ||
         !nonNegative("pred_s", t.predicted_seconds) ||
         !nonNegative("pred_compute_s", t.pred_compute_seconds))
         return false;
-    const JsonValue *lvl = root.find("pred_level_s");
-    if (!lvl || lvl->type != JsonValue::Type::Array ||
-        lvl->arr.size() != static_cast<std::size_t>(NumMemLevels))
+    const JsonView lvl = root.find("pred_level_s");
+    if (lvl.size() != static_cast<std::size_t>(NumMemLevels))
         return false;
-    for (int l = 0; l < NumMemLevels; ++l) {
-        const JsonValue &v = lvl->arr[static_cast<std::size_t>(l)];
-        if (v.type != JsonValue::Type::Number || v.num < 0)
+    auto dst = t.pred_level_seconds.begin();
+    for (const JsonView v : lvl) {
+        if (!v.isNumber() || v.num() < 0)
             return false;
-        t.pred_level_seconds[static_cast<std::size_t>(l)] = v.num;
+        *dst++ = v.num();
     }
 
-    const JsonValue *runner = root.find("runner");
-    if (!runner || runner->type != JsonValue::Type::String)
+    if (!root.find("runner").getString(t.runner))
         return false;
-    t.runner = runner->str;
 
     s = std::move(t);
     return true;
@@ -117,6 +115,27 @@ Calibration::str() const
     oss << "compute x" << buf << " (" << samples_used << " sample"
         << (samples_used == 1 ? "" : "s") << ")";
     return oss.str();
+}
+
+std::vector<std::string>
+Calibration::clampWarnings() const
+{
+    std::vector<std::string> out;
+    for (int j = 0; j <= NumMemLevels; ++j) {
+        const int side = clamped[static_cast<std::size_t>(j)];
+        if (side == 0)
+            continue;
+        char buf[160];
+        std::snprintf(buf, sizeof(buf),
+                      "calibration: the %s factor is clamped at its %s "
+                      "bound x%.2f; corrected predictions stay off by "
+                      "more",
+                      j < NumMemLevels ? memLevelName(j) : "compute",
+                      side > 0 ? "upper" : "lower",
+                      side > 0 ? kMaxScale : kMinScale);
+        out.emplace_back(buf);
+    }
+    return out;
 }
 
 Calibration
@@ -171,8 +190,14 @@ fitCalibration(const std::vector<TuneSample> &samples,
         }
         for (int j = 0; j < kComponents; ++j) {
             const auto sj = static_cast<std::size_t>(j);
-            if (den[sj] > 0)
-                f[sj] = std::clamp(num[sj] / den[sj], 0.05, 20.0);
+            if (den[sj] <= 0)
+                continue;
+            const double fit = num[sj] / den[sj];
+            f[sj] = std::clamp(fit, Calibration::kMinScale,
+                               Calibration::kMaxScale);
+            cal.clamped[sj] = fit < Calibration::kMinScale   ? -1
+                              : fit > Calibration::kMaxScale ? 1
+                                                             : 0;
         }
     }
     for (int l = 0; l < NumMemLevels; ++l)

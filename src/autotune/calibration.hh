@@ -85,8 +85,21 @@ struct Calibration
     /** Samples the fit consumed (0 = identity by construction). */
     std::int64_t samples_used = 0;
 
+    /** The range fitCalibration keeps every factor in. */
+    static constexpr double kMinScale = 0.05;
+    static constexpr double kMaxScale = 20.0;
+
+    /** Per component (the levels, then compute): -1 when the fit
+     *  wanted a factor below kMinScale, +1 above kMaxScale, else 0.
+     *  A clamped factor under-corrects by an unknown amount. */
+    std::array<int, NumMemLevels + 1> clamped{};
+
     /** True when every factor is exactly 1 (applyTo is a no-op). */
     bool isIdentity() const;
+
+    /** One warning per clamped factor, naming its component and the
+     *  bound it hit; empty when none was clamped. */
+    std::vector<std::string> clampWarnings() const;
 
     /**
      * Rescale @p m so the analytic model reproduces measured times:
@@ -107,7 +120,7 @@ struct Calibration
  * each component's factor by least squares through the origin over
  * its assigned samples) a fixed number of rounds. Only samples whose
  * key.machine_fp matches are used; none -> identity. Factors are clamped
- * to [0.05, 20].
+ * to [kMinScale, kMaxScale], and Calibration::clamped says which.
  */
 Calibration fitCalibration(const std::vector<TuneSample> &samples,
                            std::uint64_t machine_fp);

@@ -1,18 +1,18 @@
 #include "common/json.hh"
 
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace mopt {
 
 namespace {
 
-/** Nesting beyond this is rejected: the parser recurses per level,
+/** Nesting beyond this is rejected: the reader recurses per level,
  *  and since the RPC server feeds it untrusted network input, a
  *  '[[[[...' line must draw a parse error, not overflow the handler
  *  thread's stack. Every legitimate document (journal records, RPC
@@ -24,6 +24,13 @@ isNumberChar(char c)
 {
     return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
            c == '+' || c == '-';
+}
+
+/** std::isspace in the C locale. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
 /** UTF-8 encoding of code point @p cp (at most U+10FFFF). */
@@ -47,182 +54,255 @@ appendUtf8(std::string &out, unsigned cp)
     }
 }
 
-class JsonParser
+/** Four hex digits of a \u escape at @p p. */
+bool
+hex4(const char *&p, const char *end, unsigned &v)
+{
+    if (end - p < 4)
+        return false;
+    v = 0;
+    for (int i = 0; i < 4; ++i) {
+        const char hc = *p++;
+        v <<= 4;
+        if (hc >= '0' && hc <= '9')
+            v |= static_cast<unsigned>(hc - '0');
+        else if (hc >= 'a' && hc <= 'f')
+            v |= static_cast<unsigned>(hc - 'a' + 10);
+        else if (hc >= 'A' && hc <= 'F')
+            v |= static_cast<unsigned>(hc - 'A' + 10);
+        else
+            return false;
+    }
+    return true;
+}
+
+/**
+ * A string's body from @p p (past its opening quote) to past its
+ * closing quote, appending the unescaped value to @p out when it is
+ * non-null and setting @p escaped at the first escape. False on a bad
+ * escape or a missing closing quote. A \u high surrogate must be
+ * followed by an escaped low one, and a lone half is refused.
+ */
+bool
+scanString(const char *&p, const char *end, std::string *out,
+           bool &escaped)
+{
+    constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+    constexpr std::uint64_t kHighs = 0x8080808080808080ull;
+    constexpr std::uint64_t kQuotes = kOnes * '"';
+    constexpr std::uint64_t kBackslashes = kOnes * '\\';
+    for (;;) {
+        // The run up to the next quote or escape goes in one piece,
+        // skipped eight bytes at a time while no byte of the eight is
+        // either (the zero-byte test on the word xor each).
+        const char *const run = p;
+        for (std::uint64_t w; end - p >= 8; p += 8) {
+            std::memcpy(&w, p, 8);
+            const std::uint64_t q = w ^ kQuotes, b = w ^ kBackslashes;
+            if (((q - kOnes) & ~q & kHighs) | ((b - kOnes) & ~b & kHighs))
+                break;
+        }
+        while (p != end && *p != '"' && *p != '\\')
+            ++p;
+        if (out)
+            out->append(run, p);
+        if (p == end)
+            return false;
+        if (*p++ == '"')
+            return true;
+        escaped = true;
+        if (p == end)
+            return false;
+        char c;
+        switch (*p++) {
+        case '"': c = '"'; break;
+        case '\\': c = '\\'; break;
+        case '/': c = '/'; break;
+        case 'n': c = '\n'; break;
+        case 't': c = '\t'; break;
+        case 'r': c = '\r'; break;
+        case 'b': c = '\b'; break;
+        case 'f': c = '\f'; break;
+        case 'u': {
+            unsigned cp = 0;
+            if (!hex4(p, end, cp) || (cp >= 0xdc00 && cp <= 0xdfff))
+                return false;
+            if (cp >= 0xd800 && cp <= 0xdbff) {
+                unsigned lo = 0;
+                if (end - p < 2 || p[0] != '\\' || p[1] != 'u')
+                    return false;
+                p += 2;
+                if (!hex4(p, end, lo) || lo < 0xdc00 || lo > 0xdfff)
+                    return false;
+                cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+            }
+            if (out)
+                appendUtf8(*out, cp);
+            continue;
+        }
+        default: return false;
+        }
+        if (out)
+            *out += c;
+    }
+}
+
+/** Whether strtod reads [first, last) without ERANGE. */
+bool
+strtodInRange(const char *first, const char *last)
+{
+    const std::string text(first, last);
+    errno = 0;
+    std::strtod(text.c_str(), nullptr);
+    return errno != ERANGE;
+}
+
+/** The number spelled by all of [first, last), by strtod's grammar
+ *  and range (see json.hh). */
+bool
+readNumber(const char *first, const char *last, double &v)
+{
+    // strtod takes a leading '+', from_chars does not.
+    if (*first == '+' && ++first != last && *first == '-')
+        return false;
+    const auto [ptr, ec] = std::from_chars(first, last, v);
+    if (ec != std::errc() || ptr != last || !std::isfinite(v))
+        return false;
+    // At the bottom of the range the two disagree: strtod flags what
+    // rounds to a subnormal, or up to the smallest normal.
+    return v == 0 || std::fabs(v) > std::numeric_limits<double>::min() ||
+           strtodInRange(first, last);
+}
+
+/** Exact whole number with |v| <= 1e15 (the conversion truncates,
+ *  so it reads v back exactly only when v is whole). */
+bool
+wholeNumber(double v, std::int64_t &out)
+{
+    if (!(std::abs(v) <= 1e15))
+        return false;
+    const auto whole = static_cast<std::int64_t>(v);
+    if (static_cast<double>(whole) != v)
+        return false;
+    out = whole;
+    return true;
+}
+
+/** JsonName's tag of @p name. */
+std::uint64_t
+nameTag(std::string_view name)
+{
+    std::uint64_t tag = name.size() < 255 ? name.size() : 255;
+    for (std::size_t i = 0; i < name.size() && i < 7; ++i)
+        tag |= std::uint64_t{static_cast<unsigned char>(name[i])}
+               << (8 * i + 8);
+    return tag;
+}
+
+/** The validating pass of JsonReader::read. */
+class Scanner
 {
   public:
-    explicit JsonParser(std::string_view text) : s_(text) {}
+    Scanner(std::string_view text, std::vector<JsonToken> &out,
+            std::vector<JsonName> &names)
+        : s_(text), out_(out), names_(names)
+    {}
 
     bool
-    parse(JsonValue &out)
+    scan()
     {
         skipWs();
-        if (!parseValue(out, 0))
+        if (!value(0))
             return false;
         skipWs();
         return pos_ == s_.size(); // Trailing garbage is corruption.
     }
 
   private:
+    using Type = JsonToken::Type;
+
     void
     skipWs()
     {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_])))
+        while (pos_ < s_.size() && isSpace(s_[pos_]))
             ++pos_;
     }
 
+    /** A token of @p type over [pos_, @p end); moves past it. */
+    void
+    push(Type type, std::size_t end, double num = 0)
+    {
+        JsonToken t;
+        t.type = type;
+        t.pos = static_cast<std::uint32_t>(pos_);
+        t.end = static_cast<std::uint32_t>(end);
+        t.num = num;
+        out_.push_back(t);
+        pos_ = end;
+    }
+
     bool
-    literal(std::string_view lit)
+    literal(std::string_view lit, Type type)
     {
         if (s_.substr(pos_, lit.size()) != lit)
             return false;
-        pos_ += lit.size();
+        push(type, pos_ + lit.size());
         return true;
     }
 
     bool
-    parseValue(JsonValue &out, int depth)
+    value(int depth)
     {
         if (pos_ >= s_.size() || depth > kMaxDepth)
             return false;
         switch (s_[pos_]) {
-        case '{': return parseObject(out, depth);
-        case '[': return parseArray(out, depth);
-        case '"':
-            out.type = JsonValue::Type::String;
-            return parseString(out.str);
-        case 't':
-            out.type = JsonValue::Type::Bool;
-            out.b = true;
-            return literal("true");
-        case 'f':
-            out.type = JsonValue::Type::Bool;
-            out.b = false;
-            return literal("false");
-        case 'n':
-            out.type = JsonValue::Type::Null;
-            return literal("null");
-        default: return parseNumber(out);
+        case '{': return container(Type::Object, '}', depth);
+        case '[': return container(Type::Array, ']', depth);
+        case '"': return string();
+        case 't': return literal("true", Type::True);
+        case 'f': return literal("false", Type::False);
+        case 'n': return literal("null", Type::Null);
+        default: return number();
         }
     }
 
-    /** Four hex digits of a \u escape. */
     bool
-    parseHex4(unsigned &v)
+    string()
     {
-        if (s_.size() - pos_ < 4)
+        const char *p = s_.data() + pos_ + 1;
+        bool escaped = false;
+        if (!scanString(p, s_.data() + s_.size(), nullptr, escaped))
             return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i) {
-            const char hc = s_[pos_++];
-            v <<= 4;
-            if (hc >= '0' && hc <= '9')
-                v |= static_cast<unsigned>(hc - '0');
-            else if (hc >= 'a' && hc <= 'f')
-                v |= static_cast<unsigned>(hc - 'a' + 10);
-            else if (hc >= 'A' && hc <= 'F')
-                v |= static_cast<unsigned>(hc - 'A' + 10);
-            else
-                return false;
-        }
-        return true;
-    }
-
-    /** The code point after "\u", as UTF-8: a high surrogate must be
-     *  followed by an escaped low one, and a lone half is refused. */
-    bool
-    parseUnicodeEscape(std::string &out)
-    {
-        unsigned cp = 0;
-        if (!parseHex4(cp) || (cp >= 0xdc00 && cp <= 0xdfff))
-            return false;
-        if (cp >= 0xd800 && cp <= 0xdbff) {
-            unsigned lo = 0;
-            if (!literal("\\u") || !parseHex4(lo) || lo < 0xdc00 ||
-                lo > 0xdfff)
-                return false;
-            cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-        }
-        appendUtf8(out, cp);
+        push(Type::String, static_cast<std::size_t>(p - s_.data()));
+        out_.back().escaped = escaped;
         return true;
     }
 
     bool
-    parseString(std::string &out)
+    number()
     {
-        if (s_[pos_] != '"')
-            return false;
-        ++pos_;
-        out.clear();
-        for (;;) {
-            // Copy the run up to the next quote or escape in one go.
-            const std::size_t run = pos_;
-            while (pos_ < s_.size() && s_[pos_] != '"' && s_[pos_] != '\\')
-                ++pos_;
-            out.append(s_.data() + run, pos_ - run);
-            if (pos_ >= s_.size())
-                return false;
-            if (s_[pos_++] == '"')
-                return true;
-            if (pos_ >= s_.size())
-                return false;
-            char c;
-            switch (s_[pos_++]) {
-            case '"': c = '"'; break;
-            case '\\': c = '\\'; break;
-            case '/': c = '/'; break;
-            case 'n': c = '\n'; break;
-            case 't': c = '\t'; break;
-            case 'r': c = '\r'; break;
-            case 'b': c = '\b'; break;
-            case 'f': c = '\f'; break;
-            case 'u':
-                if (!parseUnicodeEscape(out))
-                    return false;
-                continue;
-            default: return false;
-            }
-            out += c;
+        // A short integer is read as it is scanned, exactly; anything
+        // else goes to readNumber.
+        std::size_t end = pos_ + (s_[pos_] == '-');
+        const std::size_t digits = end;
+        std::int64_t whole = 0;
+        while (end < s_.size() && s_[end] >= '0' && s_[end] <= '9' &&
+               end - digits < 16)
+            whole = whole * 10 + (s_[end++] - '0');
+        if (end != digits && end - digits < 16 &&
+            (end == s_.size() || !isNumberChar(s_[end]))) {
+            const auto v = static_cast<double>(whole);
+            push(Type::Number, end, digits == pos_ ? v : -v);
+            return true;
         }
-    }
-
-    bool
-    parseNumber(JsonValue &out)
-    {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && s_[pos_] == '-')
-            ++pos_;
-        while (pos_ < s_.size() && isNumberChar(s_[pos_]))
-            ++pos_;
-        if (pos_ == start)
-            return false;
-        const char *first = s_.data() + start;
-        const char *const last = s_.data() + pos_;
-        // strtod takes a leading '+', from_chars does not.
-        if (*first == '+' && ++first != last && *first == '-')
-            return false;
+        while (end < s_.size() && isNumberChar(s_[end]))
+            ++end;
         double v = 0;
-        const auto [ptr, ec] = std::from_chars(first, last, v);
-        if (ec != std::errc() || ptr != last || !std::isfinite(v))
+        if (end == pos_ ||
+            !readNumber(s_.data() + pos_, s_.data() + end, v))
             return false;
-        // At the bottom of the range the two disagree: strtod flags
-        // what rounds to a subnormal, or up to the smallest normal.
-        if (v != 0 && std::fabs(v) <= std::numeric_limits<double>::min() &&
-            !strtodInRange(first, last))
-            return false;
-        out.num = v;
-        out.type = JsonValue::Type::Number;
+        push(Type::Number, end, v);
         return true;
-    }
-
-    /** Whether strtod reads [first, last) without ERANGE. */
-    static bool
-    strtodInRange(const char *first, const char *last)
-    {
-        const std::string text(first, last);
-        errno = 0;
-        std::strtod(text.c_str(), nullptr);
-        return errno != ERANGE;
     }
 
     /** Past the ',' or the closing @p close after a member; false
@@ -237,83 +317,195 @@ class JsonParser
         return true;
     }
 
-    /** Move the members parsed since @p mark off @p stack into @p dst
-     *  (sized once, where push_back would regrow it per member). */
-    template <typename T>
-    static void
-    popInto(std::vector<T> &stack, std::size_t mark, std::vector<T> &dst)
-    {
-        dst.assign(std::make_move_iterator(stack.begin() +
-                                           static_cast<std::ptrdiff_t>(mark)),
-                   std::make_move_iterator(stack.end()));
-        stack.resize(mark);
-    }
-
     bool
-    parseArray(JsonValue &out, int depth)
+    container(Type type, char close, int depth)
     {
-        out.type = JsonValue::Type::Array;
-        ++pos_; // '['
+        const std::size_t at = out_.size();
+        push(type, pos_ + 1);
         skipWs();
-        if (pos_ < s_.size() && s_[pos_] == ']') {
+        if (pos_ < s_.size() && s_[pos_] == close) {
             ++pos_;
-            return true;
+        } else {
+            for (bool done = false; !done;) {
+                skipWs();
+                if (type == Type::Object) {
+                    if (pos_ >= s_.size() || s_[pos_] != '"' || !string())
+                        return false;
+                    skipWs();
+                    if (pos_ >= s_.size() || s_[pos_] != ':')
+                        return false;
+                    ++pos_;
+                    skipWs();
+                }
+                if (!value(depth + 1) || !nextMember(close, done))
+                    return false;
+            }
         }
-        const std::size_t mark = elems_.size();
-        for (bool done = false; !done;) {
-            // Parsed aside: a nested container grows elems_.
-            JsonValue v;
-            skipWs();
-            if (!parseValue(v, depth + 1))
-                return false;
-            elems_.push_back(std::move(v));
-            if (!nextMember(']', done))
-                return false;
+        JsonToken &t = out_[at];
+        t.end = static_cast<std::uint32_t>(pos_);
+        t.inner = static_cast<std::uint32_t>(out_.size() - at - 1);
+        if (type == Type::Object) {
+            t.names.first = static_cast<std::uint32_t>(names_.size());
+            for (std::size_t k = at + 1; k < out_.size();
+                 k += 2 + out_[k + 1].inner) {
+                const JsonToken &key = out_[k];
+                names_.push_back(
+                    {key.escaped ? JsonName::kEscaped
+                                 : nameTag(s_.substr(
+                                       key.pos + 1, key.end - key.pos - 2)),
+                     static_cast<std::uint32_t>(k - at)});
+            }
+            t.names.count = static_cast<std::uint32_t>(names_.size() -
+                                                       t.names.first);
         }
-        popInto(elems_, mark, out.arr);
-        return true;
-    }
-
-    bool
-    parseObject(JsonValue &out, int depth)
-    {
-        out.type = JsonValue::Type::Object;
-        ++pos_; // '{'
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        const std::size_t mark = members_.size();
-        for (bool done = false; !done;) {
-            skipWs();
-            std::string key;
-            if (pos_ >= s_.size() || !parseString(key))
-                return false;
-            skipWs();
-            if (pos_ >= s_.size() || s_[pos_] != ':')
-                return false;
-            ++pos_;
-            skipWs();
-            JsonValue v;
-            if (!parseValue(v, depth + 1))
-                return false;
-            members_.emplace_back(std::move(key), std::move(v));
-            if (!nextMember('}', done))
-                return false;
-        }
-        popInto(members_, mark, out.obj);
         return true;
     }
 
     std::string_view s_;
     std::size_t pos_ = 0;
-    /** Members of the containers still open, innermost last. */
-    std::vector<JsonValue> elems_;
-    std::vector<std::pair<std::string, JsonValue>> members_;
+    std::vector<JsonToken> &out_;
+    std::vector<JsonName> &names_;
 };
 
+/** The value of string token @p t of @p text, unescaped into
+ *  @p out. */
+void
+unescape(const JsonToken &t, const char *text, std::string &out)
+{
+    out.clear();
+    // Size a long value (a plan's text) once; escapes only shrink it.
+    // A short one may still fit in the string's own buffer.
+    if (t.end - t.pos > 64)
+        out.reserve(t.end - t.pos - 2);
+    const char *p = text + t.pos + 1;
+    bool escaped = false;
+    scanString(p, text + t.end, &out, escaped);
+}
+
+/** The tree of the value at token @p t of @p doc into @p out;
+ *  returns the token after that value. */
+const JsonToken *
+buildTree(const JsonReader &doc, const JsonToken *t, JsonValue &out)
+{
+    const JsonToken *const last = t + 1 + t->inner;
+    switch (t->type) {
+    case JsonToken::Type::Null: out.type = JsonValue::Type::Null; break;
+    case JsonToken::Type::False:
+    case JsonToken::Type::True:
+        out.type = JsonValue::Type::Bool;
+        out.b = t->type == JsonToken::Type::True;
+        break;
+    case JsonToken::Type::Number:
+        out.type = JsonValue::Type::Number;
+        out.num = t->num;
+        break;
+    case JsonToken::Type::String:
+        out.type = JsonValue::Type::String;
+        JsonView(&doc, t).getString(out.str);
+        break;
+    case JsonToken::Type::Array:
+        out.type = JsonValue::Type::Array;
+        for (const JsonToken *e = t + 1; e != last;)
+            e = buildTree(doc, e, out.arr.emplace_back());
+        break;
+    case JsonToken::Type::Object:
+        out.type = JsonValue::Type::Object;
+        for (const JsonToken *k = t + 1; k != last;) {
+            auto &member = out.obj.emplace_back();
+            JsonView(&doc, k).getString(member.first);
+            k = buildTree(doc, k + 1, member.second);
+        }
+        break;
+    }
+    return last;
+}
+
 } // namespace
+
+bool
+JsonReader::read(std::string_view text)
+{
+    text_ = text;
+    tokens_.clear();
+    names_.clear();
+    ok_ = false;
+    // Token offsets are 32-bit; no line of ours comes near that.
+    if (text.size() >= std::numeric_limits<std::uint32_t>::max())
+        return false;
+    // A journal record holds about one token per four bytes and one
+    // member per twenty; a plan's text, far fewer.
+    tokens_.reserve(text.size() / 4 + 8);
+    names_.reserve(text.size() / 16 + 4);
+    ok_ = Scanner(text, tokens_, names_).scan();
+    return ok_;
+}
+
+std::string_view
+JsonView::raw() const
+{
+    return tok_ ? doc_->text_.substr(tok_->pos, tok_->end - tok_->pos)
+                : std::string_view();
+}
+
+bool
+JsonView::getInt(std::int64_t &out) const
+{
+    return isNumber() && wholeNumber(tok_->num, out);
+}
+
+bool
+JsonView::getString(std::string &out) const
+{
+    if (!isString())
+        return false;
+    if (tok_->escaped)
+        unescape(*tok_, doc_->text_.data(), out);
+    else
+        out.assign(doc_->text_.data() + tok_->pos + 1,
+                   tok_->end - tok_->pos - 2);
+    return true;
+}
+
+std::string_view
+JsonView::strView(std::string &scratch) const
+{
+    if (!isString())
+        return {};
+    if (!tok_->escaped)
+        return doc_->text_.substr(tok_->pos + 1, tok_->end - tok_->pos - 2);
+    unescape(*tok_, doc_->text_.data(), scratch);
+    return scratch;
+}
+
+JsonView
+JsonView::find(std::string_view key) const
+{
+    if (!isObject())
+        return {};
+    const std::uint64_t tag = nameTag(key);
+    const JsonName *n = doc_->names_.data() + tok_->names.first;
+    for (const JsonName *const last = n + tok_->names.count; n != last;
+         ++n) {
+        if (n->tag != tag && n->tag != JsonName::kEscaped)
+            continue;
+        // Equal tags settle names of up to seven bytes.
+        const JsonView name(doc_, tok_ + n->key);
+        std::string scratch;
+        if ((n->tag == tag && key.size() <= 7) ||
+            name.strView(scratch) == key)
+            return {doc_, tok_ + n->key + 1};
+    }
+    return {};
+}
+
+std::size_t
+JsonView::size() const
+{
+    std::size_t n = 0;
+    for (Iterator it = begin(), e = end(); it != e; ++it)
+        ++n;
+    return n;
+}
 
 const JsonValue *
 JsonValue::find(std::string_view key) const
@@ -327,7 +519,13 @@ JsonValue::find(std::string_view key) const
 bool
 jsonParse(std::string_view text, JsonValue &out)
 {
-    return JsonParser(text).parse(out);
+    JsonReader reader;
+    if (!reader.read(text))
+        return false;
+    JsonValue v;
+    buildTree(reader, reader.tokens_.data(), v);
+    out = std::move(v);
+    return true;
 }
 
 std::string
@@ -420,22 +618,7 @@ bool
 jsonGetInt(const JsonValue &obj, std::string_view key, std::int64_t &out)
 {
     const JsonValue *v = obj.find(key);
-    if (!v || v->type != JsonValue::Type::Number)
-        return false;
-    if (v->num != std::floor(v->num) || std::abs(v->num) > 1e15)
-        return false;
-    out = static_cast<std::int64_t>(v->num);
-    return true;
-}
-
-bool
-jsonGetString(const JsonValue &obj, std::string_view key, std::string &out)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || v->type != JsonValue::Type::String)
-        return false;
-    out = v->str;
-    return true;
+    return v && v->isNumber() && wholeNumber(v->num, out);
 }
 
 } // namespace mopt

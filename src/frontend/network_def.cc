@@ -260,4 +260,13 @@ networkDefFromJson(const JsonValue &v, NetworkDef &def, std::string *err)
     return true;
 }
 
+bool
+networkDefFromJson(std::string_view text, NetworkDef &def, std::string *err)
+{
+    JsonValue v;
+    if (!jsonParse(text, v))
+        return fail(err, "network IR: not JSON");
+    return networkDefFromJson(v, def, err);
+}
+
 } // namespace mopt

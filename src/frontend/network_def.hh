@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "conv/problem.hh"
@@ -142,6 +143,11 @@ std::string networkDefToJson(const NetworkDef &def);
  *  malformed payload. The parsed def has batch == 1. */
 struct JsonValue;
 bool networkDefFromJson(const JsonValue &v, NetworkDef &def,
+                        std::string *err);
+
+/** networkDefFromJson over the JSON text @p text (the RPC request
+ *  hands over its "ir" member's bytes). */
+bool networkDefFromJson(std::string_view text, NetworkDef &def,
                         std::string *err);
 
 } // namespace mopt

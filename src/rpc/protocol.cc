@@ -1,5 +1,6 @@
 #include "rpc/protocol.hh"
 
+#include <string_view>
 #include <utility>
 
 #include "common/json.hh"
@@ -20,7 +21,7 @@ setError(std::string *err, const std::string &msg)
 /** The shape of a solve request: the journal's fields, then
  *  validated. */
 bool
-problemFromJson(const JsonValue &root, ConvProblem &out, std::string *err)
+problemFromJson(JsonView root, ConvProblem &out, std::string *err)
 {
     ConvProblem p;
     std::string why;
@@ -40,15 +41,16 @@ problemFromJson(const JsonValue &root, ConvProblem &out, std::string *err)
 
 /** Optional hex-fingerprint member; absent parses as 0 (skip check). */
 bool
-fingerprintFromJson(const JsonValue &root, const char *key,
-                    std::uint64_t &out, std::string *err)
+fingerprintFromJson(JsonView root, const char *key, std::uint64_t &out,
+                    std::string *err)
 {
-    const JsonValue *v = root.find(key);
+    const JsonView v = root.find(key);
     if (!v) {
         out = 0;
         return true;
     }
-    if (!v->isString() || !jsonParseHex16(v->str, out)) {
+    std::string scratch;
+    if (!jsonParseHex16(v.strView(scratch), out)) {
         setError(err, std::string(key) + ": expected 16 hex digits");
         return false;
     }
@@ -98,29 +100,27 @@ appendSolveResult(std::string &out, const RpcSolveResult &r)
     out += '}';
 }
 
+/** One solved layer into @p out (partly written on failure: callers
+ *  decode into a response they then drop). */
 bool
-solveResultFromJson(const JsonValue &v, RpcSolveResult &out,
-                    std::string *err)
+solveResultFromJson(JsonView v, RpcSolveResult &out, std::string *err)
 {
-    std::string cache;
-    if (!v.isObject() || !jsonGetString(v, "cache", cache) ||
-        (cache != "hit" && cache != "miss")) {
+    std::string scratch;
+    const std::string_view cache = v.find("cache").strView(scratch);
+    if (cache != "hit" && cache != "miss") {
         setError(err, "solve result: missing cache provenance");
         return false;
     }
-    const JsonValue *rec = v.find("record");
-    RpcSolveResult r;
-    if (!rec || !solutionFromJson(*rec, r.key, r.sol)) {
+    if (!solutionFromJson(v.find("record"), out.key, out.sol)) {
         setError(err, "solve result: bad record");
         return false;
     }
-    r.cache_hit = cache == "hit";
-    out = std::move(r);
+    out.cache_hit = cache == "hit";
     return true;
 }
 
 RpcErrorCode
-errorCodeFromName(const std::string &name)
+errorCodeFromName(std::string_view name)
 {
     if (name == "overloaded")
         return RpcErrorCode::Overloaded;
@@ -132,7 +132,7 @@ errorCodeFromName(const std::string &name)
 }
 
 bool
-opFromName(const std::string &name, RpcOp &out)
+opFromName(std::string_view name, RpcOp &out)
 {
     if (name == "solve")
         out = RpcOp::Solve;
@@ -236,8 +236,9 @@ bool
 requestFromJsonLine(const std::string &line, RpcRequest &out,
                     std::string *err)
 {
-    JsonValue root;
-    if (!jsonParse(line, root) || !root.isObject()) {
+    JsonReader reader;
+    const JsonView root = reader.read(line) ? reader.root() : JsonView();
+    if (!root.isObject()) {
         setError(err, "request is not a JSON object");
         return false;
     }
@@ -246,7 +247,8 @@ requestFromJsonLine(const std::string &line, RpcRequest &out,
     // other field, so nothing else is interpreted until the request
     // is known to speak our dialect. Absent = 1 (pre-versioning
     // clients).
-    if (root.find("v") && !jsonGetInt(root, "v", req.v)) {
+    const JsonView v = root.find("v");
+    if (v && !v.getInt(req.v)) {
         setError(err, "\"v\": expected an integer protocol version");
         return false;
     }
@@ -258,7 +260,7 @@ requestFromJsonLine(const std::string &line, RpcRequest &out,
         return false;
     }
     std::string op_name;
-    if (!jsonGetString(root, "op", op_name)) {
+    if (!root.find("op").getString(op_name)) {
         setError(err, "request has no \"op\"");
         return false;
     }
@@ -269,9 +271,9 @@ requestFromJsonLine(const std::string &line, RpcRequest &out,
     if (!fingerprintFromJson(root, "machine", req.machine_fp, err) ||
         !fingerprintFromJson(root, "settings", req.settings_fp, err))
         return false;
-    if (root.find("deadline_ms") &&
-        (!jsonGetInt(root, "deadline_ms", req.deadline_ms) ||
-         req.deadline_ms < 0)) {
+    const JsonView deadline = root.find("deadline_ms");
+    if (deadline && (!deadline.getInt(req.deadline_ms) ||
+                     req.deadline_ms < 0)) {
         setError(err, "\"deadline_ms\": expected a non-negative "
                       "integer");
         return false;
@@ -282,7 +284,7 @@ requestFromJsonLine(const std::string &line, RpcRequest &out,
             return false;
         break;
     case RpcOp::SolveNetwork: {
-        const JsonValue *ir = root.find("ir");
+        const JsonView ir = root.find("ir");
         if (ir) {
             if (root.find("net")) {
                 setError(err, "solve_network: \"net\" and \"ir\" are "
@@ -290,18 +292,18 @@ requestFromJsonLine(const std::string &line, RpcRequest &out,
                 return false;
             }
             std::string ir_err;
-            if (!networkDefFromJson(*ir, req.ir, &ir_err)) {
+            if (!networkDefFromJson(ir.raw(), req.ir, &ir_err)) {
                 setError(err, "solve_network: bad \"ir\": " + ir_err);
                 return false;
             }
             req.has_ir = true;
-        } else if (!jsonGetString(root, "net", req.net) ||
+        } else if (!root.find("net").getString(req.net) ||
                    req.net.empty()) {
             setError(err, "solve_network: missing \"net\" or \"ir\"");
             return false;
         }
-        if (root.find("batch") &&
-            (!jsonGetInt(root, "batch", req.batch) || req.batch < 1)) {
+        const JsonView batch = root.find("batch");
+        if (batch && (!batch.getInt(req.batch) || req.batch < 1)) {
             setError(err, "solve_network: \"batch\" must be a positive "
                           "integer");
             return false;
@@ -309,39 +311,38 @@ requestFromJsonLine(const std::string &line, RpcRequest &out,
         break;
     }
     case RpcOp::Replicate: {
-        if (root.find("pull")) {
-            std::int64_t pull = 0;
-            if (!jsonGetInt(root, "pull", pull)) {
+        std::int64_t flag = 0;
+        const JsonView pull = root.find("pull");
+        if (pull) {
+            if (!pull.getInt(flag)) {
                 setError(err, "replicate: non-integer \"pull\"");
                 return false;
             }
-            req.repl_pull = pull != 0;
+            req.repl_pull = flag != 0;
         }
-        if (root.find("digest")) {
-            std::int64_t digest = 0;
-            if (!jsonGetInt(root, "digest", digest)) {
+        const JsonView digest = root.find("digest");
+        if (digest) {
+            if (!digest.getInt(flag)) {
                 setError(err, "replicate: non-integer \"digest\"");
                 return false;
             }
-            req.repl_digest = digest != 0;
+            req.repl_digest = flag != 0;
         }
-        if (root.find("since") &&
-            (!jsonGetInt(root, "since", req.repl_since) ||
-             req.repl_since < 0)) {
+        const JsonView since = root.find("since");
+        if (since && (!since.getInt(req.repl_since) || req.repl_since < 0)) {
             setError(err, "replicate: \"since\" must be a non-negative "
                           "integer");
             return false;
         }
-        if (root.find("for") &&
-            (!jsonGetInt(root, "for", req.repl_for) ||
-             req.repl_for < 0)) {
+        const JsonView slot = root.find("for");
+        if (slot && (!slot.getInt(req.repl_for) || req.repl_for < 0)) {
             setError(err, "replicate: \"for\" must be a non-negative "
                           "integer");
             return false;
         }
-        const JsonValue *rec = root.find("record");
+        const JsonView rec = root.find("record");
         if (rec) {
-            if (!solutionFromJson(*rec, req.repl_record.key,
+            if (!solutionFromJson(rec, req.repl_record.key,
                                   req.repl_record.sol, nullptr,
                                   &req.repl_record.seq)) {
                 setError(err, "replicate: bad \"record\"");
@@ -491,74 +492,69 @@ bool
 responseFromJsonLine(const std::string &line, RpcResponse &out,
                      std::string *err)
 {
-    JsonValue root;
-    if (!jsonParse(line, root) || !root.isObject()) {
+    JsonReader reader;
+    const JsonView root = reader.read(line) ? reader.root() : JsonView();
+    if (!root.isObject()) {
         setError(err, "response is not a JSON object");
         return false;
     }
-    const JsonValue *ok = root.find("ok");
-    if (!ok || ok->type != JsonValue::Type::Bool) {
+    const JsonView ok = root.find("ok");
+    if (!ok.isBool()) {
         setError(err, "response has no \"ok\"");
         return false;
     }
     RpcResponse resp;
-    resp.ok = ok->b;
+    resp.ok = ok.isTrue();
+    std::string scratch;
     if (!resp.ok) {
-        jsonGetString(root, "error", resp.error);
+        root.find("error").getString(resp.error);
         if (resp.error.empty())
             resp.error = "unspecified server error";
-        std::string code;
-        if (jsonGetString(root, "code", code))
-            resp.code = errorCodeFromName(code);
+        resp.code = errorCodeFromName(root.find("code").strView(scratch));
         out = std::move(resp);
         return true;
     }
-    std::string op_name;
-    if (!jsonGetString(root, "op", op_name) ||
-        !opFromName(op_name, resp.op)) {
+    if (!opFromName(root.find("op").strView(scratch), resp.op)) {
         setError(err, "response has no valid \"op\"");
         return false;
     }
+    const JsonView solve_s = root.find("solve_s");
     switch (resp.op) {
     case RpcOp::Solve: {
         // Same shape as one solve_network layer, flattened.
         if (!solveResultFromJson(root, resp.solve, err))
             return false;
-        const JsonValue *s = root.find("solve_s");
-        if (!s || !s->isNumber() || s->num < 0) {
+        if (!solve_s.isNumber() || solve_s.num() < 0) {
             setError(err, "solve: missing solve_s");
             return false;
         }
-        resp.solve_seconds = s->num;
+        resp.solve_seconds = solve_s.num();
         break;
     }
     case RpcOp::SolveNetwork: {
-        if (!jsonGetString(root, "plan", resp.plan_text) ||
-            !jsonGetInt(root, "unique", resp.unique_shapes) ||
-            !jsonGetInt(root, "hits", resp.cache_hits) ||
-            !jsonGetInt(root, "misses", resp.cache_misses) ||
-            !jsonGetInt(root, "evals", resp.solver_evals)) {
+        if (!root.find("plan").getString(resp.plan_text) ||
+            !root.find("unique").getInt(resp.unique_shapes) ||
+            !root.find("hits").getInt(resp.cache_hits) ||
+            !root.find("misses").getInt(resp.cache_misses) ||
+            !root.find("evals").getInt(resp.solver_evals)) {
             setError(err, "solve_network: missing summary fields");
             return false;
         }
-        const JsonValue *s = root.find("solve_s");
-        if (!s || !s->isNumber() || s->num < 0) {
+        if (!solve_s.isNumber() || solve_s.num() < 0) {
             setError(err, "solve_network: missing solve_s");
             return false;
         }
-        resp.solve_seconds = s->num;
-        const JsonValue *layers = root.find("layers");
-        if (!layers || !layers->isArray()) {
+        resp.solve_seconds = solve_s.num();
+        const JsonView layers = root.find("layers");
+        if (!layers.isArray()) {
             setError(err, "solve_network: missing layers");
             return false;
         }
-        resp.layers.reserve(layers->arr.size());
-        for (const JsonValue &v : layers->arr) {
-            RpcSolveResult r;
-            if (!solveResultFromJson(v, r, err))
+        resp.layers.resize(layers.size());
+        auto dst = resp.layers.begin();
+        for (const JsonView v : layers)
+            if (!solveResultFromJson(v, *dst++, err))
                 return false;
-            resp.layers.push_back(std::move(r));
-        }
         break;
     }
     case RpcOp::Stats: {
@@ -566,18 +562,17 @@ responseFromJsonLine(const std::string &line, RpcResponse &out,
                                  err) ||
             !fingerprintFromJson(root, "settings", resp.settings_fp, err))
             return false;
-        jsonGetString(root, "machine_name", resp.machine_name);
+        root.find("machine_name").getString(resp.machine_name);
         std::int64_t shards = 0;
-        if (!jsonGetInt(root, "entries", resp.entries) ||
-            !jsonGetInt(root, "shards", shards) ||
-            !jsonGetInt(root, "lookups_hit", resp.cache.hits) ||
-            !jsonGetInt(root, "lookups_miss", resp.cache.misses) ||
-            !jsonGetInt(root, "inserts", resp.cache.inserts) ||
-            !jsonGetInt(root, "evictions", resp.cache.evictions) ||
-            !jsonGetInt(root, "journal_loaded",
-                        resp.cache.journal_loaded) ||
-            !jsonGetInt(root, "journal_skipped",
-                        resp.cache.journal_skipped)) {
+        if (!root.find("entries").getInt(resp.entries) ||
+            !root.find("shards").getInt(shards) ||
+            !root.find("lookups_hit").getInt(resp.cache.hits) ||
+            !root.find("lookups_miss").getInt(resp.cache.misses) ||
+            !root.find("inserts").getInt(resp.cache.inserts) ||
+            !root.find("evictions").getInt(resp.cache.evictions) ||
+            !root.find("journal_loaded").getInt(resp.cache.journal_loaded) ||
+            !root.find("journal_skipped")
+                 .getInt(resp.cache.journal_skipped)) {
             setError(err, "stats: missing counter fields");
             return false;
         }
@@ -603,20 +598,21 @@ responseFromJsonLine(const std::string &line, RpcResponse &out,
               {"srv_repl_prefetched", &resp.srv_repl_prefetched},
               {"repl_queue_depth", &resp.repl_queue_depth},
               {"journal_seq", &resp.journal_seq}}) {
-            if (root.find(key) && !jsonGetInt(root, key, *dst)) {
+            const JsonView v = root.find(key);
+            if (v && !v.getInt(*dst)) {
                 setError(err, std::string("stats: bad ") + key);
                 return false;
             }
         }
-        const JsonValue *eh = root.find("entry_hits");
-        if (!eh || !eh->isArray()) {
+        const JsonView eh = root.find("entry_hits");
+        if (!eh.isArray()) {
             setError(err, "stats: missing entry_hits");
             return false;
         }
-        for (const JsonValue &v : eh->arr) {
+        for (const JsonView v : eh) {
             RpcEntryHits row;
-            if (!v.isObject() || !jsonGetString(v, "key", row.key) ||
-                !jsonGetInt(v, "hits", row.hits)) {
+            if (!v.find("key").getString(row.key) ||
+                !v.find("hits").getInt(row.hits)) {
                 setError(err, "stats: bad entry_hits row");
                 return false;
             }
@@ -625,35 +621,34 @@ responseFromJsonLine(const std::string &line, RpcResponse &out,
         break;
     }
     case RpcOp::Replicate: {
-        const JsonValue *recs = root.find("records");
-        const JsonValue *fp = root.find("fp");
+        const JsonView recs = root.find("records");
+        const JsonView fp = root.find("fp");
+        const JsonView applied = root.find("applied");
         if (fp) {
-            if (!fp->isString() ||
-                !jsonParseHex16(fp->str, resp.repl_digest_fp) ||
-                !jsonGetInt(root, "count", resp.repl_digest_count) ||
+            if (!jsonParseHex16(fp.strView(scratch), resp.repl_digest_fp) ||
+                !root.find("count").getInt(resp.repl_digest_count) ||
                 resp.repl_digest_count < 0) {
                 setError(err, "replicate: bad digest");
                 return false;
             }
             resp.repl_has_digest = true;
         } else if (recs) {
-            if (!recs->isArray()) {
+            if (!recs.isArray()) {
                 setError(err, "replicate: bad records");
                 return false;
             }
             resp.repl_is_pull = true;
-            resp.repl_records.reserve(recs->arr.size());
-            for (const JsonValue &v : recs->arr) {
-                SolutionCacheRecord r;
-                if (!solutionFromJson(v, r.key, r.sol, nullptr,
-                                      &r.seq)) {
+            resp.repl_records.resize(recs.size());
+            auto dst = resp.repl_records.begin();
+            for (const JsonView v : recs) {
+                if (!solutionFromJson(v, dst->key, dst->sol, nullptr,
+                                      &dst->seq)) {
                     setError(err, "replicate: bad record in records");
                     return false;
                 }
-                resp.repl_records.push_back(std::move(r));
+                ++dst;
             }
-        } else if (root.find("applied") &&
-                   !jsonGetInt(root, "applied", resp.repl_applied)) {
+        } else if (applied && !applied.getInt(resp.repl_applied)) {
             setError(err, "replicate: bad applied");
             return false;
         }

@@ -12,21 +12,17 @@ namespace mopt {
 
 namespace {
 
+/** Exactly NumDims whole numbers in [1, 1e15]. */
 bool
-getTiles(const JsonValue &arr, IntTileVec &out)
+getTiles(JsonView arr, IntTileVec &out)
 {
-    if (arr.type != JsonValue::Type::Array ||
-        arr.arr.size() != static_cast<std::size_t>(NumDims))
-        return false;
-    for (int d = 0; d < NumDims; ++d) {
-        const JsonValue &v = arr.arr[static_cast<std::size_t>(d)];
-        if (v.type != JsonValue::Type::Number ||
-            v.num != std::floor(v.num) || v.num < 1 || v.num > 1e15)
+    std::size_t d = 0;
+    for (const JsonView v : arr) {
+        if (d == out.size() || !v.getInt(out[d]) || out[d] < 1)
             return false;
-        out[static_cast<std::size_t>(d)] =
-            static_cast<std::int64_t>(v.num);
+        ++d;
     }
-    return true;
+    return d == out.size();
 }
 
 void
@@ -67,23 +63,24 @@ shapeAppendJson(std::string &out, const ConvProblem &p)
 }
 
 bool
-shapeFromJson(const JsonValue &root, ConvProblem &out, std::string *err)
+shapeFromJson(JsonView root, ConvProblem &out, std::string *err)
 {
     ConvProblem p;
     std::int64_t stride = 0, dilation = 0;
-    if (!jsonGetInt(root, "n", p.n) || !jsonGetInt(root, "k", p.k) ||
-        !jsonGetInt(root, "c", p.c) || !jsonGetInt(root, "r", p.r) ||
-        !jsonGetInt(root, "s", p.s) || !jsonGetInt(root, "h", p.h) ||
-        !jsonGetInt(root, "w", p.w) ||
-        !jsonGetInt(root, "stride", stride) ||
-        !jsonGetInt(root, "dilation", dilation)) {
+    if (!root.find("n").getInt(p.n) || !root.find("k").getInt(p.k) ||
+        !root.find("c").getInt(p.c) || !root.find("r").getInt(p.r) ||
+        !root.find("s").getInt(p.s) || !root.find("h").getInt(p.h) ||
+        !root.find("w").getInt(p.w) ||
+        !root.find("stride").getInt(stride) ||
+        !root.find("dilation").getInt(dilation)) {
         if (err)
             *err = "missing or non-integer shape field";
         return false;
     }
     p.stride = static_cast<int>(stride);
     p.dilation = static_cast<int>(dilation);
-    if (root.find("groups") && !jsonGetInt(root, "groups", p.groups)) {
+    const JsonView groups = root.find("groups");
+    if (groups && !groups.getInt(p.groups)) {
         if (err)
             *err = "non-integer \"groups\"";
         return false;
@@ -129,50 +126,45 @@ recordPrefixAppendJson(std::string &out, const CacheKey &key,
 }
 
 bool
-recordPrefixFromJson(const JsonValue &root, CacheKey &key,
-                     ExecConfig &config)
+recordPrefixFromJson(JsonView root, CacheKey &key, ExecConfig &config)
 {
-    if (root.type != JsonValue::Type::Object)
-        return false;
-
     std::int64_t version = 0;
-    if (!jsonGetInt(root, "v", version) || version != 1)
+    if (!root.find("v").getInt(version) || version != 1)
         return false;
 
     CacheKey k;
     if (!shapeFromJson(root, k.problem, nullptr))
         return false;
 
-    const JsonValue *machine = root.find("machine");
-    const JsonValue *settings = root.find("settings");
-    if (!machine || machine->type != JsonValue::Type::String ||
-        !jsonParseHex16(machine->str, k.machine_fp) || !settings ||
-        settings->type != JsonValue::Type::String ||
-        !jsonParseHex16(settings->str, k.settings_fp))
+    std::string scratch;
+    if (!jsonParseHex16(root.find("machine").strView(scratch),
+                        k.machine_fp) ||
+        !jsonParseHex16(root.find("settings").strView(scratch),
+                        k.settings_fp))
         return false;
 
     ExecConfig c;
-    const JsonValue *perm = root.find("perm");
-    const JsonValue *tiles = root.find("tiles");
-    if (!perm || perm->type != JsonValue::Type::Array ||
-        perm->arr.size() != static_cast<std::size_t>(NumMemLevels) ||
-        !tiles || tiles->type != JsonValue::Type::Array ||
-        tiles->arr.size() != static_cast<std::size_t>(NumMemLevels))
+    const JsonView perm = root.find("perm");
+    const JsonView tiles = root.find("tiles");
+    if (perm.size() != static_cast<std::size_t>(NumMemLevels) ||
+        tiles.size() != static_cast<std::size_t>(NumMemLevels))
         return false;
-    for (int l = 0; l < NumMemLevels; ++l) {
-        const auto sl = static_cast<std::size_t>(l);
-        if (perm->arr[sl].type != JsonValue::Type::String)
+    auto level_tiles = tiles.begin();
+    std::size_t l = 0;
+    for (const JsonView p : perm) {
+        if (!p.isString())
             return false;
         try {
-            c.perm[sl] = Permutation::parse(perm->arr[sl].str);
+            c.perm[l] = Permutation::parse(p.strView(scratch));
         } catch (const FatalError &) {
             return false;
         }
-        if (!getTiles(tiles->arr[sl], c.tiles[sl]))
+        if (!getTiles(*level_tiles, c.tiles[l]))
             return false;
+        ++level_tiles;
+        ++l;
     }
-    const JsonValue *par = root.find("par");
-    if (!par || !getTiles(*par, c.par))
+    if (!getTiles(root.find("par"), c.par))
         return false;
 
     try {
@@ -208,45 +200,41 @@ solutionFromJsonLine(const std::string &line, CacheKey &key,
                      CachedSolution &sol, std::int64_t *hits,
                      std::int64_t *seq)
 {
-    JsonValue root;
-    if (!jsonParse(line, root))
-        return false;
-    return solutionFromJson(root, key, sol, hits, seq);
+    JsonReader reader;
+    return reader.read(line) &&
+           solutionFromJson(reader.root(), key, sol, hits, seq);
 }
 
 bool
-solutionFromJson(const JsonValue &root, CacheKey &key,
-                 CachedSolution &sol, std::int64_t *hits,
-                 std::int64_t *seq)
+solutionFromJson(JsonView root, CacheKey &key, CachedSolution &sol,
+                 std::int64_t *hits, std::int64_t *seq)
 {
     CacheKey k;
     CachedSolution s;
     if (!recordPrefixFromJson(root, k, s.config))
         return false;
 
-    const JsonValue *pred = root.find("pred_s");
-    if (!pred || pred->type != JsonValue::Type::Number || pred->num < 0)
+    const JsonView pred = root.find("pred_s");
+    if (!pred.isNumber() || pred.num() < 0)
         return false;
-    s.predicted_seconds = pred->num;
+    s.predicted_seconds = pred.num();
 
-    const JsonValue *label = root.find("label");
-    if (!label || label->type != JsonValue::Type::String)
+    if (!root.find("label").getString(s.perm_label))
         return false;
-    s.perm_label = label->str;
 
     // "hits" is optional telemetry: absent in journals written before
     // the field existed, present after any compaction since.
     std::int64_t entry_hits = 0;
-    const JsonValue *hv = root.find("hits");
-    if (hv && (!jsonGetInt(root, "hits", entry_hits) || entry_hits < 0))
+    const JsonView hv = root.find("hits");
+    if (hv && (!hv.getInt(entry_hits) || entry_hits < 0))
         return false;
 
     // "seq" is likewise optional: absent in journals written before
     // the replication sequence existed, and in records that were
     // never journaled.
     std::int64_t entry_seq = 0;
-    const JsonValue *qv = root.find("seq");
-    if (qv && (!jsonGetInt(root, "seq", entry_seq) || entry_seq < 0))
+    const JsonView qv = root.find("seq");
+    if (qv && (!qv.getInt(entry_seq) || entry_seq < 0))
         return false;
 
     key = std::move(k);

@@ -293,8 +293,7 @@ void shapeAppendJson(std::string &out, const ConvProblem &p);
  * absent "groups" is 1). False + @p err on a missing or non-integer
  * member, leaving @p out untouched. Does not validate the shape.
  */
-bool shapeFromJson(const JsonValue &root, ConvProblem &out,
-                   std::string *err);
+bool shapeFromJson(JsonView root, ConvProblem &out, std::string *err);
 
 /**
  * Append the prefix every journal record starts with: `{"v":1`, the
@@ -312,7 +311,7 @@ void recordPrefixAppendJson(std::string &out, const CacheKey &key,
  * or any missing, mistyped or invalid field, leaving the outputs
  * untouched.
  */
-bool recordPrefixFromJson(const JsonValue &root, CacheKey &key,
+bool recordPrefixFromJson(JsonView root, CacheKey &key,
                           ExecConfig &config);
 
 /**
@@ -345,12 +344,12 @@ bool solutionFromJsonLine(const std::string &line, CacheKey &key,
                           std::int64_t *seq = nullptr);
 
 /**
- * Parse an already-decoded JSON object in the journal's record format
+ * Read a record in the journal's format from an already-read value
  * (the RPC protocol embeds records as nested objects). Same contract
  * as solutionFromJsonLine.
  */
-bool solutionFromJson(const JsonValue &root, CacheKey &key,
-                      CachedSolution &sol, std::int64_t *hits = nullptr,
+bool solutionFromJson(JsonView root, CacheKey &key, CachedSolution &sol,
+                      std::int64_t *hits = nullptr,
                       std::int64_t *seq = nullptr);
 
 } // namespace mopt

@@ -2,7 +2,8 @@
  * @file
  * Allocation guard: with a counting global operator new, the checks
  * and model evaluations that run on every request and every solver
- * step must allocate nothing when they pass. A failing check still
+ * step must allocate nothing when they pass, and decoding a warm
+ * response allocates a pinned number of times. A failing check still
  * builds its full message, naming the shape or layer at fault.
  */
 
@@ -22,6 +23,8 @@
 #include "model/tile_config.hh"
 #include "optimizer/conv_nlp.hh"
 #include "optimizer/mopt_optimizer.hh"
+#include "rpc/protocol.hh"
+#include "support/golden_records.hh"
 
 namespace {
 
@@ -145,6 +148,23 @@ TEST(Allocation, WarmConvNlpEvalWithGradAllocatesNothing)
               0);
     EXPECT_EQ(f0, f1);
     EXPECT_TRUE(std::isfinite(f1));
+}
+
+TEST(Allocation, WarmResponseDecodeAllocationsArePinned)
+{
+    // The golden solve_network response (a plan text and two layers)
+    // decoded into a reused response allocates four times: the
+    // reader's token and name tables, the plan string and the layer
+    // vector. The labels fit in place, and nothing is built per value.
+    const std::string line = responseToJsonLine(goldenNetworkResponse());
+    RpcResponse out;
+    std::string err;
+    ASSERT_TRUE(responseFromJsonLine(line, out, &err)) << err;
+    bool ok = false;
+    const long n = allocationsOf(
+        [&] { ok = responseFromJsonLine(line, out, &err); });
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(n, 4);
 }
 
 TEST(Allocation, FailureMessagesNameTheShapeAndLayer)

@@ -213,6 +213,39 @@ TEST(CalibrationFit, IgnoresOtherMachinesAndClamps)
     EXPECT_DOUBLE_EQ(cal.level_scale[0], 20.0);
 }
 
+TEST(CalibrationFit, FlagsAFactorClampedAtItsBound)
+{
+    // Compute-bound samples measured 30x slower than predicted: the
+    // compute factor saturates at the upper bound and says so.
+    std::vector<TuneSample> samples;
+    for (int rep = 0; rep < 3; ++rep) {
+        TuneSample s = sampleFor(tinyProblem(), 0.0);
+        s.key.machine_fp = 42;
+        s.pred_level_seconds = {0.01, 0.01, 0.01, 0.01};
+        s.pred_compute_seconds = 1.0 + rep;
+        s.measured_seconds = 30.0 * s.pred_compute_seconds;
+        samples.push_back(s);
+    }
+    const Calibration cal = fitCalibration(samples, 42);
+    EXPECT_EQ(cal.compute_scale, Calibration::kMaxScale);
+    EXPECT_EQ(cal.clamped[NumMemLevels], 1);
+    for (int l = 0; l < NumMemLevels; ++l)
+        EXPECT_EQ(cal.clamped[static_cast<std::size_t>(l)], 0);
+    EXPECT_EQ(cal.clampWarnings(),
+              std::vector<std::string>{
+                  "calibration: the compute factor is clamped at its "
+                  "upper bound x20.00; corrected predictions stay off by "
+                  "more"});
+    // The summary line keeps its bytes.
+    EXPECT_EQ(cal.str(), "Reg x1.00 L1 x1.00 L2 x1.00 L3 x1.00 "
+                         "compute x20.00 (3 samples)");
+
+    // Inside the bounds nothing is flagged.
+    for (TuneSample &s : samples)
+        s.measured_seconds = 3.0 * s.pred_compute_seconds;
+    EXPECT_TRUE(fitCalibration(samples, 42).clampWarnings().empty());
+}
+
 TEST(Calibration, IdentityLeavesMachineAndFingerprintUntouched)
 {
     const MachineSpec m = i7_9700k();

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "autotune/calibration.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -36,6 +37,7 @@
 #include "service/network_optimizer.hh"
 #include "support/golden_records.hh"
 #include "support/thread_count.hh"
+#include "support/tree_decoders.hh"
 
 namespace mopt {
 namespace {
@@ -231,6 +233,185 @@ TEST(RpcProtocol, RequestRejectsMalformed)
     const std::string bomb =
         std::string(100000, '[') + std::string(100000, ']');
     EXPECT_FALSE(requestFromJsonLine(bomb, out, &err));
+}
+
+TEST(RpcProtocol, RefusalMessageTable)
+{
+    // One row per refusal the decoders can give, with the smallest
+    // line that draws it; a refusal pins the message word for word,
+    // an acceptance the re-encoded bytes. A syntax error anywhere in
+    // the line outranks every field check, the first of a repeated
+    // member wins, and members may come in any order.
+    const std::string record =
+        solutionToJsonLine(goldenKey(0), goldenSolution());
+    const std::string deep = std::string(65, '[') + std::string(65, ']');
+    // The smallest valid shape, the counters a stats answer must carry
+    // and the summary a solve_network answer must carry.
+    const std::string shape = R"("n":1,"k":1,"c":1,"r":1,"s":1,"h":1,)"
+                              R"("w":1,"stride":1,"dilation":1)";
+    const std::string counters =
+        R"("entries":0,"shards":1,"lookups_hit":0,"lookups_miss":0,)"
+        R"("inserts":0,"evictions":0,"journal_loaded":0,)"
+        R"("journal_skipped":0)";
+    const std::string summary =
+        R"("plan":"p","unique":0,"hits":0,"misses":0,"evals":0)";
+    const struct
+    {
+        bool request;
+        std::string line;
+        bool ok;
+        std::string want; //!< Refusal message, or re-encoded line.
+    } rows[] = {
+        // Requests.
+        {true, "x", false, "request is not a JSON object"},
+        {true, "[]", false, "request is not a JSON object"},
+        {true, R"({"v":1.5})", false,
+         R"("v": expected an integer protocol version)"},
+        {true, R"({"v":2})", false,
+         "unsupported protocol version v=2 (this server speaks v=1)"},
+        {true, "{}", false, R"(request has no "op")"},
+        {true, R"({"op":"x"})", false, R"(unknown op "x")"},
+        {true, R"({"op":"ping","machine":1})", false,
+         "machine: expected 16 hex digits"},
+        {true, R"({"op":"ping","settings":"0"})", false,
+         "settings: expected 16 hex digits"},
+        {true, R"({"op":"ping","deadline_ms":-1})", false,
+         R"("deadline_ms": expected a non-negative integer)"},
+        {true, R"({"op":"solve"})", false,
+         "solve: missing or non-integer shape field"},
+        {true, R"({"op":"solve",)" + shape + R"(,"groups":"2"})", false,
+         R"(solve: non-integer "groups")"},
+        {true,
+         R"({"op":"solve","n":1,"k":0,"c":1,"r":1,"s":1,"h":1,"w":1,)"
+         R"("stride":1,"dilation":1})",
+         false,
+         "solve: invalid shape: ConvProblem: extents must be >= 1 (: "
+         "N=1 K=0 C=1 H=1 W=1 R=1 S=1 stride=1)"},
+        {true, R"({"op":"solve",)" + shape + R"(,"k":0})", true,
+         R"({"v":1,"op":"solve",)" + shape + "}"},
+        {true, R"({"op":"solve_network","net":"a","ir":{}})", false,
+         R"(solve_network: "net" and "ir" are mutually exclusive)"},
+        {true, R"({"op":"solve_network","ir":1})", false,
+         R"(solve_network: bad "ir": network IR: expected a JSON object)"},
+        {true, R"({"op":"solve_network","net":""})", false,
+         R"(solve_network: missing "net" or "ir")"},
+        {true, R"({"op":"solve_network","net":"a","batch":0})", false,
+         R"(solve_network: "batch" must be a positive integer)"},
+        {true, R"({"op":"replicate","pull":"1"})", false,
+         R"(replicate: non-integer "pull")"},
+        {true, R"({"op":"replicate","digest":true})", false,
+         R"(replicate: non-integer "digest")"},
+        {true, R"({"op":"replicate","pull":1,"since":-1})", false,
+         R"(replicate: "since" must be a non-negative integer)"},
+        {true, R"({"op":"replicate","pull":1,"for":0.5})", false,
+         R"(replicate: "for" must be a non-negative integer)"},
+        {true, R"({"op":"replicate","record":{}})", false,
+         R"(replicate: bad "record")"},
+        {true, R"({"op":"replicate"})", false,
+         R"(replicate: missing "record", "pull", or "digest")"},
+        // Syntax outranks semantics, wherever the error is.
+        {true, R"({"v":2,"op":"ping",})", false,
+         "request is not a JSON object"},
+        {true, R"({"op":"solve","n":1 "k":1})", false,
+         "request is not a JSON object"},
+        {true, R"({"op":"x","y":"\ud800"})", false,
+         "request is not a JSON object"},
+        {true, R"({"op":"ping","y":1e999})", false,
+         "request is not a JSON object"},
+        {true, R"({"op":"ping","y":)" + deep + "}", false,
+         "request is not a JSON object"},
+        // Unknown members are skipped, at the depth limit too.
+        {true, R"({"op":"ping","y":)" + deep.substr(1, 128) + "}", true,
+         R"({"v":1,"op":"ping"})"},
+        // The first of a repeated member wins; order is free.
+        {true, R"({"op":"ping","op":"x"})", true, R"({"v":1,"op":"ping"})"},
+        {true, R"({"op":"x","op":"ping"})", false, R"(unknown op "x")"},
+        {true, R"({"v":1,"v":2,"op":"ping"})", true,
+         R"({"v":1,"op":"ping"})"},
+        {true, R"({"deadline_ms":5,"op":"ping","v":1})", true,
+         R"({"v":1,"op":"ping","deadline_ms":5})"},
+        {true, R"({"op":"solve_network","batch":2,"net":"a","op":"x"})",
+         true, R"({"v":1,"op":"solve_network","net":"a","batch":2})"},
+        // Responses.
+        {false, "x", false, "response is not a JSON object"},
+        {false, R"({"ok":1})", false, R"(response has no "ok")"},
+        {false, R"({"ok":true})", false, R"(response has no valid "op")"},
+        {false, R"({"ok":true,"op":"solve"})", false,
+         "solve result: missing cache provenance"},
+        {false, R"({"ok":true,"op":"solve","cache":"hit"})", false,
+         "solve result: bad record"},
+        {false, R"({"ok":true,"op":"solve","cache":"hit","record":)" +
+                    record + "}",
+         false, "solve: missing solve_s"},
+        {false, R"({"ok":true,"op":"solve_network"})", false,
+         "solve_network: missing summary fields"},
+        {false, R"({"ok":true,"op":"solve_network",)" + summary + "}",
+         false, "solve_network: missing solve_s"},
+        {false,
+         R"({"ok":true,"op":"solve_network",)" + summary +
+             R"(,"solve_s":0})",
+         false, "solve_network: missing layers"},
+        {false,
+         R"({"ok":true,"op":"solve_network",)" + summary +
+             R"(,"solve_s":0,"layers":[1]})",
+         false, "solve result: missing cache provenance"},
+        {false, R"({"ok":true,"op":"stats","machine":"x"})", false,
+         "machine: expected 16 hex digits"},
+        {false, R"({"ok":true,"op":"stats"})", false,
+         "stats: missing counter fields"},
+        {false,
+         R"({"ok":true,"op":"stats",)" + counters +
+             R"(,"journal_seq":-0.5})",
+         false, "stats: bad journal_seq"},
+        {false, R"({"ok":true,"op":"stats",)" + counters + "}", false,
+         "stats: missing entry_hits"},
+        {false,
+         R"({"ok":true,"op":"stats",)" + counters +
+             R"(,"entry_hits":[{"key":"k"}]})",
+         false, "stats: bad entry_hits row"},
+        {false, R"({"ok":true,"op":"replicate","fp":1})", false,
+         "replicate: bad digest"},
+        {false, R"({"ok":true,"op":"replicate","records":{}})", false,
+         "replicate: bad records"},
+        {false, R"({"ok":true,"op":"replicate","records":[1]})", false,
+         "replicate: bad record in records"},
+        {false, R"({"ok":true,"op":"replicate","applied":"1"})", false,
+         "replicate: bad applied"},
+        {false, R"({"ok":false})", true,
+         R"({"ok":false,"error":"unspecified server error"})"},
+        {false, R"({"ok":true,"op":"bogus","x":[1,2})", false,
+         "response is not a JSON object"},
+        {false,
+         R"({"ok":true,"op":"solve_network",)" + summary +
+             R"(,"solve_s":0,"layers":[],"x":"\u12"})",
+         false, "response is not a JSON object"},
+        {false, R"({"ok":false,"ok":true,"error":"e","code":"overloaded"})",
+         true, R"({"ok":false,"error":"e","code":"overloaded"})"},
+        {false,
+         R"({"layers":[],"solve_s":0,"evals":1,"misses":0,"hits":0,)"
+         R"("unique":0,"plan":"p","op":"solve_network","ok":true})",
+         true,
+         R"({"ok":true,"op":"solve_network","plan":"p","unique":0,)"
+         R"("hits":0,"misses":0,"evals":1,"solve_s":0,"layers":[]})"},
+    };
+    for (const auto &row : rows) {
+        std::string err = "untouched";
+        std::string got;
+        bool ok;
+        if (row.request) {
+            RpcRequest req;
+            ok = requestFromJsonLine(row.line, req, &err);
+            if (ok)
+                got = requestToJsonLine(req);
+        } else {
+            RpcResponse resp;
+            ok = responseFromJsonLine(row.line, resp, &err);
+            if (ok)
+                got = responseToJsonLine(resp);
+        }
+        EXPECT_EQ(ok, row.ok) << row.line << "\n" << err;
+        EXPECT_EQ(ok ? got : err, row.want) << row.line;
+    }
 }
 
 TEST(RpcProtocol, ResponseRoundTrips)
@@ -525,6 +706,213 @@ TEST(RpcProtocol, MutatedGoldenRecordsParseOrRefuse)
                       journal_accepted);
     }
     std::remove(path.c_str());
+}
+
+/** @p v as JSON text (numbers in %.17g, which reads back exactly). */
+void
+writeJson(const JsonValue &v, std::string &out)
+{
+    switch (v.type) {
+    case JsonValue::Type::Null: out += "null"; break;
+    case JsonValue::Type::Bool: out += v.b ? "true" : "false"; break;
+    case JsonValue::Type::Number: jsonAppendDouble(out, v.num); break;
+    case JsonValue::Type::String:
+        out += '"';
+        jsonAppendEscaped(out, v.str);
+        out += '"';
+        break;
+    case JsonValue::Type::Array:
+        out += '[';
+        for (std::size_t i = 0; i < v.arr.size(); ++i) {
+            if (i)
+                out += ',';
+            writeJson(v.arr[i], out);
+        }
+        out += ']';
+        break;
+    case JsonValue::Type::Object:
+        out += '{';
+        for (std::size_t i = 0; i < v.obj.size(); ++i) {
+            out += i ? ",\"" : "\"";
+            jsonAppendEscaped(out, v.obj[i].first);
+            out += "\":";
+            writeJson(v.obj[i].second, out);
+        }
+        out += '}';
+        break;
+    }
+}
+
+/** Every object in @p v, outermost first. */
+void
+collectObjects(JsonValue &v, std::vector<JsonValue *> &out)
+{
+    if (v.isObject())
+        out.push_back(&v);
+    for (JsonValue &e : v.arr)
+        collectObjects(e, out);
+    for (auto &kv : v.obj)
+        collectObjects(kv.second, out);
+}
+
+/** One to three seeded edits of the members of @p line's objects:
+ *  reorder two, repeat one (the copy keeps its value or takes a
+ *  stray one) before or after the original, or add an unknown one. */
+std::string
+mutateMembers(const std::string &line, Rng &rng)
+{
+    JsonValue root;
+    if (!jsonParse(line, root))
+        return line;
+    static const char *const kValues[] = {
+        "0", "1", "-1", "2.5", "1e15", "1e16", "\"hit\"", "\"\"",
+        "\"p\\u0069ng\"", "true", "null", "[]", "{}", "[1,2,3,4,5,6,7]",
+        "{\"zz\":[{}]}"};
+    const std::size_t n = 1 + rng.index(3);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<JsonValue *> objs;
+        collectObjects(root, objs);
+        // Favour the top level: it holds the fields decoders check first.
+        JsonValue &o = *objs[rng.index(2) ? 0 : rng.index(objs.size())];
+        auto &m = o.obj;
+        const std::size_t at = rng.index(m.size() + 1);
+        switch (m.empty() ? 2 : rng.index(3)) {
+        case 0: std::swap(m[rng.index(m.size())], m[rng.index(m.size())]);
+            break;
+        case 1: {
+            const std::size_t from = rng.index(m.size());
+            auto copy = m[from];
+            if (rng.index(2))
+                jsonParse(kValues[rng.index(std::size(kValues))],
+                          copy.second);
+            m.insert(m.begin() + static_cast<std::ptrdiff_t>(at),
+                     std::move(copy));
+            break;
+        }
+        default: {
+            std::pair<std::string, JsonValue> extra{"zz", {}};
+            jsonParse(kValues[rng.index(std::size(kValues))], extra.second);
+            m.insert(m.begin() + static_cast<std::ptrdiff_t>(at),
+                     std::move(extra));
+            break;
+        }
+        }
+    }
+    std::string out;
+    writeJson(root, out);
+    return out;
+}
+
+TEST(RpcProtocol, DecodersAgreeWithTreeReference)
+{
+    RpcResponse stats;
+    stats.ok = true;
+    stats.op = RpcOp::Stats;
+    stats.machine_fp = 0x0123456789abcdefull;
+    stats.settings_fp = 0xfedcba9876543210ull;
+    stats.machine_name = "i7";
+    stats.entries = 2;
+    stats.shards = 8;
+    stats.sched_peak = 3;
+    stats.journal_seq = 412;
+    stats.entry_hits = {{"a", 3}, {"b", 0}};
+    RpcResponse solve = goldenNetworkResponse();
+    solve.op = RpcOp::Solve;
+    solve.solve = solve.layers[1];
+    RpcRequest ir;
+    ir.op = RpcOp::SolveNetwork;
+    ir.ir = NetworkDef("tiny", 3, 8, 8);
+    ir.ir.conv("c1", 8, 3);
+    ir.has_ir = true;
+    TuneSample sample;
+    sample.key = goldenKey(2);
+    sample.config = goldenSolution().config;
+    sample.measured_seconds = 2e-3;
+    sample.predicted_seconds = 1e-3;
+    sample.pred_level_seconds = {1e-4, 2e-4, 3e-4, 1e-3};
+    sample.pred_compute_seconds = 5e-4;
+    sample.runner = "exec";
+    std::vector<std::string> seeds = {
+        responseToJsonLine(goldenNetworkResponse()),
+        responseToJsonLine(stats),
+        responseToJsonLine(solve),
+        responseToJsonLine(
+            rpcErrorResponse("busy", RpcErrorCode::Overloaded)),
+        requestToJsonLine(goldenSolveRequest()),
+        requestToJsonLine(goldenNetworkRequest()),
+        requestToJsonLine(ir),
+        solutionToJsonLine(goldenKey(1), goldenSolution(), 42, 7),
+        tuneSampleToJsonLine(sample)};
+    for (const RpcRequest &r : goldenReplicateRequests())
+        seeds.push_back(requestToJsonLine(r));
+    for (const RpcResponse &r : goldenReplicateResponses())
+        seeds.push_back(responseToJsonLine(r));
+
+    // The library's decoders and the tree-based reference take the
+    // same mutants, encode what they take to the same bytes, and
+    // refuse the rest with the same message.
+    Rng rng(20261019);
+    const auto stop =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    std::int64_t mutants = 0, accepted = 0;
+    while (mutants < 20000 && std::chrono::steady_clock::now() < stop) {
+        const std::string &seed = seeds[rng.index(seeds.size())];
+        std::string m;
+        switch (rng.index(3)) {
+        case 0: m = mutate(seed, rng); break;
+        case 1: m = mutateMembers(seed, rng); break;
+        default: m = mutate(mutateMembers(seed, rng), rng); break;
+        }
+        ++mutants;
+
+        std::string err, ref_err;
+        RpcRequest req, ref_req;
+        const bool req_ok = requestFromJsonLine(m, req, &err);
+        ASSERT_EQ(req_ok, treeRequestFromJsonLine(m, ref_req, &ref_err)) << m;
+        if (req_ok) {
+            ASSERT_EQ(requestToJsonLine(req), requestToJsonLine(ref_req)) << m;
+        } else {
+            ASSERT_EQ(err, ref_err) << m;
+        }
+
+        RpcResponse resp, ref_resp;
+        const bool resp_ok = responseFromJsonLine(m, resp, &err);
+        ASSERT_EQ(resp_ok, treeResponseFromJsonLine(m, ref_resp, &ref_err))
+            << m;
+        if (resp_ok) {
+            ASSERT_EQ(responseToJsonLine(resp), responseToJsonLine(ref_resp))
+                << m;
+        } else {
+            ASSERT_EQ(err, ref_err) << m;
+        }
+
+        CacheKey key, ref_key;
+        CachedSolution sol, ref_sol;
+        std::int64_t hits = 0, seq = 0, ref_hits = 0, ref_seq = 0;
+        const bool rec_ok = solutionFromJsonLine(m, key, sol, &hits, &seq);
+        ASSERT_EQ(rec_ok, treeSolutionFromJsonLine(m, ref_key, ref_sol,
+                                                   &ref_hits, &ref_seq))
+            << m;
+        if (rec_ok) {
+            ASSERT_EQ(solutionToJsonLine(key, sol, hits, seq),
+                      solutionToJsonLine(ref_key, ref_sol, ref_hits,
+                                         ref_seq))
+                << m;
+        }
+
+        TuneSample ts, ref_ts;
+        const bool ts_ok = tuneSampleFromJsonLine(m, ts);
+        ASSERT_EQ(ts_ok, treeTuneSampleFromJsonLine(m, ref_ts)) << m;
+        if (ts_ok) {
+            ASSERT_EQ(tuneSampleToJsonLine(ts), tuneSampleToJsonLine(ref_ts))
+                << m;
+        }
+        accepted += req_ok + resp_ok + rec_ok + ts_ok;
+    }
+    EXPECT_GE(mutants, 200);
+    // The member edits keep many mutants decodable, so the fuzz checks
+    // acceptances and not only refusals.
+    EXPECT_GE(accepted * 4, mutants) << accepted << " of " << mutants;
 }
 
 TEST(RpcProtocol, EndpointListParsing)

@@ -11,8 +11,11 @@
 #     scheduler's runners).
 #   journal: durable files go through src/common/journal.*, so a file
 #     that calls fsync or rename fails unless it is that module.
+#   json: lines are decoded straight from JsonReader's tokens, so a
+#     file that names JsonValue or calls jsonParse( fails unless it is
+#     the JSON module or the network IR (the one tree still built).
 #
-# Usage: tools/lint_src_threads.sh [threads|journal] [src_dir]
+# Usage: tools/lint_src_threads.sh [threads|journal|json] [src_dir]
 #        (src_dir defaults to <repo>/src)
 set -euo pipefail
 
@@ -41,8 +44,14 @@ journal)
     pattern="$code\\b(fsync|rename)[[:space:]]*\\("
     ok="src/ syncs and renames files only in common/journal"
     ;;
+json)
+    allowed=" common/json frontend/network_def "
+    what="builds a JSON tree outside common/json and the network IR"
+    pattern="$code(\\bJsonValue\\b|\\bjsonParse[[:space:]]*\\()"
+    ok="src/ builds JSON trees only in common/json and frontend/network_def"
+    ;;
 *)
-    echo "usage: $0 [threads|journal] [src_dir]" >&2
+    echo "usage: $0 [threads|journal|json] [src_dir]" >&2
     exit 2
     ;;
 esac

@@ -253,6 +253,8 @@ calibratedMachine(const mopt::Flags &flags, const mopt::MachineSpec &m)
     std::cout << "Calibration: " << path << " ("
               << cm.journal_loaded << " samples loaded): "
               << cm.calibration.str() << "\n";
+    for (const std::string &w : cm.calibration.clampWarnings())
+        logWarn(w);
     return cm;
 }
 
@@ -484,6 +486,8 @@ runAutotune(int argc, char **argv)
         std::cout << "Spearman(predicted, measured) = "
                   << formatDouble(rep.rank_correlation, 3) << "\n";
     std::cout << "Calibration: " << rep.calibration.str() << "\n";
+    for (const std::string &w : rep.calibration.clampWarnings())
+        logWarn(w);
     if (!journal.empty())
         std::cout << "Wrote " << store.stats().appended
                   << " sample(s) to " << journal
