@@ -80,7 +80,6 @@ logMessage(LogLevel level, const std::string &msg)
 void
 fatal(const std::string &msg)
 {
-    logMessage(LogLevel::Error, "fatal: " + msg);
     throw FatalError(msg);
 }
 

@@ -3,7 +3,7 @@
  * Logging and error-reporting utilities for the MOpt library.
  *
  * Follows the gem5 convention: fatal() is for user errors (bad
- * configuration, invalid arguments) and exits cleanly; panic() is for
+ * configuration, invalid arguments) and throws FatalError; panic() is for
  * internal invariant violations and aborts.
  */
 
@@ -49,7 +49,10 @@ class FatalError : public std::runtime_error
 
 /**
  * Report an unrecoverable *user* error (bad configuration, invalid
- * argument) by throwing FatalError. Library code never calls exit().
+ * argument) by throwing FatalError. Library code never calls exit(),
+ * and fatal() writes nothing: a caller that refuses the input quietly
+ * (a decoder, the server) stays quiet, and the CLI prints the message
+ * once at top level.
  */
 [[noreturn]] void fatal(const std::string &msg);
 

@@ -94,8 +94,11 @@ defaultConfig(const ConvProblem &p)
 {
     const IntTileVec extents = problemExtents(p);
     ExecConfig cfg;
+    // Every cap is a per-group extent (problemExtents), like the L2
+    // and L3 tiles, so the tiles nest for grouped layers too.
     IntTileVec reg{1, 1, 1, 1, 1, 1, 1};
-    reg[DimK] = std::min<std::int64_t>(MicroKernelShape::kKU, p.k);
+    reg[DimK] =
+        std::min<std::int64_t>(MicroKernelShape::kKU, extents[DimK]);
     reg[DimW] = std::min<std::int64_t>(MicroKernelShape::kWU, p.w);
     cfg.perm[LvlReg] = Permutation::parse("nhwkcrs");
     cfg.tiles[LvlReg] = reg;
@@ -104,11 +107,11 @@ defaultConfig(const ConvProblem &p)
         cfg.tiles[static_cast<std::size_t>(l)] = extents;
     }
     // Keep the L1 tile modest so the default is not pathological.
-    cfg.tiles[LvlL1][DimC] = std::min<std::int64_t>(p.c, 64);
+    cfg.tiles[LvlL1][DimC] = std::min<std::int64_t>(extents[DimC], 64);
     cfg.tiles[LvlL1][DimH] = std::min<std::int64_t>(p.h, 8);
     cfg.tiles[LvlL1][DimW] = std::min<std::int64_t>(p.w, 48);
     cfg.tiles[LvlL1][DimK] = std::min<std::int64_t>(
-        p.k, MicroKernelShape::kKU);
+        extents[DimK], MicroKernelShape::kKU);
     for (int d = 0; d < NumDims; ++d)
         cfg.tiles[LvlL2][static_cast<std::size_t>(d)] = std::min(
             extents[static_cast<std::size_t>(d)],

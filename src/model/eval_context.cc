@@ -1,6 +1,7 @@
 #include "model/eval_context.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -34,13 +35,17 @@ outerBase(int l)
     }
 }
 
+/** Source of EvalContext ids: 0 is never handed out (empty memo). */
+std::atomic<std::uint64_t> g_next_context_id{1};
+
 } // namespace
 
 EvalContext::EvalContext(const ConvProblem &p, const MachineSpec &m,
                          const std::array<Permutation, NumMemLevels> &perms,
                          const TileVec &reg_tiles, const IntTileVec &par,
                          bool parallel)
-    : p_(&p), extents_(toTileVec(problemExtents(p))),
+    : id_(g_next_context_id.fetch_add(1, std::memory_order_relaxed)),
+      p_(&p), extents_(toTileVec(problemExtents(p))),
       reg_tiles_(reg_tiles), perms_(perms), int_par_(par),
       par_(toTileVec(par)), parallel_(parallel), flops_(p.flops())
 {
@@ -147,9 +152,86 @@ EvalContext::decode(const double *x, Scratch &s) const
     s.outer[LvlReg] = s.tiles[LvlL1];
 }
 
+double
+EvalContext::levelVolume(int l, const Scratch &s, TensorVolumes &vol) const
+{
+    const auto sl = static_cast<std::size_t>(l);
+    const TileVec &T = s.tiles[sl];
+    const TileVec &O = s.outer[sl];
+
+    double V = 0.0;
+    for (int t = 0; t < NumTensors; ++t) {
+        const auto st = static_cast<std::size_t>(t);
+        const int r_pos = r_pos_[sl][st];
+        const Dim r_dim = r_dim_[sl][st];
+        if (t == TenIn && (r_dim == DimW || r_dim == DimH ||
+                           r_dim == DimS || r_dim == DimR)) {
+            double ext_h, ext_w;
+            sweptInputExtents(r_dim, T, O, ext_h, ext_w);
+            double trip = 1.0;
+            for (int pos = r_pos + 1; pos <= NumDims; ++pos) {
+                const auto sd = static_cast<std::size_t>(
+                    pos_dim_[sl][static_cast<std::size_t>(pos)]);
+                trip *= O[sd] / T[sd];
+            }
+            vol[st] = trip * T[DimN] * T[DimC] * ext_h * ext_w;
+        } else {
+            // Case 1: whole-slice replacement at every iteration of
+            // the loop at R_A and beyond.
+            const double fp =
+                tileFootprint(static_cast<TensorId>(t), T, *p_);
+            const double factor = t == TenOut ? 2.0 : 1.0;
+            double trip = 1.0;
+            for (int pos = r_pos; pos <= NumDims; ++pos) {
+                const auto sd = static_cast<std::size_t>(
+                    pos_dim_[sl][static_cast<std::size_t>(pos)]);
+                trip *= O[sd] / T[sd];
+            }
+            vol[st] = factor * trip * fp;
+        }
+        V += vol[st];
+    }
+
+    // Total traffic = per-enclosing-tile volume x number of enclosing
+    // tiles over the whole problem. Extents are per group; the
+    // implicit group loop multiplies the count by p.groups (a constant
+    // factor, so log-space gradients are unchanged).
+    double count = static_cast<double>(p_->groups);
+    for (int d = 0; d < NumDims; ++d) {
+        const auto sd = static_cast<std::size_t>(d);
+        count *= extents_[sd] / O[sd];
+    }
+    return V * count;
+}
+
 void
-EvalContext::levelSeconds(int l, const Scratch &s, double &volume,
-                          double &seconds, double *dls) const
+EvalContext::sweptInputExtents(Dim r_dim, const TileVec &T,
+                               const TileVec &O, double &ext_h,
+                               double &ext_w) const
+{
+    const int stride = p_->stride;
+    const int dil = p_->dilation;
+    ext_h = inputExtent(T[DimH], T[DimR], stride, dil);
+    ext_w = inputExtent(T[DimW], T[DimS], stride, dil);
+    switch (r_dim) {
+      case DimW:
+        ext_w = inputExtent(O[DimW], T[DimS], stride, dil);
+        break;
+      case DimS:
+        ext_w = inputExtent(T[DimW], O[DimS], stride, dil);
+        break;
+      case DimH:
+        ext_h = inputExtent(O[DimH], T[DimR], stride, dil);
+        break;
+      default: // DimR
+        ext_h = inputExtent(T[DimH], O[DimR], stride, dil);
+        break;
+    }
+}
+
+void
+EvalContext::levelGradient(int l, const Scratch &s,
+                           const TensorVolumes &vols, double *dls) const
 {
     const auto sl = static_cast<std::size_t>(l);
     const TileVec &T = s.tiles[sl];
@@ -172,8 +254,7 @@ EvalContext::levelSeconds(int l, const Scratch &s, double &volume,
         }
     }
 
-    if (dls)
-        std::fill(dls, dls + kNumVars, 0.0);
+    std::fill(dls, dls + kNumVars, 0.0);
 
     // dls first accumulates sum_t vol_t * dlog(vol_t); it is divided
     // by the total volume (and count terms added) at the end.
@@ -182,109 +263,64 @@ EvalContext::levelSeconds(int l, const Scratch &s, double &volume,
         const auto st = static_cast<std::size_t>(t);
         const int r_pos = r_pos_[sl][st];
         const Dim r_dim = r_dim_[sl][st];
-        const bool case2 =
-            t == TenIn && (r_dim == DimW || r_dim == DimH ||
-                           r_dim == DimS || r_dim == DimR);
-
-        double vol;
-        if (case2) {
-            double ext_h = inputExtent(T[DimH], T[DimR], stride, dil);
-            double ext_w = inputExtent(T[DimW], T[DimS], stride, dil);
+        const double vol = vols[st];
+        V += vol;
+        if (t == TenIn && (r_dim == DimW || r_dim == DimH ||
+                           r_dim == DimS || r_dim == DimR)) {
+            double ext_h, ext_w;
+            sweptInputExtents(r_dim, T, O, ext_h, ext_w);
+            if (own >= 0) {
+                dls[own + DimN] += vol;
+                dls[own + DimC] += vol;
+            }
+            // Extent terms: d log inputExtent(a, b) / d log a =
+            // a*stride/ext, / d log b = b*dilation/ext; the swept
+            // argument routes to the enclosing level's variable.
+            auto ownTerm = [&](Dim d, double coef) {
+                if (own >= 0)
+                    dls[own + d] += vol * coef;
+            };
+            auto obTerm = [&](Dim d, double coef) {
+                if (ob >= 0)
+                    dls[ob + d] +=
+                        vol * coef * chain[static_cast<std::size_t>(d)];
+            };
             switch (r_dim) {
               case DimW:
-                ext_w = inputExtent(O[DimW], T[DimS], stride, dil);
+                ownTerm(DimH, T[DimH] * stride / ext_h);
+                ownTerm(DimR, T[DimR] * dil / ext_h);
+                obTerm(DimW, O[DimW] * stride / ext_w);
+                ownTerm(DimS, T[DimS] * dil / ext_w);
                 break;
               case DimS:
-                ext_w = inputExtent(T[DimW], O[DimS], stride, dil);
+                ownTerm(DimH, T[DimH] * stride / ext_h);
+                ownTerm(DimR, T[DimR] * dil / ext_h);
+                ownTerm(DimW, T[DimW] * stride / ext_w);
+                obTerm(DimS, O[DimS] * dil / ext_w);
                 break;
               case DimH:
-                ext_h = inputExtent(O[DimH], T[DimR], stride, dil);
+                obTerm(DimH, O[DimH] * stride / ext_h);
+                ownTerm(DimR, T[DimR] * dil / ext_h);
+                ownTerm(DimW, T[DimW] * stride / ext_w);
+                ownTerm(DimS, T[DimS] * dil / ext_w);
                 break;
               default: // DimR
-                ext_h = inputExtent(T[DimH], O[DimR], stride, dil);
+                ownTerm(DimH, T[DimH] * stride / ext_h);
+                obTerm(DimR, O[DimR] * dil / ext_h);
+                ownTerm(DimW, T[DimW] * stride / ext_w);
+                ownTerm(DimS, T[DimS] * dil / ext_w);
                 break;
             }
-            double trip = 1.0;
             for (int pos = r_pos + 1; pos <= NumDims; ++pos) {
-                const auto sd = static_cast<std::size_t>(
-                    pos_dim_[sl][static_cast<std::size_t>(pos)]);
-                trip *= O[sd] / T[sd];
-            }
-            vol = trip * T[DimN] * T[DimC] * ext_h * ext_w;
-            V += vol;
-
-            if (dls) {
-                if (own >= 0) {
-                    dls[own + DimN] += vol;
-                    dls[own + DimC] += vol;
-                }
-                // Extent terms: d log inputExtent(a, b) / d log a =
-                // a*stride/ext, / d log b = b*dilation/ext; the swept
-                // argument routes to the enclosing level's variable.
-                auto ownTerm = [&](Dim d, double coef) {
-                    if (own >= 0)
-                        dls[own + d] += vol * coef;
-                };
-                auto obTerm = [&](Dim d, double coef) {
-                    if (ob >= 0)
-                        dls[ob + d] +=
-                            vol * coef * chain[static_cast<std::size_t>(d)];
-                };
-                switch (r_dim) {
-                  case DimW:
-                    ownTerm(DimH, T[DimH] * stride / ext_h);
-                    ownTerm(DimR, T[DimR] * dil / ext_h);
-                    obTerm(DimW, O[DimW] * stride / ext_w);
-                    ownTerm(DimS, T[DimS] * dil / ext_w);
-                    break;
-                  case DimS:
-                    ownTerm(DimH, T[DimH] * stride / ext_h);
-                    ownTerm(DimR, T[DimR] * dil / ext_h);
-                    ownTerm(DimW, T[DimW] * stride / ext_w);
-                    obTerm(DimS, O[DimS] * dil / ext_w);
-                    break;
-                  case DimH:
-                    obTerm(DimH, O[DimH] * stride / ext_h);
-                    ownTerm(DimR, T[DimR] * dil / ext_h);
-                    ownTerm(DimW, T[DimW] * stride / ext_w);
-                    ownTerm(DimS, T[DimS] * dil / ext_w);
-                    break;
-                  default: // DimR
-                    ownTerm(DimH, T[DimH] * stride / ext_h);
-                    obTerm(DimR, O[DimR] * dil / ext_h);
-                    ownTerm(DimW, T[DimW] * stride / ext_w);
-                    ownTerm(DimS, T[DimS] * dil / ext_w);
-                    break;
-                }
-                for (int pos = r_pos + 1; pos <= NumDims; ++pos) {
-                    const Dim d =
-                        pos_dim_[sl][static_cast<std::size_t>(pos)];
-                    if (own >= 0)
-                        dls[own + d] -= vol;
-                    if (ob >= 0)
-                        dls[ob + d] +=
-                            vol * chain[static_cast<std::size_t>(d)];
-                }
+                const Dim d = pos_dim_[sl][static_cast<std::size_t>(pos)];
+                if (own >= 0)
+                    dls[own + d] -= vol;
+                if (ob >= 0)
+                    dls[ob + d] += vol * chain[static_cast<std::size_t>(d)];
             }
             continue;
         }
 
-        // Case 1: whole-slice replacement at every iteration of the
-        // loop at R_A and beyond.
-        const double fp =
-            tileFootprint(static_cast<TensorId>(t), T, *p_);
-        const double factor = t == TenOut ? 2.0 : 1.0;
-        double trip = 1.0;
-        for (int pos = r_pos; pos <= NumDims; ++pos) {
-            const auto sd = static_cast<std::size_t>(
-                pos_dim_[sl][static_cast<std::size_t>(pos)]);
-            trip *= O[sd] / T[sd];
-        }
-        vol = factor * trip * fp;
-        V += vol;
-
-        if (!dls)
-            continue;
         for (int pos = r_pos; pos <= NumDims; ++pos) {
             const Dim d = pos_dim_[sl][static_cast<std::size_t>(pos)];
             if (own >= 0)
@@ -323,41 +359,46 @@ EvalContext::levelSeconds(int l, const Scratch &s, double &volume,
         }
     }
 
-    // Total traffic = per-enclosing-tile volume x number of enclosing
-    // tiles over the whole problem. Extents are per group; the
-    // implicit group loop multiplies the count by p.groups (a constant
-    // factor, so log-space gradients are unchanged).
-    double count = static_cast<double>(p_->groups);
-    for (int d = 0; d < NumDims; ++d) {
-        const auto sd = static_cast<std::size_t>(d);
-        count *= extents_[sd] / O[sd];
-    }
-    volume = V * count;
-    seconds = volume * sec_per_word_[sl];
-
-    if (dls) {
-        const double inv_v = 1.0 / V;
-        for (int j = 0; j < kNumVars; ++j)
-            dls[j] *= inv_v;
-        if (ob >= 0)
-            for (int d = 0; d < NumDims; ++d)
-                dls[ob + d] -= chain[static_cast<std::size_t>(d)];
-    }
+    const double inv_v = 1.0 / V;
+    for (int j = 0; j < kNumVars; ++j)
+        dls[j] *= inv_v;
+    if (ob >= 0)
+        for (int d = 0; d < NumDims; ++d)
+            dls[ob + d] -= chain[static_cast<std::size_t>(d)];
 }
 
 void
 EvalContext::evalSeconds(const double *x, Scratch &s,
-                         std::array<double, NumMemLevels> &seconds,
-                         bool want_grad) const
+                         std::array<double, NumMemLevels> &seconds) const
 {
     decode(x, s);
     for (int l = 0; l < NumMemLevels; ++l) {
         const auto sl = static_cast<std::size_t>(l);
-        double volume;
-        levelSeconds(l, s, volume, seconds[sl],
-                     want_grad ? s.dlogsec[sl].data() : nullptr);
+        Scratch::LevelMemo &e = s.memo[sl];
+        if (e.ctx != id_ || e.tiles != s.tiles[sl] ||
+            e.outer != s.outer[sl]) {
+            e.ctx = id_;
+            e.tiles = s.tiles[sl];
+            e.outer = s.outer[sl];
+            e.has_grad = false;
+            e.seconds = levelVolume(l, s, e.vols) * sec_per_word_[sl];
+        }
+        seconds[sl] = e.seconds;
     }
     overhead(s);
+}
+
+const double *
+EvalContext::levelGrad(int l, Scratch &s) const
+{
+    const auto sl = static_cast<std::size_t>(l);
+    Scratch::LevelMemo &e = s.memo[sl];
+    checkInvariant(e.ctx == id_, "levelGrad: call evalSeconds first");
+    if (!e.has_grad) {
+        levelGradient(l, s, e.vols, s.dlogsec[sl].data());
+        e.has_grad = true;
+    }
+    return s.dlogsec[sl].data();
 }
 
 double
@@ -399,11 +440,14 @@ CostBreakdown
 EvalContext::evalBreakdown(const double *x, Scratch &s) const
 {
     decode(x, s);
+    for (Scratch::LevelMemo &e : s.memo)
+        e.ctx = 0;
     CostBreakdown out;
     for (int l = 0; l < NumMemLevels; ++l) {
         const auto sl = static_cast<std::size_t>(l);
-        levelSeconds(l, s, out.volume_words[sl], out.seconds[sl],
-                     nullptr);
+        TensorVolumes vols;
+        out.volume_words[sl] = levelVolume(l, s, vols);
+        out.seconds[sl] = out.volume_words[sl] * sec_per_word_[sl];
     }
     out.bottleneck = LvlReg;
     for (int l = 1; l < NumMemLevels; ++l)

@@ -21,6 +21,7 @@
 #define MOPT_MODEL_EVAL_CONTEXT_HH
 
 #include <array>
+#include <cstdint>
 
 #include "conv/problem.hh"
 #include "machine/machine.hh"
@@ -42,6 +43,8 @@ class EvalContext
 {
   public:
     static constexpr int kNumVars = 3 * NumDims;
+    /** One level's traffic per enclosing tile, by tensor. */
+    using TensorVolumes = std::array<double, NumTensors>;
 
     EvalContext(const ConvProblem &p, const MachineSpec &m,
                 const std::array<Permutation, NumMemLevels> &perms,
@@ -50,8 +53,9 @@ class EvalContext
 
     /**
      * Caller-owned scratch: decoded tiles, enclosing extents, and the
-     * gradient tables filled by evalSeconds. Fixed-size (no heap);
-     * reusable across calls and contexts of the same shape.
+     * per-level memo filled by evalSeconds and levelGrad. Fixed-size
+     * (no heap); reusable across calls and across contexts of any
+     * shape.
      */
     struct Scratch
     {
@@ -59,7 +63,26 @@ class EvalContext
         std::array<TileVec, NumMemLevels> tiles;
         /** Enclosing-tile extents per level. */
         std::array<TileVec, NumMemLevels> outer;
-        /** d log seconds[l] / d x[j], filled when want_grad. */
+        /**
+         * What one level's time was last computed from, and the time.
+         * A level's time and gradient depend only on the context and
+         * the level's own tiles and enclosing extents, so a step that
+         * leaves both unchanged (a fixed level, or a fixed level
+         * enclosed by another) reuses them. The context is named by
+         * its id, never by its address: a new context may be built
+         * where a freed one was.
+         */
+        struct LevelMemo
+        {
+            std::uint64_t ctx = 0; //!< The context's id; 0 = empty.
+            TileVec tiles{};
+            TileVec outer{};
+            TensorVolumes vols{};  //!< Per-tensor, per enclosing tile.
+            double seconds = 0.0;
+            bool has_grad = false; //!< dlogsec[level] belongs to it.
+        };
+        std::array<LevelMemo, NumMemLevels> memo;
+        /** d log seconds[l] / d x[j]; valid when memo[l].has_grad. */
         std::array<std::array<double, kNumVars>, NumMemLevels> dlogsec;
         /**
          * The two parts of CostBreakdown::overhead_seconds: microkernel
@@ -87,18 +110,25 @@ class EvalContext
     /**
      * Decode @p x (kNumVars log-tile values) and compute the
      * bandwidth-scaled time of every level and the overhead parts in
-     * s (Continuous trip counts, the solver domain). With @p want_grad
-     * also fills s.dlogsec with the exact gradient of each log level
-     * time.
+     * s (Continuous trip counts, the solver domain). Levels whose
+     * inputs match s.memo are not recomputed.
      *
-     * @param x          kNumVars-sized array of log tile sizes
-     * @param s          scratch (tiles/outer/dlogsec outputs)
-     * @param seconds    per-level bandwidth-scaled times
-     * @param want_grad  also compute s.dlogsec
+     * @param x        kNumVars-sized array of log tile sizes
+     * @param s        scratch (tiles/outer/memo outputs)
+     * @param seconds  per-level bandwidth-scaled times
      */
     void evalSeconds(const double *x, Scratch &s,
-                     std::array<double, NumMemLevels> &seconds,
-                     bool want_grad) const;
+                     std::array<double, NumMemLevels> &seconds) const;
+
+    /**
+     * The exact gradient d log seconds[l] / d x (kNumVars entries) at
+     * the point the last evalSeconds on @p s decoded, by this context
+     * (evalBreakdown in between empties the memo and makes this call
+     * fail its check). Computed once per memoized level input and kept
+     * in s.dlogsec[l]. Entries outside the level's own and enclosing
+     * blocks are 0.
+     */
+    const double *levelGrad(int l, Scratch &s) const;
 
     /**
      * log(totalFootprint(tiles_lvl) / capacityWords(lvl)) for cache
@@ -114,6 +144,7 @@ class EvalContext
      * Full CostBreakdown at @p x (Continuous mode), equivalent to
      * decoding x into a MultiLevelConfig and calling evalMultiLevel,
      * but allocation-free. Used for parity tests and final reporting.
+     * Evaluates every level afresh and empties s.memo.
      */
     CostBreakdown evalBreakdown(const double *x, Scratch &s) const;
 
@@ -135,16 +166,31 @@ class EvalContext
     void decode(const double *x, Scratch &s) const;
 
     /**
-     * Volume and bandwidth-scaled time of level @p l from decoded
-     * scratch, with optional gradient of log seconds into @p dls
-     * (kNumVars, zero-filled here).
+     * Level @p l's traffic in words from decoded scratch: the
+     * per-enclosing-tile volume of each tensor into @p vol, times the
+     * number of enclosing tiles.
      */
-    void levelSeconds(int l, const Scratch &s, double &volume,
-                      double &seconds, double *dls) const;
+    double levelVolume(int l, const Scratch &s, TensorVolumes &vol) const;
+
+    /**
+     * d log seconds[l] / d x into @p dls (kNumVars, zero-filled here),
+     * from the per-tensor volumes levelVolume left in @p vol.
+     */
+    void levelGradient(int l, const Scratch &s, const TensorVolumes &vol,
+                       double *dls) const;
+
+    /** The input's extents along h and w when its R_A loop is the
+     *  spatial dimension @p r_dim: that argument spans the enclosing
+     *  tile. */
+    void sweptInputExtents(Dim r_dim, const TileVec &T, const TileVec &O,
+                           double &ext_h, double &ext_w) const;
 
     /** Fill s.call_overhead and s.sync_overhead from decoded tiles. */
     void overhead(Scratch &s) const;
 
+    /** Process-unique (never 0), the key of Scratch::memo. A copy
+     *  shares it: it evaluates identically. */
+    std::uint64_t id_;
     const ConvProblem *p_;
     TileVec extents_;
     TileVec reg_tiles_;

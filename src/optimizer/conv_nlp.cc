@@ -36,101 +36,103 @@ double
 ConvNlp::evalAll(const std::vector<double> &x,
                  std::vector<double> &g) const
 {
-    return evalImpl(x, g, nullptr, nullptr);
+    std::array<double, NumMemLevels> secs;
+    return std::log(evalValues(x, tlsScratch(), secs, g));
 }
 
 double
-ConvNlp::evalWithGrad(const std::vector<double> &x,
-                      std::vector<double> &g,
-                      std::vector<double> &grad_f,
-                      std::vector<double> &jac) const
-{
-    return evalImpl(x, g, &grad_f, &jac);
-}
-
-double
-ConvNlp::evalImpl(const std::vector<double> &x, std::vector<double> &g,
-                  std::vector<double> *grad_f,
-                  std::vector<double> *jac) const
+ConvNlp::evalValues(const std::vector<double> &x, EvalContext::Scratch &s,
+                    std::array<double, NumMemLevels> &secs,
+                    std::vector<double> &g) const
 {
     checkInvariant(static_cast<int>(x.size()) == kNumVars,
                    "ConvNlp: point size mismatch");
-    const bool want_grad = grad_f != nullptr;
-    EvalContext::Scratch &s = tlsScratch();
-
-    std::array<double, NumMemLevels> secs;
-    ctx_->evalSeconds(x.data(), s, secs, want_grad);
+    ctx_->evalSeconds(x.data(), s, secs);
 
     g.resize(static_cast<std::size_t>(kNumCons));
-    if (want_grad) {
-        grad_f->assign(static_cast<std::size_t>(kNumVars), 0.0);
-        jac->assign(
-            static_cast<std::size_t>(kNumCons) * kNumVars, 0.0);
-    }
-    auto jacRow = [&](std::size_t row) {
-        return jac->data() + row * static_cast<std::size_t>(kNumVars);
-    };
-
     std::size_t gi = 0;
     // Capacity: depends only on the level's own 7 variables.
-    for (int l = LvlL1; l <= LvlL3; ++l) {
-        const int own = (l - LvlL1) * NumDims;
-        g[gi] = ctx_->logCapacityRatio(
-            l, s, want_grad ? jacRow(gi) + own : nullptr);
-        ++gi;
-    }
+    for (int l = LvlL1; l <= LvlL3; ++l)
+        g[gi++] = ctx_->logCapacityRatio(l, s, nullptr);
     // Nesting: T_{l,d} <= T_{l+1,d} in log space (linear).
-    for (int l = 0; l < 2; ++l)
-        for (int d = 0; d < NumDims; ++d) {
-            const int i0 = l * NumDims + d;
-            const int i1 = (l + 1) * NumDims + d;
-            g[gi] = x[static_cast<std::size_t>(i0)] -
-                    x[static_cast<std::size_t>(i1)];
-            if (want_grad) {
-                jacRow(gi)[i0] = 1.0;
-                jacRow(gi)[i1] = -1.0;
-            }
-            ++gi;
-        }
+    for (int i0 = 0; i0 < 2 * NumDims; ++i0)
+        g[gi++] = x[static_cast<std::size_t>(i0)] -
+                  x[static_cast<std::size_t>(i0 + NumDims)];
     // Dominance: every other level's time is bounded by the
     // objective level's time.
     const auto so = static_cast<std::size_t>(obj_lvl_);
     const double obj_secs = std::max(secs[so], 1e-300);
-    for (int k = 0; k < NumMemLevels; ++k) {
-        if (k == obj_lvl_)
-            continue;
-        const auto sk = static_cast<std::size_t>(k);
-        g[gi] = std::log(std::max(secs[sk], 1e-300) / obj_secs);
-        if (want_grad) {
-            double *row = jacRow(gi);
-            for (int j = 0; j < kNumVars; ++j)
-                row[j] = s.dlogsec[sk][static_cast<std::size_t>(j)] -
-                         s.dlogsec[so][static_cast<std::size_t>(j)];
-        }
-        ++gi;
-    }
+    for (int k = 0; k < NumMemLevels; ++k)
+        if (k != obj_lvl_)
+            g[gi++] = std::log(
+                std::max(secs[static_cast<std::size_t>(k)], 1e-300) /
+                obj_secs);
     checkInvariant(gi == static_cast<std::size_t>(kNumCons),
                    "ConvNlp: constraint count mismatch");
 
-    // Objective: the level's time plus the call and region overhead,
-    // whose gradients are sparse (see EvalContext::Scratch): L1 is
-    // x[0..6] and L3 is x[14..20].
-    const double total = std::max(
-        secs[so] + s.call_overhead + s.sync_overhead, 1e-300);
-    if (want_grad) {
-        const double inv = 1.0 / total;
-        const double level_share = secs[so] * inv;
+    // Objective: the level's time plus the call and region overhead.
+    return std::max(secs[so] + s.call_overhead + s.sync_overhead, 1e-300);
+}
+
+double
+ConvNlp::augLagValueGrad(const std::vector<double> &x,
+                         const std::vector<double> &lambda, double mu,
+                         std::vector<double> &g,
+                         std::vector<double> &grad) const
+{
+    EvalContext::Scratch &s = tlsScratch();
+    std::array<double, NumMemLevels> secs;
+    const double total = evalValues(x, s, secs, g);
+    double value = std::log(total);
+    std::array<double, kNumCons> t;
+    for (std::size_t i = 0; i < t.size(); ++i)
+        t[i] = augLagTerm(lambda[i], mu, g[i], value);
+
+    // Objective gradient. The overhead's gradients are sparse (see
+    // EvalContext::Scratch): L1 is x[0..6] and L3 is x[14..20].
+    const auto so = static_cast<std::size_t>(obj_lvl_);
+    const double *dso = ctx_->levelGrad(obj_lvl_, s);
+    const double inv = 1.0 / total;
+    const double level_share = secs[so] * inv;
+    grad.resize(static_cast<std::size_t>(kNumVars));
+    for (std::size_t j = 0; j < static_cast<std::size_t>(kNumVars); ++j)
+        grad[j] = level_share * dso[j];
+    for (Dim d : {DimC, DimR, DimS})
+        grad[static_cast<std::size_t>(d)] -= s.call_overhead * inv;
+    for (int d = 0; d < NumDims; ++d)
+        grad[static_cast<std::size_t>(2 * NumDims + d)] -=
+            s.sync_overhead * inv;
+
+    // Active rows in row order, each adding only its nonzero entries
+    // (the order and terms of a dense Jacobian pass; see NlpProblem).
+    std::size_t row = 0;
+    for (int l = LvlL1; l <= LvlL3; ++l, ++row) {
+        if (t[row] <= 0.0)
+            continue;
+        double g7[NumDims];
+        ctx_->logCapacityRatio(l, s, g7);
+        double *own = grad.data() + (l - LvlL1) * NumDims;
+        for (int d = 0; d < NumDims; ++d)
+            own[d] += t[row] * g7[d];
+    }
+    for (int i0 = 0; i0 < 2 * NumDims; ++i0, ++row) {
+        if (t[row] <= 0.0)
+            continue;
+        grad[static_cast<std::size_t>(i0)] += t[row];
+        grad[static_cast<std::size_t>(i0 + NumDims)] -= t[row];
+    }
+    for (int k = 0; k < NumMemLevels; ++k) {
+        if (k == obj_lvl_)
+            continue;
+        const double tk = t[row++];
+        if (tk <= 0.0)
+            continue;
+        const double *dk = ctx_->levelGrad(k, s);
         for (std::size_t j = 0; j < static_cast<std::size_t>(kNumVars);
              ++j)
-            (*grad_f)[j] = level_share * s.dlogsec[so][j];
-        for (Dim d : {DimC, DimR, DimS})
-            (*grad_f)[static_cast<std::size_t>(d)] -=
-                s.call_overhead * inv;
-        for (int d = 0; d < NumDims; ++d)
-            (*grad_f)[static_cast<std::size_t>(2 * NumDims + d)] -=
-                s.sync_overhead * inv;
+            grad[j] += tk * (dk[j] - dso[j]);
     }
-    return std::log(total);
+    return value;
 }
 
 } // namespace mopt

@@ -12,14 +12,19 @@
  *
  * where overhead is the model's per-call and per-region cost, which
  * falls as the L1 reduction tiles and the L3 tiles grow. Objective and
- * constraints (and their exact gradients) come from an
- * EvalContext, so one evalWithGrad costs a single model evaluation —
- * the replacement for 2x21 central-difference probes per Adam step.
+ * constraints come from an EvalContext, and augLagValueGrad assembles
+ * the augmented Lagrangian's exact gradient from the sparse pieces the
+ * step uses: the objective level's gradient, a dominance row's level
+ * gradient and a capacity row's seven entries only when the row is
+ * active, and a nesting row as +t/-t on its two variables. One call
+ * is one model evaluation — the replacement for 2x21 central-
+ * difference probes per Adam step.
  */
 
 #ifndef MOPT_OPTIMIZER_CONV_NLP_HH
 #define MOPT_OPTIMIZER_CONV_NLP_HH
 
+#include <array>
 #include <vector>
 
 #include "model/eval_context.hh"
@@ -57,17 +62,20 @@ class ConvNlp : public NlpProblem
     double evalAll(const std::vector<double> &x,
                    std::vector<double> &g) const override;
 
-    double evalWithGrad(const std::vector<double> &x,
-                        std::vector<double> &g,
-                        std::vector<double> &grad_f,
-                        std::vector<double> &jac) const override;
-
-    int objectiveLevel() const { return obj_lvl_; }
+    double augLagValueGrad(const std::vector<double> &x,
+                           const std::vector<double> &lambda, double mu,
+                           std::vector<double> &g,
+                           std::vector<double> &grad) const override;
 
   private:
-    double evalImpl(const std::vector<double> &x, std::vector<double> &g,
-                    std::vector<double> *grad_f,
-                    std::vector<double> *jac) const;
+    /**
+     * The value pass both entry points share: level times into
+     * @p secs, every constraint into @p g, and the objective's
+     * argument (level time plus overhead, floored) as the result.
+     */
+    double evalValues(const std::vector<double> &x, EvalContext::Scratch &s,
+                      std::array<double, NumMemLevels> &secs,
+                      std::vector<double> &g) const;
 
     const EvalContext *ctx_;
     int obj_lvl_;

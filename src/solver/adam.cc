@@ -33,6 +33,14 @@ adamMinimizeGrad(const std::function<double(const std::vector<double> &,
 
     double lr = opts.lr;
     double beta1_pow = 1.0, beta2_pow = 1.0;
+    // Loop invariants in locals: the update's stores through m, v and
+    // x could otherwise alias opts.
+    const double beta1 = opts.beta1, keep1 = 1.0 - opts.beta1;
+    const double beta2 = opts.beta2, keep2 = 1.0 - opts.beta2;
+    const double eps = opts.eps;
+    double *m = scratch.m.data();
+    double *v = scratch.v.data();
+    double *xs = x.data();
 
     for (int step = 1; step <= opts.max_steps; ++step) {
         const double fx = fg(x, scratch.grad);
@@ -41,24 +49,27 @@ adamMinimizeGrad(const std::function<double(const std::vector<double> &,
             scratch.best = x;
         }
 
-        beta1_pow *= opts.beta1;
-        beta2_pow *= opts.beta2;
+        const double *grad = scratch.grad.data(); // fg may reassign it
+        beta1_pow *= beta1;
+        beta2_pow *= beta2;
         const double m_corr = 1.0 / (1.0 - beta1_pow);
         const double v_corr = 1.0 / (1.0 - beta2_pow);
         // The stopping test measures the clamped movement: a variable
         // pinned by its box (lo == hi, or pushing into a face) does
-        // not move, whatever its raw Adam step.
+        // not move, whatever its raw Adam step. One whose box is a
+        // point never moves, so its moments are not kept at all.
         double step_norm = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-            const double gi = scratch.grad[i];
-            scratch.m[i] = opts.beta1 * scratch.m[i] + (1.0 - opts.beta1) * gi;
-            scratch.v[i] =
-                opts.beta2 * scratch.v[i] + (1.0 - opts.beta2) * gi * gi;
-            const double delta = lr * (scratch.m[i] * m_corr) /
-                                 (std::sqrt(scratch.v[i] * v_corr) + opts.eps);
+            if (lo[i] == hi[i])
+                continue;
+            const double gi = grad[i];
+            m[i] = beta1 * m[i] + keep1 * gi;
+            v[i] = beta2 * v[i] + keep2 * gi * gi;
+            const double delta =
+                lr * (m[i] * m_corr) / (std::sqrt(v[i] * v_corr) + eps);
             const double moved =
-                std::clamp(x[i] - delta, lo[i], hi[i]) - x[i];
-            x[i] += moved;
+                std::clamp(xs[i] - delta, lo[i], hi[i]) - xs[i];
+            xs[i] += moved;
             step_norm += moved * moved;
         }
         lr *= opts.lr_decay;

@@ -41,7 +41,9 @@ struct AdamScratch
  * value+gradient evaluation per step.
  *
  * @param fg       evaluates the function at x and fills its gradient
- *                 (sized dim on entry); returns the value
+ *                 (sized dim on entry); returns the value. Entries of
+ *                 variables whose box is a point (lo == hi) are never
+ *                 read.
  * @param x        in: starting point (clamped into the box);
  *                 out: best point visited
  * @param lo,hi    box bounds

@@ -60,29 +60,10 @@ solveAugLag(const NlpProblem &prob, std::vector<double> x0,
     consider(s.x);
 
     for (int outer = 0; outer < opts.outer_iters; ++outer) {
-        // Value and exact gradient of the augmented Lagrangian:
-        //   L = f + sum_i (max(0, l_i + mu g_i)^2 - l_i^2) / (2 mu)
-        //   dL = df + sum_i max(0, l_i + mu g_i) dg_i
         auto al = [&](const std::vector<double> &xx,
                       std::vector<double> &grad) {
-            const double f = prob.evalWithGrad(xx, s.g, s.grad_f, s.jac);
             ++evals;
-            grad = s.grad_f;
-            double value = f;
-            for (int i = 0; i < m; ++i) {
-                const auto si = static_cast<std::size_t>(i);
-                const double li = s.lambda[si];
-                const double t = std::max(0.0, li + mu * s.g[si]);
-                value += (t * t - li * li) / (2.0 * mu);
-                if (t > 0.0) {
-                    const double *row =
-                        s.jac.data() + si * static_cast<std::size_t>(n);
-                    for (int j = 0; j < n; ++j)
-                        grad[static_cast<std::size_t>(j)] +=
-                            t * row[j];
-                }
-            }
-            return value;
+            return prob.augLagValueGrad(xx, s.lambda, mu, s.g, grad);
         };
 
         adamMinimizeGrad(al, s.x, lo, hi, opts.inner, s.adam);

@@ -39,8 +39,6 @@ struct SolverScratch
 {
     AdamScratch adam;
     std::vector<double> g;       //!< Constraint values.
-    std::vector<double> grad_f;  //!< Objective gradient.
-    std::vector<double> jac;     //!< Constraint Jacobian (row-major).
     std::vector<double> lambda;  //!< Augmented-Lagrangian multipliers.
     std::vector<double> x;       //!< Current iterate.
 };
@@ -51,8 +49,8 @@ struct SolverScratch
  * least-violating one if none was feasible.
  *
  * The inner minimization runs gradient-based Adam on the augmented
- * Lagrangian, whose exact gradient is assembled from
- * NlpProblem::evalWithGrad: one model evaluation per step.
+ * Lagrangian, whose value and exact gradient come from one
+ * NlpProblem::augLagValueGrad call: one model evaluation per step.
  *
  * @param scratch  optional reusable buffers (a local scratch is used
  *                 when null)

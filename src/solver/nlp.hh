@@ -11,6 +11,7 @@
 #ifndef MOPT_SOLVER_NLP_HH
 #define MOPT_SOLVER_NLP_HH
 
+#include <algorithm>
 #include <vector>
 
 namespace mopt {
@@ -45,29 +46,49 @@ class NlpProblem
                            std::vector<double> &g) const = 0;
 
     /**
-     * Evaluate objective, constraints, and their first derivatives.
+     * Value and gradient of the augmented Lagrangian (see
+     * augmented_lagrangian.hh) at @p x:
+     *
+     *   L  = f + sum_i (t_i^2 - lambda_i^2) / (2 mu)
+     *   dL = df + sum_i t_i dg_i,   t_i = max(0, lambda_i + mu g_i)
+     *
+     * The penalty sum runs in row order (augLagTerm), and grad[j]
+     * receives df_j and then each t_i dg_i,j that is not an exact zero,
+     * in row order: the result is the dense assembly's, bit for bit,
+     * except that a zero entry may have either sign. A problem can
+     * therefore skip every row with t_i == 0 and every structural zero
+     * of the Jacobian.
      *
      * @param x       point of size dim()
-     * @param g       constraints, resized to numConstraints()
-     * @param grad_f  objective gradient, resized to dim()
-     * @param jac     constraint Jacobian, row-major numConstraints() x
-     *                dim(), resized accordingly
-     * @return objective value
+     * @param lambda  multipliers, size numConstraints()
+     * @param mu      penalty weight (> 0)
+     * @param g       constraints at x, resized to numConstraints()
+     * @param grad    gradient of L, resized to dim()
+     * @return L at x
      *
      * One call counts as one model evaluation in the solvers' eval
      * counters.
      */
-    virtual double evalWithGrad(const std::vector<double> &x,
-                                std::vector<double> &g,
-                                std::vector<double> &grad_f,
-                                std::vector<double> &jac) const = 0;
-
-    /** Objective only (default: evalAll and discard constraints). */
-    virtual double objective(const std::vector<double> &x) const;
-
-    /** Largest constraint value at @p x (<= 0 means feasible). */
-    double maxViolation(const std::vector<double> &x) const;
+    virtual double augLagValueGrad(const std::vector<double> &x,
+                                   const std::vector<double> &lambda,
+                                   double mu, std::vector<double> &g,
+                                   std::vector<double> &grad) const = 0;
 };
+
+/**
+ * Add constraint row i's term to the augmented Lagrangian @p value and
+ * return its multiplier t_i = max(0, lambda_i + mu g_i), the weight of
+ * dg_i in the gradient (0: the row contributes no gradient).
+ */
+inline double
+augLagTerm(double lambda_i, double mu, double g_i, double &value)
+{
+    const double t = std::max(0.0, lambda_i + mu * g_i);
+    // An inactive row whose multiplier is 0 would add exactly +0.
+    if (t > 0.0 || lambda_i != 0.0)
+        value += (t * t - lambda_i * lambda_i) / (2.0 * mu);
+    return t;
+}
 
 /** Result of a solve. */
 struct NlpResult

@@ -37,10 +37,10 @@ void conv_golden_grouped(const float *in, const float *ker, float *out)
                                                                 const long w2_hi = w2 + 6L < w3_hi ? w2 + 6L : w3_hi;
                                                                 for (long n1 = n2; n1 < n2_hi; n1 += 1L) {
                                                                     const long n1_hi = n1 + 1L < n2_hi ? n1 + 1L : n2_hi;
-                                                                    for (long k1 = k2; k1 < k2_hi; k1 += 8L) {
-                                                                        const long k1_hi = k1 + 8L < k2_hi ? k1 + 8L : k2_hi;
-                                                                        for (long c1 = c2; c1 < c2_hi; c1 += 8L) {
-                                                                            const long c1_hi = c1 + 8L < c2_hi ? c1 + 8L : c2_hi;
+                                                                    for (long k1 = k2; k1 < k2_hi; k1 += 2L) {
+                                                                        const long k1_hi = k1 + 2L < k2_hi ? k1 + 2L : k2_hi;
+                                                                        for (long c1 = c2; c1 < c2_hi; c1 += 2L) {
+                                                                            const long c1_hi = c1 + 2L < c2_hi ? c1 + 2L : c2_hi;
                                                                             for (long r1 = r2; r1 < r2_hi; r1 += 3L) {
                                                                                 const long r1_hi = r1 + 3L < r2_hi ? r1 + 3L : r2_hi;
                                                                                 for (long s1 = s2; s1 < s2_hi; s1 += 3L) {

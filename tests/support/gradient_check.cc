@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "support/dense_auglag.hh"
 
 namespace mopt {
 
@@ -32,15 +33,14 @@ FunctionalNlp::evalAll(const std::vector<double> &x,
 }
 
 double
-FunctionalNlp::evalWithGrad(const std::vector<double> &x,
-                            std::vector<double> &g,
-                            std::vector<double> &grad_f,
-                            std::vector<double> &jac) const
+FunctionalNlp::augLagValueGrad(const std::vector<double> &x,
+                               const std::vector<double> &lambda,
+                               double mu, std::vector<double> &g,
+                               std::vector<double> &grad) const
 {
     const auto n = static_cast<std::size_t>(dim_);
     const auto m = static_cast<std::size_t>(num_constraints_);
-    grad_f.assign(n, 0.0);
-    jac.assign(m * n, 0.0);
+    std::vector<double> grad_f(n, 0.0), jac(m * n, 0.0);
     const double f0 = evalAll(x, g);
 
     std::vector<double> xt = x, gp, gm;
@@ -60,54 +60,50 @@ FunctionalNlp::evalWithGrad(const std::vector<double> &x,
         for (std::size_t j = 0; j < m; ++j)
             jac[j * n + i] = (gp[j] - gm[j]) / denom;
     }
-    return f0;
+    return denseAugLag(f0, g, grad_f, jac, lambda, mu, grad);
 }
 
 GradCheckResult
 gradientCheck(const NlpProblem &prob, const std::vector<double> &x,
-              double h)
+              const std::vector<double> &lambda, double mu, double h)
 {
     const int n = prob.dim();
-    const int m = prob.numConstraints();
     checkUser(static_cast<int>(x.size()) == n,
               "gradientCheck: point size mismatch");
+    checkUser(static_cast<int>(lambda.size()) == prob.numConstraints(),
+              "gradientCheck: multiplier size mismatch");
 
-    std::vector<double> g, grad_f, jac;
-    prob.evalWithGrad(x, g, grad_f, jac);
+    std::vector<double> g, grad;
+    const double value = prob.augLagValueGrad(x, lambda, mu, g, grad);
 
+    // The augmented Lagrangian's value as an unconstrained problem,
+    // so FunctionalNlp's differences are those of L itself.
+    const auto al = [&prob, &lambda, mu](const std::vector<double> &xx,
+                                         std::vector<double> &) {
+        std::vector<double> gg;
+        double v = prob.evalAll(xx, gg);
+        for (std::size_t i = 0; i < gg.size(); ++i)
+            augLagTerm(lambda[i], mu, gg[i], v);
+        return v;
+    };
     const std::vector<double> &lo = prob.lowerBounds();
     const std::vector<double> &hi = prob.upperBounds();
-    const FunctionalNlp fd(
-        n, m, lo, hi,
-        [&prob](const std::vector<double> &xx, std::vector<double> &gg) {
-            return prob.evalAll(xx, gg);
-        },
-        h);
-    std::vector<double> fd_grad, fd_jac;
-    fd.evalWithGrad(x, g, fd_grad, fd_jac);
+    const FunctionalNlp fd(n, 0, lo, hi, al, h);
+    std::vector<double> none, fd_g, fd_grad;
+    const double fd_value = fd.augLagValueGrad(x, none, mu, fd_g, fd_grad);
 
     GradCheckResult res;
-    auto record = [&res](double analytic, double fd, int row, int col) {
-        const double denom =
-            std::max({1.0, std::fabs(analytic), std::fabs(fd)});
-        const double rel = std::fabs(analytic - fd) / denom;
-        if (rel > res.max_rel_err) {
-            res.max_rel_err = rel;
-            res.worst_constraint = row;
-            res.worst_coord = col;
-        }
-    };
-
+    res.value_diff = value - fd_value;
     for (int i = 0; i < n; ++i) {
         const auto si = static_cast<std::size_t>(i);
         if (lo[si] >= hi[si])
             continue; // collapsed (fixed) coordinate
-        record(grad_f[si], fd_grad[si], -1, i);
-        for (int j = 0; j < m; ++j) {
-            const std::size_t at =
-                static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
-                si;
-            record(jac[at], fd_jac[at], j, i);
+        const double denom = std::max(
+            {1.0, std::fabs(grad[si]), std::fabs(fd_grad[si])});
+        const double rel = std::fabs(grad[si] - fd_grad[si]) / denom;
+        if (rel > res.max_rel_err) {
+            res.max_rel_err = rel;
+            res.worst_coord = i;
         }
     }
     return res;

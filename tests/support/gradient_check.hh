@@ -1,12 +1,13 @@
 /**
  * @file
  * Finite differences for the solver and gradient tests. FunctionalNlp
- * is an NlpProblem assembled from a std::function whose evalWithGrad
- * takes box-projected central differences of evalAll; gradientCheck
- * compares a problem's evalWithGrad derivatives against those
- * differences. The gradient tests use it to validate the closed-form
- * model gradients; it is also a debugging aid when adding new
- * differentiable objectives.
+ * is an NlpProblem assembled from a std::function whose
+ * augLagValueGrad takes box-projected central differences of the
+ * objective and every constraint and assembles them densely;
+ * gradientCheck compares a problem's augLagValueGrad against central
+ * differences of the augmented Lagrangian's value. The gradient tests
+ * use it to validate the closed-form model gradients; it is also a
+ * debugging aid when adding new differentiable objectives.
  */
 
 #ifndef MOPT_TESTS_SUPPORT_GRADIENT_CHECK_HH
@@ -45,12 +46,13 @@ class FunctionalNlp : public NlpProblem
     double evalAll(const std::vector<double> &x,
                    std::vector<double> &g) const override;
 
-    /** Central differences of evalAll with steps projected onto the
-     *  box; a coordinate with a collapsed interval gets 0. */
-    double evalWithGrad(const std::vector<double> &x,
-                        std::vector<double> &g,
-                        std::vector<double> &grad_f,
-                        std::vector<double> &jac) const override;
+    /** Central differences of the objective and every constraint,
+     *  with steps projected onto the box (a coordinate with a
+     *  collapsed interval gets 0), assembled by denseAugLag. */
+    double augLagValueGrad(const std::vector<double> &x,
+                           const std::vector<double> &lambda, double mu,
+                           std::vector<double> &g,
+                           std::vector<double> &grad) const override;
 
   private:
     int dim_;
@@ -63,25 +65,30 @@ class FunctionalNlp : public NlpProblem
 /** Worst observed discrepancy of one gradientCheck call. */
 struct GradCheckResult
 {
-    /** max over all (objective + constraint, coordinate) pairs of
+    /** max over coordinates of
      *  |analytic - fd| / max(1, |analytic|, |fd|). */
     double max_rel_err = 0.0;
-    int worst_constraint = -1; //!< -1 = objective row.
     int worst_coord = -1;
+    /** The analytic value minus the value assembled from evalAll
+     *  (0 when both entry points agree exactly). */
+    double value_diff = 0.0;
 };
 
 /**
- * Check evalWithGrad against central differences of evalAll at @p x
- * (FunctionalNlp's). Coordinates with a collapsed interval are
- * skipped.
+ * Check augLagValueGrad(x, lambda, mu) against central differences of
+ * the augmented Lagrangian's value, built from evalAll with
+ * augLagTerm. Coordinates with a collapsed interval are skipped.
  *
- * @param prob  the problem
- * @param x     evaluation point (size dim())
- * @param h     relative finite-difference step
+ * @param prob    the problem
+ * @param x       evaluation point (size dim())
+ * @param lambda  multipliers (size numConstraints())
+ * @param mu      penalty weight
+ * @param h       relative finite-difference step
  */
 GradCheckResult gradientCheck(const NlpProblem &prob,
                               const std::vector<double> &x,
-                              double h = 1e-6);
+                              const std::vector<double> &lambda,
+                              double mu, double h = 1e-6);
 
 } // namespace mopt
 

@@ -115,7 +115,7 @@ TEST(Allocation, PermutationParseAllocatesNothing)
     EXPECT_EQ(perm.str(), "nkhwcrs");
 }
 
-TEST(Allocation, WarmConvNlpEvalWithGradAllocatesNothing)
+TEST(Allocation, WarmConvNlpAugLagValueGradAllocatesNothing)
 {
     const ConvProblem p = validProblem();
     const MachineSpec m = i7_9700k();
@@ -139,14 +139,29 @@ TEST(Allocation, WarmConvNlpEvalWithGradAllocatesNothing)
         }
     const ConvNlp nlp(ctx, LvlL2, lo, hi);
     std::vector<double> g(ConvNlp::kNumCons), grad(ConvNlp::kNumVars);
-    std::vector<double> jac(ConvNlp::kNumCons * ConvNlp::kNumVars);
+    // Every row active, so every level gradient and capacity row is
+    // computed.
+    const std::vector<double> lambda(ConvNlp::kNumCons, 1e3);
 
-    // The first call may set up this thread's model scratch.
-    const double f0 = nlp.evalWithGrad(x, g, grad, jac);
+    // The first call may set up this thread's model scratch; the
+    // second moves one L1 variable, so the L1 and register levels miss
+    // the per-level memo and L2 and L3 hit it.
+    const double f0 = nlp.augLagValueGrad(x, lambda, 10.0, g, grad);
+    std::size_t moved = 0;
+    while (moved < x.size() && lo[moved] == hi[moved])
+        ++moved;
+    ASSERT_LT(moved, x.size());
+    x[moved] = lo[moved] + 0.9 * (x[moved] - lo[moved]);
     double f1 = 0;
-    EXPECT_EQ(allocationsOf([&] { f1 = nlp.evalWithGrad(x, g, grad, jac); }),
+    EXPECT_EQ(allocationsOf([&] {
+                  f1 = nlp.augLagValueGrad(x, lambda, 10.0, g, grad);
+              }),
               0);
-    EXPECT_EQ(f0, f1);
+    EXPECT_NE(f0, f1);
+    EXPECT_EQ(allocationsOf([&] {
+                  f1 = nlp.augLagValueGrad(x, lambda, 10.0, g, grad);
+              }),
+              0);
     EXPECT_TRUE(std::isfinite(f1));
 }
 

@@ -137,7 +137,7 @@ const char kGoldenTuneSampleLine[] =
     "\"stride\":2,\"dilation\":1,\"groups\":2,"
     "\"machine\":\"1234abcd5678ef01\",\"settings\":\"feedbeefcafe0042\","
     "\"perm\":[\"nhwkcrs\",\"nkcrshw\",\"nkcrshw\",\"nkcrshw\"],"
-    "\"tiles\":[[1,8,1,1,1,1,6],[1,8,4,3,3,6,6],[1,4,2,3,3,6,6],"
+    "\"tiles\":[[1,4,1,1,1,1,6],[1,4,2,3,3,6,6],[1,4,2,3,3,6,6],"
     "[1,4,2,3,3,6,6]],\"par\":[1,1,1,1,1,1,1],"
     "\"measured_s\":0.00033333333333333332,"
     "\"pred_s\":0.00028571428571428568,"

@@ -289,6 +289,38 @@ TEST(ConvExec, DefaultConfigMatchesReference)
     expectMatchesReference(p, defaultConfig(p));
 }
 
+TEST(ConvExec, GroupedDefaultConfigNestsAndMatchesReference)
+{
+    // The default caps its k and c tiles with the per-group extents,
+    // so the register, L1, L2 and L3 tiles nest for grouped and
+    // depthwise layers as they do for dense ones.
+    ConvProblem grouped;
+    grouped.name = "dflt_g2";
+    grouped.n = 1;
+    grouped.k = 8;
+    grouped.c = 4;
+    grouped.groups = 2;
+    grouped.r = grouped.s = 3;
+    grouped.h = grouped.w = 7;
+    ConvProblem depthwise = grouped;
+    depthwise.name = "dflt_dw";
+    depthwise.k = depthwise.c = depthwise.groups = 8;
+    for (const ConvProblem &p : {grouped, depthwise}) {
+        const ExecConfig cfg = defaultConfig(p);
+        const IntTileVec extents = problemExtents(p);
+        for (int l = LvlReg; l < LvlL3; ++l)
+            for (int d = 0; d < NumDims; ++d) {
+                const auto sl = static_cast<std::size_t>(l);
+                const auto sd = static_cast<std::size_t>(d);
+                EXPECT_LE(cfg.tiles[sl][sd], cfg.tiles[sl + 1][sd])
+                    << p.name << " " << memLevelName(l) << " "
+                    << dimName(static_cast<Dim>(d));
+            }
+        EXPECT_EQ(cfg.tiles[LvlL3], extents) << p.name;
+        expectMatchesReference(p, cfg);
+    }
+}
+
 TEST(ConvExec, StrideTwoMatchesReference)
 {
     ConvProblem p;

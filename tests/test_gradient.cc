@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <new>
+#include <string>
 
 #include "common/rng.hh"
 #include "conv/workloads.hh"
@@ -20,6 +22,7 @@
 #include "model/pruned_classes.hh"
 #include "optimizer/conv_nlp.hh"
 #include "optimizer/mopt_optimizer.hh"
+#include "support/dense_auglag.hh"
 #include "support/gradient_check.hh"
 
 namespace mopt {
@@ -114,6 +117,60 @@ interiorPoint(const GradSetup &s, Rng &rng)
     return x;
 }
 
+/** One (lambda, mu) pair of the augmented Lagrangian. */
+struct Multipliers
+{
+    std::vector<double> lambda;
+    double mu;
+};
+
+/**
+ * Multiplier settings for the gradient checks: all zero (only violated
+ * rows are active), a random mix with about a third of the rows at
+ * zero, and each row alone with a large multiplier, which isolates its
+ * Jacobian row the way a per-row comparison would.
+ */
+std::vector<Multipliers>
+multiplierSets(Rng &rng)
+{
+    constexpr auto m = static_cast<std::size_t>(ConvNlp::kNumCons);
+    std::vector<Multipliers> sets;
+    sets.push_back({std::vector<double>(m, 0.0), 1.0});
+    Multipliers mix{std::vector<double>(m), rng.uniformReal(0.5, 50.0)};
+    for (double &l : mix.lambda)
+        l = rng.uniformInt(0, 2) == 0 ? 0.0 : rng.uniformReal(0.0, 2.0);
+    sets.push_back(mix);
+    for (std::size_t i = 0; i < m; ++i) {
+        Multipliers one{std::vector<double>(m, 0.0), 1.0};
+        one.lambda[i] = 100.0;
+        sets.push_back(one);
+    }
+    return sets;
+}
+
+/**
+ * The worst gradientCheck of @p nlp at @p x over multiplierSets. The
+ * augmented Lagrangian's value from augLagValueGrad must equal the one
+ * built from evalAll exactly; @p set names the worst setting.
+ */
+GradCheckResult
+worstGradientCheck(const ConvNlp &nlp, const std::vector<double> &x,
+                   Rng &rng, std::size_t &set)
+{
+    GradCheckResult worst;
+    const std::vector<Multipliers> sets = multiplierSets(rng);
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+        const GradCheckResult r =
+            gradientCheck(nlp, x, sets[i].lambda, sets[i].mu);
+        EXPECT_EQ(r.value_diff, 0.0) << "multiplier set " << i;
+        if (i == 0 || r.max_rel_err > worst.max_rel_err) {
+            worst = r;
+            set = i;
+        }
+    }
+    return worst;
+}
+
 TEST(EvalContext, MatchesReferenceModel)
 {
     Rng rng(2024);
@@ -164,6 +221,7 @@ TEST(EvalContext, MatchesReferenceModel)
 TEST(ConvNlpGradient, MatchesFiniteDifferences)
 {
     Rng rng(7);
+    Rng mult_rng(8);
     const auto &classes = prunedClasses();
 
     std::vector<ConvProblem> problems;
@@ -195,11 +253,13 @@ TEST(ConvNlpGradient, MatchesFiniteDifferences)
 
             for (int rep = 0; rep < 3; ++rep) {
                 const std::vector<double> x = interiorPoint(s, rng);
-                const GradCheckResult r = gradientCheck(nlp, x);
+                std::size_t set = 0;
+                const GradCheckResult r =
+                    worstGradientCheck(nlp, x, mult_rng, set);
                 EXPECT_LE(r.max_rel_err, 1e-4)
                     << p.name << " cls=" << cls.name()
                     << " parallel=" << parallel << " obj=" << obj
-                    << " worst constraint=" << r.worst_constraint
+                    << " multiplier set=" << set
                     << " coord=" << r.worst_coord;
                 worst = std::max(worst, r.max_rel_err);
             }
@@ -268,7 +328,7 @@ TEST(EvalContext, MatchesReferenceModelWithOverhead)
 
             // evalSeconds reports the same overhead as the breakdown.
             std::array<double, NumMemLevels> secs;
-            ctx.evalSeconds(x.data(), scratch, secs, false);
+            ctx.evalSeconds(x.data(), scratch, secs);
             EXPECT_DOUBLE_EQ(scratch.call_overhead + scratch.sync_overhead,
                              got.overhead_seconds);
         }
@@ -278,6 +338,7 @@ TEST(EvalContext, MatchesReferenceModelWithOverhead)
 TEST(ConvNlpGradient, MatchesFiniteDifferencesWithOverhead)
 {
     Rng rng(99);
+    Rng mult_rng(100);
     double worst = 0.0;
     for (int rep = 0; rep < 16; ++rep) {
         for (bool parallel : {false, true}) {
@@ -288,11 +349,12 @@ TEST(ConvNlpGradient, MatchesFiniteDifferencesWithOverhead)
                 static_cast<int>(rng.uniformInt(0, NumMemLevels - 1));
             const ConvNlp nlp(ctx, obj, s.lo, s.hi);
             const std::vector<double> x = interiorPoint(s, rng);
-            const GradCheckResult r = gradientCheck(nlp, x);
+            std::size_t set = 0;
+            const GradCheckResult r =
+                worstGradientCheck(nlp, x, mult_rng, set);
             EXPECT_LE(r.max_rel_err, 1e-4)
                 << "rep " << rep << " parallel=" << parallel
-                << " obj=" << obj
-                << " worst constraint=" << r.worst_constraint
+                << " obj=" << obj << " multiplier set=" << set
                 << " coord=" << r.worst_coord;
             worst = std::max(worst, r.max_rel_err);
         }
@@ -303,9 +365,9 @@ TEST(ConvNlpGradient, MatchesFiniteDifferencesWithOverhead)
 TEST(ConvNlpGradient, FallbackMatchesAnalyticPath)
 {
     // A FunctionalNlp (tests/support) wrapping the same math must
-    // produce the same values through its central differences
-    // (gradientCheck of an FD problem against itself is trivially
-    // consistent, so check them against the analytic gradients).
+    // produce the same augmented Lagrangian through its central
+    // differences (gradientCheck of an FD problem against itself is
+    // trivially consistent, so check them against the analytic one).
     const ConvProblem p = workloadByName("Y0").downscaled(28, 64);
     const GradSetup s = makeSetup(p, prunedClasses()[0], false);
     EvalContext ctx(s.p, s.m, s.perms, s.reg_tiles, s.par, s.parallel);
@@ -319,15 +381,165 @@ TEST(ConvNlpGradient, FallbackMatchesAnalyticPath)
 
     Rng rng(11);
     const std::vector<double> x = interiorPoint(s, rng);
-    std::vector<double> ga, gfa, ja, gb, gfb, jb;
-    const double fa = nlp.evalWithGrad(x, ga, gfa, ja);
-    const double fb = fd.evalWithGrad(x, gb, gfb, jb);
-    EXPECT_DOUBLE_EQ(fa, fb);
-    for (int i = 0; i < kNumVars; ++i) {
-        const auto si = static_cast<std::size_t>(i);
-        EXPECT_NEAR(gfa[si], gfb[si],
-                    1e-4 * std::max(1.0, std::fabs(gfa[si])));
+    for (const Multipliers &mult : multiplierSets(rng)) {
+        std::vector<double> ga, grada, gb, gradb;
+        const double fa =
+            nlp.augLagValueGrad(x, mult.lambda, mult.mu, ga, grada);
+        const double fb =
+            fd.augLagValueGrad(x, mult.lambda, mult.mu, gb, gradb);
+        EXPECT_DOUBLE_EQ(fa, fb);
+        EXPECT_EQ(ga, gb);
+        // A pinned coordinate has no difference quotient (and the
+        // solver never reads its entry).
+        for (int i = 0; i < kNumVars; ++i) {
+            const auto si = static_cast<std::size_t>(i);
+            if (s.lo[si] < s.hi[si]) {
+                EXPECT_NEAR(grada[si], gradb[si],
+                            1e-4 * std::max(1.0, std::fabs(grada[si])));
+            }
+        }
     }
+}
+
+/** A uniform point in the box: not nested, often violating, and
+ *  crossing the per-core-share clamp. Pinned coordinates keep lo. */
+std::vector<double>
+boxPoint(const std::vector<double> &lo, const std::vector<double> &hi,
+         Rng &rng)
+{
+    std::vector<double> x(kNumVars);
+    for (std::size_t j = 0; j < x.size(); ++j)
+        x[j] = lo[j] < hi[j] ? rng.uniformReal(lo[j], hi[j]) : lo[j];
+    return x;
+}
+
+/** Random multipliers with about a third of the rows at zero. */
+Multipliers
+randomMultipliers(Rng &rng)
+{
+    Multipliers mult{std::vector<double>(ConvNlp::kNumCons),
+                     std::exp(rng.uniformReal(0.0, 9.0))};
+    for (double &l : mult.lambda)
+        l = rng.uniformInt(0, 2) == 0 ? 0.0 : rng.uniformReal(0.0, 3.0);
+    return mult;
+}
+
+/**
+ * augLagValueGrad of @p nlp (objective level @p obj) at @p x equals
+ * the dense reference of @p ctx bit for bit: value, every constraint
+ * and every gradient entry (EXPECT_EQ on doubles, so only a zero's
+ * sign may differ).
+ */
+void
+expectMatchesDense(const ConvNlp &nlp, const EvalContext &ctx, int obj,
+                   const std::vector<double> &x, const Multipliers &mult,
+                   const std::string &where)
+{
+    std::vector<double> g, grad, g_ref, grad_ref;
+    const double v = nlp.augLagValueGrad(x, mult.lambda, mult.mu, g, grad);
+    const double v_ref =
+        denseConvNlpAugLag(ctx, obj, x, mult.lambda, mult.mu, g_ref, grad_ref);
+    EXPECT_EQ(v, v_ref) << where;
+    EXPECT_EQ(g, g_ref) << where;
+    ASSERT_EQ(grad.size(), grad_ref.size()) << where;
+    for (std::size_t j = 0; j < grad.size(); ++j)
+        EXPECT_EQ(grad[j], grad_ref[j]) << where << " entry " << j;
+}
+
+TEST(ConvNlpAugLag, MatchesDenseReferenceBitForBit)
+{
+    // Random problems, classes, splits and objective levels; a box
+    // with 0-3 levels pinned; steps that move only the free variables
+    // (so pinned levels hit the per-level memo), alternating nested
+    // interior points and uniform box points, with fresh multipliers.
+    Rng rng(314);
+    for (int rep = 0; rep < 24; ++rep) {
+        const bool parallel = rep % 2 == 1;
+        GradSetup s = randomOverheadSetup(rng, parallel);
+        const std::vector<double> pin = interiorPoint(s, rng);
+        const int pinned = static_cast<int>(rng.uniformInt(0, 3));
+        for (int l = 0; l < pinned; ++l) {
+            const int lvl = LvlL3 - static_cast<int>(
+                                        (rep + l) % 3); // distinct
+            for (int d = 0; d < NumDims; ++d)
+                s.lo[vi(lvl, d)] = s.hi[vi(lvl, d)] = pin[vi(lvl, d)];
+        }
+        EvalContext ctx(s.p, s.m, s.perms, s.reg_tiles, s.par,
+                        s.parallel);
+        const int obj =
+            static_cast<int>(rng.uniformInt(0, NumMemLevels - 1));
+        const ConvNlp nlp(ctx, obj, s.lo, s.hi);
+        for (int step = 0; step < 8; ++step) {
+            std::vector<double> x = step % 2 == 0
+                                        ? interiorPoint(s, rng)
+                                        : boxPoint(s.lo, s.hi, rng);
+            for (std::size_t j = 0; j < x.size(); ++j)
+                if (s.lo[j] == s.hi[j])
+                    x[j] = s.lo[j];
+            expectMatchesDense(nlp, ctx, obj, x, randomMultipliers(rng),
+                               "rep " + std::to_string(rep) + " step " +
+                                   std::to_string(step) + " pinned " +
+                                   std::to_string(pinned));
+        }
+    }
+}
+
+TEST(ConvNlpAugLag, MemoSurvivesInterleavedAndRebuiltContexts)
+{
+    Rng rng(2718);
+    GradSetup a = randomOverheadSetup(rng, false);
+    GradSetup b = randomOverheadSetup(rng, true);
+    b.p.h = a.p.h + 5; // different extents: different level times
+    const EvalContext ctx_a(a.p, a.m, a.perms, a.reg_tiles, a.par,
+                            a.parallel);
+    const EvalContext ctx_b(b.p, b.m, b.perms, b.reg_tiles, b.par,
+                            b.parallel);
+    const ConvNlp nlp_a(ctx_a, LvlL2, a.lo, a.hi);
+    const ConvNlp nlp_b(ctx_b, LvlL1, b.lo, b.hi);
+
+    // Two contexts interleaved on this thread's one scratch, each
+    // revisiting its points (memo hits) between the other's calls.
+    const std::vector<double> xa = interiorPoint(a, rng);
+    const std::vector<double> xb = interiorPoint(b, rng);
+    for (int step = 0; step < 6; ++step) {
+        const Multipliers mult = randomMultipliers(rng);
+        const std::string where = "interleaved step " +
+                                  std::to_string(step);
+        expectMatchesDense(nlp_a, ctx_a, LvlL2, xa, mult, where + " a");
+        expectMatchesDense(nlp_b, ctx_b, LvlL1, step < 3 ? xb : xa, mult,
+                           where + " b");
+    }
+
+    // A context destroyed and a new one built in the same storage for
+    // another problem, evaluated at the same point: a memo keyed on
+    // the address would return the first problem's level times.
+    const std::vector<double> x = interiorPoint(a, rng);
+    const Multipliers mult = randomMultipliers(rng);
+    alignas(EvalContext) unsigned char storage[sizeof(EvalContext)];
+    auto *first = new (storage) EvalContext(a.p, a.m, a.perms,
+                                            a.reg_tiles, a.par, a.parallel);
+    std::vector<double> g, grad_first, grad_second;
+    double v_first = 0.0;
+    {
+        const ConvNlp nlp(*first, LvlL1, a.lo, a.hi);
+        v_first = nlp.augLagValueGrad(x, mult.lambda, mult.mu, g,
+                                      grad_first);
+    }
+    first->~EvalContext();
+    GradSetup c = a;
+    c.p.h = a.p.h + 5;
+    c.p.k = a.p.k * 2;
+    auto *second = new (storage) EvalContext(
+        c.p, c.m, c.perms, c.reg_tiles, c.par, c.parallel);
+    {
+        const ConvNlp nlp(*second, LvlL1, c.lo, c.hi);
+        const double v_second = nlp.augLagValueGrad(
+            x, mult.lambda, mult.mu, g, grad_second);
+        EXPECT_NE(v_second, v_first);
+        expectMatchesDense(nlp, *second, LvlL1, x, mult,
+                           "rebuilt context");
+    }
+    second->~EvalContext();
 }
 
 TEST(Optimizer, DeterministicAcrossThreadCounts)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 
 #include "baselines/grid_sampler.hh"
@@ -173,6 +175,164 @@ TEST(Optimizer, StandardSearchEvalCountsArePinned)
               145558);
     EXPECT_EQ(optimizeConv(workloadByName("Y23"), m, {}).solver_evals,
               184492);
+}
+
+TEST(Optimizer, StandardSearchPlanBytesArePinned)
+{
+    // Each top-5 candidate's configuration and the exact bits of its
+    // predicted time, for Y0 and Y23 at two seeds. A change that is
+    // meant to make the search cheaper without changing its result
+    // must leave every row as it is.
+    struct Pin
+    {
+        const char *config;
+        std::uint64_t seconds_bits;
+    };
+    static const Pin kPins[] = {
+        // Y0, seed 1
+        {"L3: perm=ncwrshk tiles=[n=1 k=32 c=3 r=3 s=3 h=136 w=544]\n"
+         "L2: perm=ncwrshk tiles=[n=1 k=16 c=3 r=3 s=1 h=1 w=6]\n"
+         "L1: perm=ncwrshk tiles=[n=1 k=16 c=3 r=3 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=1 c=1 r=1 s=1 h=8 w=1]\n",
+         0x3f7c637dc548bdbfULL},
+        {"L3: perm=nkhwcrs tiles=[n=1 k=32 c=3 r=3 s=3 h=136 w=544]\n"
+         "L2: perm=nkhwcrs tiles=[n=1 k=16 c=3 r=1 s=3 h=1 w=6]\n"
+         "L1: perm=nkhwcrs tiles=[n=1 k=16 c=3 r=1 s=3 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=1 c=1 r=1 s=1 h=8 w=1]\n",
+         0x3f7c64937964280aULL},
+        {"L3: perm=nkhwcsr tiles=[n=1 k=32 c=3 r=3 s=3 h=136 w=544]\n"
+         "L2: perm=nkhwcsr tiles=[n=1 k=16 c=3 r=3 s=1 h=1 w=6]\n"
+         "L1: perm=nkhwcsr tiles=[n=1 k=16 c=3 r=3 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=1 c=1 r=1 s=1 h=8 w=1]\n",
+         0x3f7c64937964280aULL},
+        {"L3: perm=nchwsrk tiles=[n=1 k=32 c=3 r=3 s=3 h=136 w=544]\n"
+         "L2: perm=nchwsrk tiles=[n=1 k=16 c=3 r=3 s=1 h=1 w=6]\n"
+         "L1: perm=nchwsrk tiles=[n=1 k=16 c=3 r=3 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=1 c=1 r=1 s=1 h=8 w=1]\n",
+         0x3f7c64937964280aULL},
+        {"L3: perm=nchwrsk tiles=[n=1 k=32 c=3 r=3 s=3 h=544 w=109]\n"
+         "L2: perm=nchwrsk tiles=[n=1 k=16 c=3 r=3 s=1 h=1 w=6]\n"
+         "L1: perm=nchwrsk tiles=[n=1 k=16 c=3 r=3 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=1 c=1 r=1 s=1 h=8 w=1]\n",
+         0x3f7d1419b4609806ULL},
+        // Y0, seed 7
+        {"L3: perm=kcrsnwh tiles=[n=1 k=32 c=3 r=3 s=3 h=136 w=544]\n"
+         "L2: perm=kcrsnwh tiles=[n=1 k=32 c=3 r=3 s=1 h=68 w=6]\n"
+         "L1: perm=kcrsnwh tiles=[n=1 k=16 c=3 r=3 s=1 h=16 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=1 c=1 r=1 s=1 h=2 w=4]\n",
+         0x3f7c9ad258c375e2ULL},
+        {"L3: perm=nchrswk tiles=[n=1 k=32 c=3 r=3 s=3 h=272 w=182]\n"
+         "L2: perm=nchrswk tiles=[n=1 k=16 c=3 r=3 s=1 h=1 w=6]\n"
+         "L1: perm=nchrswk tiles=[n=1 k=16 c=3 r=3 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=1 c=1 r=1 s=1 h=8 w=1]\n",
+         0x3f7cabbc0349b189ULL},
+        {"L3: perm=nkhwcrs tiles=[n=1 k=32 c=3 r=3 s=3 h=272 w=182]\n"
+         "L2: perm=nkhwcrs tiles=[n=1 k=16 c=3 r=1 s=3 h=1 w=6]\n"
+         "L1: perm=nkhwcrs tiles=[n=1 k=16 c=3 r=1 s=3 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=1 c=1 r=1 s=1 h=8 w=1]\n",
+         0x3f7cacd2bbce3c1aULL},
+        {"L3: perm=nkhwcsr tiles=[n=1 k=32 c=3 r=3 s=3 h=272 w=272]\n"
+         "L2: perm=nkhwcsr tiles=[n=1 k=16 c=2 r=3 s=1 h=1 w=6]\n"
+         "L1: perm=nkhwcsr tiles=[n=1 k=16 c=2 r=3 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=1 c=1 r=1 s=1 h=4 w=2]\n",
+         0x3f884c46180e33d8ULL},
+        {"L3: perm=kcrsnhw tiles=[n=1 k=32 c=3 r=3 s=3 h=272 w=182]\n"
+         "L2: perm=kcrsnhw tiles=[n=1 k=32 c=3 r=2 s=1 h=1 w=6]\n"
+         "L1: perm=kcrsnhw tiles=[n=1 k=16 c=3 r=2 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=1 c=1 r=1 s=1 h=8 w=1]\n",
+         0x3f8853fc891fe412ULL},
+        // Y23, seed 1
+        {"L3: perm=ncwrshk tiles=[n=1 k=2176 c=1024 r=1 s=1 h=17 w=12]\n"
+         "L2: perm=ncwrshk tiles=[n=1 k=16 c=1024 r=1 s=1 h=2 w=6]\n"
+         "L1: perm=ncwrshk tiles=[n=1 k=16 c=328 r=1 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=8 c=1 r=1 s=1 h=1 w=1]\n",
+         0x3f98b2e316bb2d68ULL},
+        {"L3: perm=nchrswk tiles=[n=1 k=1792 c=1024 r=1 s=1 h=17 w=17]\n"
+         "L2: perm=nchrswk tiles=[n=1 k=80 c=491 r=1 s=1 h=2 w=12]\n"
+         "L1: perm=nchrswk tiles=[n=1 k=16 c=256 r=1 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=8 c=1 r=1 s=1 h=1 w=1]\n",
+         0x3f9a2880a7b032b8ULL},
+        {"L3: perm=nchwrsk tiles=[n=1 k=1792 c=1024 r=1 s=1 h=17 w=17]\n"
+         "L2: perm=nchwrsk tiles=[n=1 k=80 c=491 r=1 s=1 h=2 w=12]\n"
+         "L1: perm=nchwrsk tiles=[n=1 k=16 c=256 r=1 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=8 c=1 r=1 s=1 h=1 w=1]\n",
+         0x3f9a2880a7b032b8ULL},
+        {"L3: perm=nchwsrk tiles=[n=1 k=1792 c=1024 r=1 s=1 h=17 w=17]\n"
+         "L2: perm=nchwsrk tiles=[n=1 k=80 c=491 r=1 s=1 h=2 w=12]\n"
+         "L1: perm=nchwsrk tiles=[n=1 k=16 c=256 r=1 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=8 c=1 r=1 s=1 h=1 w=1]\n",
+         0x3f9a2880a7b032b8ULL},
+        {"L3: perm=kcrsnhw tiles=[n=1 k=2560 c=784 r=1 s=1 h=17 w=17]\n"
+         "L2: perm=kcrsnhw tiles=[n=1 k=32 c=477 r=1 s=1 h=2 w=6]\n"
+         "L1: perm=kcrsnhw tiles=[n=1 k=16 c=192 r=1 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=8 c=1 r=1 s=1 h=1 w=1]\n",
+         0x3f9d3117faf37bb8ULL},
+        // Y23, seed 7
+        {"L3: perm=nchrswk tiles=[n=1 k=2176 c=1024 r=1 s=1 h=17 w=12]\n"
+         "L2: perm=nchrswk tiles=[n=1 k=16 c=1024 r=1 s=1 h=2 w=6]\n"
+         "L1: perm=nchrswk tiles=[n=1 k=16 c=328 r=1 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=8 c=1 r=1 s=1 h=1 w=1]\n",
+         0x3f98b2e316bb2d68ULL},
+        {"L3: perm=ncwrshk tiles=[n=1 k=2176 c=1024 r=1 s=1 h=17 w=12]\n"
+         "L2: perm=ncwrshk tiles=[n=1 k=16 c=904 r=1 s=1 h=3 w=6]\n"
+         "L1: perm=ncwrshk tiles=[n=1 k=16 c=328 r=1 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=8 c=1 r=1 s=1 h=1 w=1]\n",
+         0x3f98b2e316bb2d68ULL},
+        {"L3: perm=nchwrsk tiles=[n=1 k=2176 c=1024 r=1 s=1 h=17 w=12]\n"
+         "L2: perm=nchwrsk tiles=[n=1 k=16 c=1024 r=1 s=1 h=2 w=6]\n"
+         "L1: perm=nchwrsk tiles=[n=1 k=16 c=328 r=1 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=8 c=1 r=1 s=1 h=1 w=1]\n",
+         0x3f98b2e316bb2d68ULL},
+        {"L3: perm=nchwsrk tiles=[n=1 k=2176 c=1024 r=1 s=1 h=17 w=12]\n"
+         "L2: perm=nchwsrk tiles=[n=1 k=16 c=1024 r=1 s=1 h=2 w=6]\n"
+         "L1: perm=nchwsrk tiles=[n=1 k=16 c=328 r=1 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=8 c=1 r=1 s=1 h=1 w=1]\n",
+         0x3f98b2e316bb2d68ULL},
+        {"L3: perm=kcrsnhw tiles=[n=1 k=2560 c=1024 r=1 s=1 h=17 w=6]\n"
+         "L2: perm=kcrsnhw tiles=[n=1 k=48 c=1024 r=1 s=1 h=1 w=6]\n"
+         "L1: perm=kcrsnhw tiles=[n=1 k=16 c=284 r=1 s=1 h=1 w=6]\n"
+         "Reg: perm=nhwkcrs tiles=[n=1 k=16 c=1 r=1 s=1 h=1 w=6]\n"
+         "par=[n=1 k=8 c=1 r=1 s=1 h=1 w=1]\n",
+         0x3f98bd5f717f9f1dULL},
+    };
+    const MachineSpec m = i7_9700k();
+    std::size_t at = 0;
+    for (const char *name : {"Y0", "Y23"})
+        for (std::uint64_t seed : {1, 7}) {
+            OptimizerOptions o;
+            o.seed = seed;
+            const OptimizeOutput out =
+                optimizeConv(workloadByName(name), m, o);
+            ASSERT_EQ(out.candidates.size(), 5u) << name;
+            for (std::size_t i = 0; i < 5; ++i, ++at) {
+                const Candidate &c = out.candidates[i];
+                EXPECT_EQ(c.config.str(), kPins[at].config)
+                    << name << " seed " << seed << " candidate " << i;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              c.predicted.total_seconds),
+                          kPins[at].seconds_bits)
+                    << name << " seed " << seed << " candidate " << i;
+            }
+        }
 }
 
 TEST(Integerize, OutputRespectsCapacityAndBlocks)

@@ -414,6 +414,44 @@ TEST(RpcProtocol, RefusalMessageTable)
     }
 }
 
+TEST(RpcProtocol, QuietRefusalsWriteNoErrorLine)
+{
+    // A refusal is the caller's to report: decoding a bad solve request
+    // or a corrupt journal line writes nothing to stderr, even when the
+    // refusal is a FatalError thrown inside the decoder (the shape's
+    // validate(), Permutation::parse).
+    const std::string record =
+        solutionToJsonLine(goldenKey(0), goldenSolution());
+    auto replaced = [&record](const std::string &from,
+                              const std::string &to) {
+        std::string out = record;
+        const std::size_t at = out.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return out.replace(at, from.size(), to);
+    };
+    const std::string bad_shape = replaced(R"("k":64)", R"("k":0)");
+    const std::string bad_perm = replaced(R"("nkhwcrs")", R"("nkh")");
+
+    testing::internal::CaptureStderr();
+    RpcRequest req;
+    std::string err;
+    const bool request_ok = requestFromJsonLine(
+        R"({"op":"solve","n":1,"k":0,"c":1,"r":1,"s":1,"h":1,"w":1,)"
+        R"("stride":1,"dilation":1})",
+        req, &err);
+    CacheKey key;
+    CachedSolution sol;
+    const bool shape_ok = solutionFromJsonLine(bad_shape, key, sol);
+    const bool perm_ok = solutionFromJsonLine(bad_perm, key, sol);
+    const std::string written = testing::internal::GetCapturedStderr();
+
+    EXPECT_FALSE(request_ok);
+    EXPECT_NE(err.find("extents must be >= 1"), std::string::npos) << err;
+    EXPECT_FALSE(shape_ok);
+    EXPECT_FALSE(perm_ok);
+    EXPECT_EQ(written, "");
+}
+
 TEST(RpcProtocol, ResponseRoundTrips)
 {
     // Error response.
