@@ -244,20 +244,6 @@ CalibrationStore::addSample(const TuneSample &s)
         journalAppend(journal_, tuneSampleToJsonLine(s));
 }
 
-std::vector<TuneSample>
-CalibrationStore::samples() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return samples_;
-}
-
-std::size_t
-CalibrationStore::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return samples_.size();
-}
-
 CalibrationStoreStats
 CalibrationStore::stats() const
 {
@@ -270,13 +256,6 @@ CalibrationStore::fit(std::uint64_t machine_fp) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return fitCalibration(samples_, machine_fp);
-}
-
-void
-CalibrationStore::compact()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    compactLocked();
 }
 
 void

@@ -149,22 +149,16 @@ class CalibrationStore
     /** Record one sample: in-memory plus journal append + flush. */
     void addSample(const TuneSample &s);
 
-    /** Snapshot of every stored sample. */
-    std::vector<TuneSample> samples() const;
-
-    std::size_t size() const;
-
     CalibrationStoreStats stats() const;
 
     /** fitCalibration over the stored samples for @p machine_fp. */
     Calibration fit(std::uint64_t machine_fp) const;
 
-    /** Rewrite the journal from memory (journalRewrite). */
-    void compact();
-
   private:
     void load();
-    void compactLocked(); //!< compact() body; mu_ must be held.
+    /** Rewrite the journal from memory (journalRewrite); mu_ must be
+     *  held. */
+    void compactLocked();
 
     std::string path_;
     mutable std::mutex mu_;

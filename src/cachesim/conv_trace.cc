@@ -1,7 +1,5 @@
 #include "cachesim/conv_trace.hh"
 
-#include <sstream>
-
 #include "common/logging.hh"
 #include "exec/loop_nest.hh"
 
@@ -41,17 +39,6 @@ struct AddressMap
 };
 
 } // namespace
-
-std::string
-TraceStats::str() const
-{
-    std::ostringstream oss;
-    oss << "reg=" << reg_words;
-    for (int i = 0; i < 3; ++i)
-        oss << " " << memLevelName(i + 1) << "="
-            << level_words[static_cast<std::size_t>(i)];
-    return oss.str();
-}
 
 TraceStats
 simulateConvTrace(const ConvProblem &p, const ExecConfig &cfg,

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <functional>
-#include <string>
 
 #include "cachesim/hierarchy.hh"
 #include "conv/problem.hh"
@@ -38,8 +37,6 @@ struct TraceStats
 
     /** Raw per-level counters. */
     std::array<LevelTraffic, 3> traffic{};
-
-    std::string str() const;
 };
 
 /**

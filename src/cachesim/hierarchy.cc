@@ -1,7 +1,5 @@
 #include "cachesim/hierarchy.hh"
 
-#include <sstream>
-
 #include "common/logging.hh"
 
 namespace mopt {
@@ -74,19 +72,6 @@ Hierarchy::flushAll()
         for (const std::int64_t w : dirty)
             writebackInto(i + 1, w);
     }
-}
-
-std::string
-Hierarchy::summary() const
-{
-    std::ostringstream oss;
-    oss << "accesses=" << total_accesses_;
-    for (int i = 0; i < numLevels(); ++i) {
-        const LevelTraffic t = traffic(i);
-        oss << " L" << (i + 1) << "{miss=" << t.misses
-            << " wb=" << t.writebacks << "}";
-    }
-    return oss.str();
 }
 
 } // namespace mopt

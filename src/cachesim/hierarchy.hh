@@ -59,8 +59,6 @@ class Hierarchy
     /** Line size in words. */
     std::int64_t lineWords() const { return line_words_; }
 
-    std::string summary() const;
-
   private:
     /** Cascade a dirty victim from level-1 into @p level and beyond. */
     void writebackInto(std::size_t level, std::int64_t word_addr);

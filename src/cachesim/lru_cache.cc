@@ -89,12 +89,4 @@ LruCache::flush(std::vector<std::int64_t> &dirty_words)
     flush();
 }
 
-void
-LruCache::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-    writebacks_ = 0;
-}
-
 } // namespace mopt

@@ -76,9 +76,6 @@ class LruCache
     std::int64_t capacityLines() const { return capacity_lines_; }
     std::int64_t lineWords() const { return line_words_; }
 
-    /** Zero the statistics (contents retained). */
-    void resetStats();
-
   private:
     struct Line
     {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "exec/loop_nest.hh"
@@ -83,22 +82,6 @@ class PrivateStack
 };
 
 } // namespace
-
-std::string
-SimTimeBreakdown::str() const
-{
-    std::ostringstream oss;
-    for (int l = 0; l < NumMemLevels; ++l) {
-        oss << memLevelName(l) << ": "
-            << volume_words[static_cast<std::size_t>(l)] << " words, "
-            << seconds[static_cast<std::size_t>(l)] * 1e3 << " ms"
-            << (l == bottleneck ? "  <-- bottleneck" : "") << "\n";
-    }
-    oss << "compute: " << compute_seconds * 1e3
-        << " ms, total: " << total_seconds * 1e3 << " ms, " << gflops
-        << " GFLOPS (" << active_cores << " cores)\n";
-    return oss.str();
-}
 
 MachineSpec
 scaledMachine(const MachineSpec &base, std::int64_t divisor)

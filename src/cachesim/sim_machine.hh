@@ -23,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "cachesim/conv_trace.hh"
 #include "conv/problem.hh"
@@ -55,8 +54,6 @@ struct SimTimeBreakdown
 
     /** Cores actively used (1 when sequential). */
     int active_cores = 1;
-
-    std::string str() const;
 };
 
 /**

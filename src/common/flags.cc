@@ -94,15 +94,6 @@ Flags::getInt(const std::string &name, std::int64_t def) const
     return std::strtoll(v.c_str(), nullptr, 10);
 }
 
-double
-Flags::getDouble(const std::string &name, double def) const
-{
-    std::string v;
-    if (!lookup(name, v))
-        return def;
-    return std::strtod(v.c_str(), nullptr);
-}
-
 bool
 Flags::getBool(const std::string &name, bool def) const
 {

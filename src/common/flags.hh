@@ -39,9 +39,6 @@ class Flags
     /** Integer value with default. */
     std::int64_t getInt(const std::string &name, std::int64_t def) const;
 
-    /** Double value with default. */
-    double getDouble(const std::string &name, double def) const;
-
     /** Boolean value with default: 1/true/yes/on and 0/false/no/off
      *  (case-insensitive) are accepted; anything else is a fatal
      *  user error (it is usually a stray positional token). */

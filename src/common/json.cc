@@ -440,13 +440,6 @@ JsonReader::read(std::string_view text)
     return ok_;
 }
 
-std::string_view
-JsonView::raw() const
-{
-    return tok_ ? doc_->text_.substr(tok_->pos, tok_->end - tok_->pos)
-                : std::string_view();
-}
-
 bool
 JsonView::getInt(std::int64_t &out) const
 {
@@ -612,13 +605,6 @@ jsonParseHex16(std::string_view s, std::uint64_t &out)
     }
     out = v;
     return true;
-}
-
-bool
-jsonGetInt(const JsonValue &obj, std::string_view key, std::int64_t &out)
-{
-    const JsonValue *v = obj.find(key);
-    return v && v->isNumber() && wholeNumber(v->num, out);
 }
 
 } // namespace mopt

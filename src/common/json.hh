@@ -23,8 +23,8 @@
  * names; decoders look members up through JsonView and copy out only
  * what they keep. A string is unescaped when a decoder asks for it,
  * and each number is converted once, in the pass. JsonValue, a tree
- * built from the same tokens, is kept for the inline network IR
- * (frontend/network_def.hh).
+ * built from the same tokens, is used by no library path; it is kept
+ * for the tests' reference decoders (tests/support/tree_decoders.hh).
  */
 
 #ifndef MOPT_COMMON_JSON_HH
@@ -110,9 +110,6 @@ class JsonView
      *  holds no escape, else unescaped into @p scratch ("" for a
      *  non-string). */
     std::string_view strView(std::string &scratch) const;
-
-    /** The value's JSON text, as it stands in the line. */
-    std::string_view raw() const;
 
     /** Object: its first member named @p key. */
     JsonView find(std::string_view key) const;
@@ -227,10 +224,6 @@ void jsonAppendDouble(std::string &out, double v);
 
 /** Decode jsonHex16 output; false unless exactly 16 hex digits. */
 bool jsonParseHex16(std::string_view s, std::uint64_t &out);
-
-/** Integer member of @p obj, by JsonView::getInt's rule. */
-bool jsonGetInt(const JsonValue &obj, std::string_view key,
-                std::int64_t &out);
 
 } // namespace mopt
 

@@ -30,13 +30,6 @@ parseEnvLevel()
     return LogLevel::Warn;
 }
 
-LogLevel &
-levelStorage()
-{
-    static LogLevel level = parseEnvLevel();
-    return level;
-}
-
 const char *
 levelName(LogLevel level)
 {
@@ -56,22 +49,11 @@ levelName(LogLevel level)
 
 } // namespace
 
-LogLevel
-logLevel()
-{
-    return levelStorage();
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    levelStorage() = level;
-}
-
 void
 logMessage(LogLevel level, const std::string &msg)
 {
-    if (static_cast<int>(level) < static_cast<int>(logLevel()))
+    static const LogLevel threshold = parseEnvLevel();
+    if (static_cast<int>(level) < static_cast<int>(threshold))
         return;
     std::lock_guard<std::mutex> lock(log_mutex);
     std::cerr << "[mopt:" << levelName(level) << "] " << msg << "\n";

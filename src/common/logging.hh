@@ -28,16 +28,10 @@ enum class LogLevel {
 };
 
 /**
- * Global log-level threshold. Messages below this level are suppressed.
- * Initialized from the MOPT_LOG environment variable
- * (debug|info|warn|error|silent); defaults to Warn.
+ * Emit a log line to stderr if @p level passes the threshold, read
+ * once from the MOPT_LOG environment variable
+ * (debug|info|warn|error|silent; defaults to warn).
  */
-LogLevel logLevel();
-
-/** Override the global log level programmatically. */
-void setLogLevel(LogLevel level);
-
-/** Emit a log line to stderr if @p level passes the global threshold. */
 void logMessage(LogLevel level, const std::string &msg);
 
 /** Exception type thrown by fatal() so callers/tests can intercept it. */

@@ -1,7 +1,5 @@
 #include "common/rng.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace mopt {
@@ -75,27 +73,11 @@ Rng::uniformReal(double lo, double hi)
     return lo + (hi - lo) * uniform01();
 }
 
-double
-Rng::normal()
-{
-    double u1 = uniform01();
-    double u2 = uniform01();
-    if (u1 <= 0.0)
-        u1 = 0x1.0p-53;
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-}
-
 std::size_t
 Rng::index(std::size_t n)
 {
     checkInvariant(n > 0, "Rng::index on empty range");
     return static_cast<std::size_t>(uniformInt(0, static_cast<std::int64_t>(n) - 1));
-}
-
-Rng
-Rng::split()
-{
-    return Rng(next() ^ 0xa02bdbf7bb3c0a7ull);
 }
 
 } // namespace mopt

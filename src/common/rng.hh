@@ -37,9 +37,6 @@ class Rng
     /** Uniform double in [lo, hi). */
     double uniformReal(double lo, double hi);
 
-    /** Standard normal via Box-Muller. */
-    double normal();
-
     /** Pick a uniformly random element index of a size-@p n container. */
     std::size_t index(std::size_t n);
 
@@ -61,9 +58,6 @@ class Rng
             std::swap(v[i - 1], v[j]);
         }
     }
-
-    /** Derive an independent child stream (for per-thread use). */
-    Rng split();
 
   private:
     std::uint64_t s_[4];

@@ -126,22 +126,6 @@ spearman(const std::vector<double> &xs, const std::vector<double> &ys)
     return pearson(ranks(xs), ranks(ys));
 }
 
-std::size_t
-argmin(const std::vector<double> &xs)
-{
-    checkUser(!xs.empty(), "argmin of empty sample");
-    return static_cast<std::size_t>(
-        std::min_element(xs.begin(), xs.end()) - xs.begin());
-}
-
-std::size_t
-argmax(const std::vector<double> &xs)
-{
-    checkUser(!xs.empty(), "argmax of empty sample");
-    return static_cast<std::size_t>(
-        std::max_element(xs.begin(), xs.end()) - xs.begin());
-}
-
 std::vector<std::size_t>
 smallestK(const std::vector<double> &xs, std::size_t k)
 {

@@ -53,10 +53,6 @@ double spearman(const std::vector<double> &xs, const std::vector<double> &ys);
  */
 std::vector<double> ranks(const std::vector<double> &xs);
 
-/** Index of the minimum / maximum element; sample must be non-empty. */
-std::size_t argmin(const std::vector<double> &xs);
-std::size_t argmax(const std::vector<double> &xs);
-
 /**
  * Indices of the k smallest elements in ascending order of value
  * (k clamped to size).

@@ -95,22 +95,6 @@ formatEng(double v)
 }
 
 std::string
-padLeft(const std::string &s, std::size_t w)
-{
-    if (s.size() >= w)
-        return s;
-    return std::string(w - s.size(), ' ') + s;
-}
-
-std::string
-padRight(const std::string &s, std::size_t w)
-{
-    if (s.size() >= w)
-        return s;
-    return s + std::string(w - s.size(), ' ');
-}
-
-std::string
 toLower(std::string s)
 {
     for (char &c : s)

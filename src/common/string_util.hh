@@ -40,10 +40,6 @@ void appendInt(std::string &out, std::string_view prefix, long long v);
  */
 std::string formatEng(double v);
 
-/** Left/right-pad @p s with spaces to width @p w. */
-std::string padLeft(const std::string &s, std::size_t w);
-std::string padRight(const std::string &s, std::size_t w);
-
 /** Lower-case an ASCII string. */
 std::string toLower(std::string s);
 

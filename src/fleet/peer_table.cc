@@ -4,32 +4,11 @@
 
 namespace mopt {
 
-const char *
-peerStateName(PeerState state)
-{
-    switch (state) {
-    case PeerState::Up:
-        return "up";
-    case PeerState::Suspect:
-        return "suspect";
-    case PeerState::Down:
-        return "down";
-    }
-    return "?";
-}
-
 PeerTable::PeerTable(std::size_t n, PeerTableOptions options)
     : options_(options), n_(n), peers_(n), rng_(options.seed)
 {
     if (options_.down_after < 1)
         options_.down_after = 1;
-}
-
-PeerState
-PeerTable::state(std::size_t i) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return peers_[i].state;
 }
 
 bool
@@ -75,26 +54,6 @@ PeerTable::reportFailure(std::size_t i)
         backoffDelayMs(options_.probe_backoff_ms, p.down_rounds, rng_,
                        options_.probe_backoff_cap_ms, options_.jitter);
     p.next_probe = Clock::now() + std::chrono::milliseconds(hold);
-}
-
-long
-PeerTable::msUntilProbe() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    const Clock::time_point now = Clock::now();
-    long best = -1;
-    for (const Peer &p : peers_) {
-        if (p.state != PeerState::Down)
-            continue;
-        long ms = 0;
-        if (p.next_probe > now)
-            ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     p.next_probe - now)
-                     .count();
-        if (best < 0 || ms < best)
-            best = ms;
-    }
-    return best;
 }
 
 PeerInfo

@@ -17,8 +17,8 @@
  * next-probe deadline, after which exactly the half-open pattern
  * applies — the peer is offered again, one success resets it to Up,
  * one more failure re-arms a doubled (capped, optionally jittered)
- * quarantine. Callers never sleep on the table; they ask
- * msUntilProbe() and fold it into their own waits.
+ * quarantine. Callers never sleep on the table; they read a peer's
+ * info().retry_in_ms and fold it into their own waits.
  *
  * The table is deliberately signal-agnostic: a "failure" may be a
  * refused connect, a push timeout, or a failed ping probe. Whoever
@@ -39,8 +39,6 @@
 namespace mopt {
 
 enum class PeerState { Up, Suspect, Down };
-
-const char *peerStateName(PeerState state);
 
 struct PeerTableOptions {
     /** Consecutive failures before a peer goes Down. 1 means the
@@ -71,7 +69,6 @@ class PeerTable {
 
     std::size_t size() const { return n_; }
 
-    PeerState state(std::size_t i) const;
     bool isDown(std::size_t i) const;
 
     /** True when the peer should be offered traffic: Up, Suspect, or
@@ -85,10 +82,6 @@ class PeerTable {
      *  count; at down_after the peer goes Down and its next half-open
      *  probe is scheduled with doubling backoff. */
     void reportFailure(std::size_t i);
-
-    /** Ms until the soonest Down peer re-opens, or -1 when no peer is
-     *  Down. 0 means a probe is already due. */
-    long msUntilProbe() const;
 
     PeerInfo info(std::size_t i) const;
 

@@ -205,46 +205,48 @@ fail(std::string *err, const std::string &msg)
 } // namespace
 
 bool
-networkDefFromJson(const JsonValue &v, NetworkDef &def, std::string *err)
+networkDefFromJson(JsonView v, NetworkDef &def, std::string *err)
 {
-    if (v.type != JsonValue::Type::Object)
+    if (!v.isObject())
         return fail(err, "network IR: expected a JSON object");
     NetworkDef out;
-    const JsonValue *name = v.find("name");
-    if (name && name->type == JsonValue::Type::String)
-        out.name = name->str;
-    const JsonValue *layers = v.find("layers");
-    if (!layers || layers->type != JsonValue::Type::Array)
+    v.find("name").getString(out.name);
+    const JsonView layers = v.find("layers");
+    if (!layers.isArray())
         return fail(err, "network IR: missing \"layers\" array");
-    for (std::size_t i = 0; i < layers->arr.size(); ++i) {
-        const JsonValue &jl = layers->arr[i];
+    std::size_t i = 0;
+    for (const JsonView jl : layers) {
         const std::string where =
-            "network IR layer " + std::to_string(i);
-        if (jl.type != JsonValue::Type::Object)
+            "network IR layer " + std::to_string(i++);
+        if (!jl.isObject())
             return fail(err, where + ": expected an object");
         LayerDef l;
-        const JsonValue *lname = jl.find("name");
-        if (lname && lname->type == JsonValue::Type::String)
-            l.name = lname->str;
-        const JsonValue *kind = jl.find("kind");
-        if (kind) {
-            if (kind->type != JsonValue::Type::String ||
-                !layerKindFromName(kind->str, l.kind))
+        jl.find("name").getString(l.name);
+        if (const JsonView kind = jl.find("kind")) {
+            std::string kind_name;
+            if (!kind.getString(kind_name) ||
+                !layerKindFromName(kind_name, l.kind))
                 return fail(err, where + ": bad \"kind\"");
         }
         std::int64_t stride = 1, dilation = 1, pad = -1;
-        if (!jsonGetInt(jl, "k", l.filters) ||
-            !jsonGetInt(jl, "c", l.in_c) ||
-            !jsonGetInt(jl, "h", l.in_h) ||
-            !jsonGetInt(jl, "w", l.in_w) || !jsonGetInt(jl, "size", l.size))
+        if (!jl.find("k").getInt(l.filters) ||
+            !jl.find("c").getInt(l.in_c) ||
+            !jl.find("h").getInt(l.in_h) ||
+            !jl.find("w").getInt(l.in_w) ||
+            !jl.find("size").getInt(l.size))
             return fail(err, where + ": missing k/c/h/w/size");
-        if (jl.find("stride") && !jsonGetInt(jl, "stride", stride))
+        // An optional member, when present, must be a whole number.
+        const auto optional = [&](const char *key, std::int64_t &out) {
+            const JsonView m = jl.find(key);
+            return !m || m.getInt(out);
+        };
+        if (!optional("stride", stride))
             return fail(err, where + ": bad \"stride\"");
-        if (jl.find("dilation") && !jsonGetInt(jl, "dilation", dilation))
+        if (!optional("dilation", dilation))
             return fail(err, where + ": bad \"dilation\"");
-        if (jl.find("groups") && !jsonGetInt(jl, "groups", l.groups))
+        if (!optional("groups", l.groups))
             return fail(err, where + ": bad \"groups\"");
-        if (jl.find("pad") && !jsonGetInt(jl, "pad", pad))
+        if (!optional("pad", pad))
             return fail(err, where + ": bad \"pad\"");
         l.stride = static_cast<int>(stride);
         l.dilation = static_cast<int>(dilation);
@@ -258,15 +260,6 @@ networkDefFromJson(const JsonValue &v, NetworkDef &def, std::string *err)
     }
     def = std::move(out);
     return true;
-}
-
-bool
-networkDefFromJson(std::string_view text, NetworkDef &def, std::string *err)
-{
-    JsonValue v;
-    if (!jsonParse(text, v))
-        return fail(err, "network IR: not JSON");
-    return networkDefFromJson(v, def, err);
 }
 
 } // namespace mopt

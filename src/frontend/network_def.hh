@@ -139,16 +139,11 @@ struct NetworkDef
  */
 std::string networkDefToJson(const NetworkDef &def);
 
-/** Inverse of networkDefToJson; returns false (and sets err) on a
+/** Inverse of networkDefToJson over the value @p v of a read line
+ *  (the RPC request's "ir" member); returns false (and sets err) on a
  *  malformed payload. The parsed def has batch == 1. */
-struct JsonValue;
-bool networkDefFromJson(const JsonValue &v, NetworkDef &def,
-                        std::string *err);
-
-/** networkDefFromJson over the JSON text @p text (the RPC request
- *  hands over its "ir" member's bytes). */
-bool networkDefFromJson(std::string_view text, NetworkDef &def,
-                        std::string *err);
+class JsonView;
+bool networkDefFromJson(JsonView v, NetworkDef &def, std::string *err);
 
 } // namespace mopt
 

@@ -33,12 +33,6 @@ MachineSpec::peakGflops() const
     return peakGflopsPerCore() * cores;
 }
 
-int
-MachineSpec::littlesLawParallelism() const
-{
-    return fma_latency * fma_units * vec_lanes;
-}
-
 std::int64_t
 MachineSpec::capacityWords(int level) const
 {

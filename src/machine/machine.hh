@@ -72,13 +72,6 @@ struct MachineSpec
     /** Peak fp32 GFLOPS of the whole chip. */
     double peakGflops() const;
 
-    /**
-     * Independent FMAs needed to saturate the SIMD pipeline by
-     * Little's law: latency * units * lanes (Sec. 6: 6*16 = 96 on
-     * AVX2 with 2 pipes).
-     */
-    int littlesLawParallelism() const;
-
     /** Capacity of @p level in fp32 words. */
     std::int64_t capacityWords(int level) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/logging.hh"
 #include "common/string_util.hh"
@@ -16,21 +15,6 @@ dimName(Dim d)
     static const char *names[NumDims] = {"n", "k", "c", "r", "s", "h", "w"};
     checkInvariant(d >= 0 && d < NumDims, "dimName: bad dim");
     return names[d];
-}
-
-const char *
-tensorName(TensorId t)
-{
-    switch (t) {
-      case TenIn:
-        return "In";
-      case TenKer:
-        return "Ker";
-      case TenOut:
-        return "Out";
-      default:
-        panic("tensorName: bad tensor");
-    }
 }
 
 bool
@@ -94,26 +78,8 @@ floorTiles(const TileVec &t)
     return v;
 }
 
-namespace {
-
-void
-appendValue(std::string &out, std::int64_t v)
-{
-    appendInt(out, v);
-}
-
-void
-appendValue(std::string &out, double v)
-{
-    // %g is what an ostream prints a double as by default.
-    char buf[32];
-    const int n = std::snprintf(buf, sizeof(buf), "%g", v);
-    out.append(buf, static_cast<std::size_t>(n));
-}
-
-template <typename Vec>
 std::string
-tilesToStringImpl(const Vec &t)
+tilesToString(const IntTileVec &t)
 {
     std::string out = "[";
     for (int d = 0; d < NumDims; ++d) {
@@ -121,24 +87,10 @@ tilesToStringImpl(const Vec &t)
             out += ' ';
         out += dimName(static_cast<Dim>(d));
         out += '=';
-        appendValue(out, t[static_cast<std::size_t>(d)]);
+        appendInt(out, t[static_cast<std::size_t>(d)]);
     }
     out += ']';
     return out;
-}
-
-} // namespace
-
-std::string
-tilesToString(const IntTileVec &t)
-{
-    return tilesToStringImpl(t);
-}
-
-std::string
-tilesToString(const TileVec &t)
-{
-    return tilesToStringImpl(t);
 }
 
 } // namespace mopt

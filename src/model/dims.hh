@@ -40,9 +40,6 @@ enum TensorId : int {
 /** Single-character dimension name ("n", "k", ...). */
 const char *dimName(Dim d);
 
-/** Tensor name ("In", "Ker", "Out"). */
-const char *tensorName(TensorId t);
-
 /**
  * Whether dimension @p d appears in the index expressions of tensor
  * @p t. In: all but k; Ker: {k, c, r, s}; Out: {n, k, h, w}.
@@ -77,7 +74,6 @@ IntTileVec floorTiles(const TileVec &t);
 
 /** Render tile sizes as "[n=1 k=32 c=16 r=3 s=3 h=8 w=56]". */
 std::string tilesToString(const IntTileVec &t);
-std::string tilesToString(const TileVec &t);
 
 } // namespace mopt
 

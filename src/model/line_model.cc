@@ -73,15 +73,6 @@ tileFootprintLines(TensorId t, const TileVec &tiles, const ConvProblem &p,
 }
 
 double
-totalFootprintLines(const TileVec &tiles, const ConvProblem &p,
-                    int line_words, DivMode mode)
-{
-    return tileFootprintLines(TenIn, tiles, p, line_words, mode) +
-           tileFootprintLines(TenKer, tiles, p, line_words, mode) +
-           tileFootprintLines(TenOut, tiles, p, line_words, mode);
-}
-
-double
 tensorDataVolumeLines(TensorId t, const Permutation &perm,
                       const TileVec &tiles, const TileVec &outer,
                       const ConvProblem &p, int line_words, DivMode mode)

@@ -39,11 +39,6 @@ double tileFootprintLines(TensorId t, const TileVec &tiles,
                           const ConvProblem &p, int line_words,
                           DivMode mode = DivMode::Continuous);
 
-/** Line-aware counterpart of totalFootprint (capacity constraint). */
-double totalFootprintLines(const TileVec &tiles, const ConvProblem &p,
-                           int line_words,
-                           DivMode mode = DivMode::Continuous);
-
 /**
  * Line-aware counterpart of tensorDataVolume (Sec. 3 + the Sec. 12
  * extension): words moved for tensor @p t between this level and the

@@ -1,7 +1,6 @@
 #include "model/pruned_classes.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/logging.hh"
 
@@ -68,34 +67,6 @@ PrunedClass::memberCount() const
     for (const auto &band : bands_)
         count *= factorial(band.size());
     return count;
-}
-
-std::vector<Permutation>
-PrunedClass::members() const
-{
-    std::vector<std::vector<Dim>> sorted_bands = bands_;
-    for (auto &band : sorted_bands)
-        std::sort(band.begin(), band.end());
-
-    std::vector<Permutation> result;
-    std::vector<Dim> prefix;
-    // Enumerate the cartesian product of per-band permutations.
-    std::function<void(std::size_t)> rec = [&](std::size_t bi) {
-        if (bi == sorted_bands.size()) {
-            std::array<Dim, NumDims> order{};
-            std::copy(prefix.begin(), prefix.end(), order.begin());
-            result.emplace_back(order);
-            return;
-        }
-        std::vector<Dim> band = sorted_bands[bi];
-        do {
-            prefix.insert(prefix.end(), band.begin(), band.end());
-            rec(bi + 1);
-            prefix.resize(prefix.size() - band.size());
-        } while (std::next_permutation(band.begin(), band.end()));
-    };
-    rec(0);
-    return result;
 }
 
 const std::vector<PrunedClass> &

@@ -54,9 +54,6 @@ class PrunedClass
     /** Number of member permutations (product of band factorials). */
     std::int64_t memberCount() const;
 
-    /** Every member permutation (for exhaustive tests). */
-    std::vector<Permutation> members() const;
-
   private:
     std::string name_;
     std::vector<std::vector<Dim>> bands_;

@@ -63,15 +63,6 @@ Permutation::parse(std::string_view s)
     return Permutation(order);
 }
 
-int
-Permutation::positionFromInner(Dim d) const
-{
-    for (int i = 0; i < NumDims; ++i)
-        if (order_[static_cast<std::size_t>(i)] == d)
-            return NumDims - i;
-    panic("positionFromInner: dim not found");
-}
-
 Dim
 Permutation::dimAtPosition(int pos) const
 {
@@ -133,19 +124,6 @@ MultiLevelConfig::clampNesting(const IntTileVec &extents)
             lo = t;
         }
     }
-}
-
-std::string
-MultiLevelConfig::str() const
-{
-    std::ostringstream oss;
-    for (int l = NumMemLevels - 1; l >= 0; --l) {
-        const auto &lt = level[static_cast<std::size_t>(l)];
-        oss << memLevelName(l) << ": perm=" << lt.perm.str()
-            << " tiles=" << tilesToString(lt.tiles) << "\n";
-    }
-    oss << "par=" << tilesToString(par) << "\n";
-    return oss.str();
 }
 
 MultiLevelConfig

@@ -37,12 +37,6 @@ class Permutation
     /** Dimension at outermost-first index @p i (0-based). */
     Dim at(int i) const { return order_[static_cast<std::size_t>(i)]; }
 
-    /**
-     * Position of @p d counted from the innermost loop, starting at 1
-     * (paper's convention in Sec. 3).
-     */
-    int positionFromInner(Dim d) const;
-
     /** Dimension at innermost-based position @p pos (1 = innermost). */
     Dim dimAtPosition(int pos) const;
 
@@ -92,9 +86,6 @@ struct MultiLevelConfig
      * extent] so the nesting invariant T^0 <= T^1 <= ... <= N holds.
      */
     void clampNesting(const IntTileVec &extents);
-
-    /** Multi-line human-readable description. */
-    std::string str() const;
 };
 
 /**

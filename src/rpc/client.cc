@@ -20,6 +20,9 @@ namespace {
  *  abandoned promptly once the winner lands. */
 constexpr long kHedgePollSliceMs = 20;
 
+/** Longest response line a call accepts. */
+constexpr std::size_t kMaxResponseBytes = 8u << 20;
+
 /** PeerTable configuration reproducing the router's historical
  *  mark-down: the first transport failure quarantines for a fixed
  *  markdown_ms window (base == cap, no jitter), after which one call
@@ -63,31 +66,14 @@ parseEndpointList(const std::string &csv)
     return out;
 }
 
-Client::Client(RpcEndpoint ep, std::size_t max_response_bytes)
-    : ep_(std::move(ep)), max_response_bytes_(max_response_bytes)
-{}
+Client::Client(RpcEndpoint ep) : ep_(std::move(ep)) {}
 
 Client::Client(Client &&o) noexcept
-    : ep_(std::move(o.ep_)), max_response_bytes_(o.max_response_bytes_),
-      sock_(std::move(o.sock_)), rng_(o.rng_)
+    : ep_(std::move(o.ep_)), sock_(std::move(o.sock_)), rng_(o.rng_)
 {
     // reader_ references o.sock_, so an in-flight call cannot move;
     // drop it (the moved-from client is dead anyway).
     o.reader_.reset();
-}
-
-Client &
-Client::operator=(Client &&o) noexcept
-{
-    if (this != &o) {
-        reader_.reset();
-        o.reader_.reset();
-        ep_ = std::move(o.ep_);
-        max_response_bytes_ = o.max_response_bytes_;
-        sock_ = std::move(o.sock_);
-        rng_ = o.rng_;
-    }
-    return *this;
 }
 
 bool
@@ -106,8 +92,7 @@ Client::startCall(const RpcRequest &req, std::string *err, Deadline dl)
         disconnect();
         return false;
     }
-    reader_ =
-        std::make_unique<LineReader>(sock_, max_response_bytes_);
+    reader_ = std::make_unique<LineReader>(sock_, kMaxResponseBytes);
     return true;
 }
 
@@ -200,15 +185,6 @@ Client::disconnect()
 {
     reader_.reset();
     sock_.close();
-}
-
-double
-RouteStats::hitRate() const
-{
-    if (unique_shapes == 0)
-        return 1.0;
-    return static_cast<double>(remote_hits) /
-           static_cast<double>(unique_shapes);
 }
 
 ShardRouter::ShardRouter(std::vector<RpcEndpoint> endpoints,

@@ -134,12 +134,10 @@ struct FleetOptions
 class Client
 {
   public:
-    explicit Client(RpcEndpoint ep,
-                    std::size_t max_response_bytes = 8u << 20);
+    explicit Client(RpcEndpoint ep);
 
-    /** Movable (drops any in-flight call); not copyable. */
+    /** Move-constructible (drops any in-flight call); not copyable. */
     Client(Client &&o) noexcept;
-    Client &operator=(Client &&o) noexcept;
     Client(const Client &) = delete;
     Client &operator=(const Client &) = delete;
 
@@ -204,12 +202,11 @@ class Client
 
   private:
     RpcEndpoint ep_;
-    std::size_t max_response_bytes_;
     TcpSocket sock_;
 
     /** Live only while a call is in flight (start → Ready/Transport/
      *  abandon); owns the response framing state across Timeout
-     *  slices. References sock_, hence the explicit move ops. */
+     *  slices. References sock_, hence the explicit move. */
     std::unique_ptr<LineReader> reader_;
 
     Rng rng_{0x9e3779b97f4a7c15ull}; //!< callRetrying backoff jitter.
@@ -239,9 +236,6 @@ struct RouteStats
 
     /** Per-node health after the call (node index = fleet order). */
     std::vector<RouteNodeState> nodes;
-
-    /** remote_hits / unique_shapes (1 when there was nothing to do). */
-    double hitRate() const;
 };
 
 /**

@@ -11,6 +11,27 @@ namespace mopt {
 
 namespace {
 
+/** The stats response's optional counters, in wire order. An older
+ *  server omits them, and 0 is then the honest reading. */
+constexpr std::pair<const char *, std::int64_t RpcResponse::*>
+    kOptionalStats[] = {
+        {"sched_solves", &RpcResponse::sched_solves},
+        {"sched_coalesced", &RpcResponse::sched_coalesced},
+        {"sched_inflight", &RpcResponse::sched_inflight},
+        {"sched_peak", &RpcResponse::sched_peak},
+        {"sched_budget", &RpcResponse::sched_budget},
+        {"srv_shed_overload", &RpcResponse::srv_shed_overload},
+        {"srv_shed_client", &RpcResponse::srv_shed_client},
+        {"srv_shed_deadline", &RpcResponse::srv_shed_deadline},
+        {"calib_samples", &RpcResponse::calib_samples},
+        {"calib_active", &RpcResponse::calib_active},
+        {"srv_repl_pushed", &RpcResponse::srv_repl_pushed},
+        {"srv_repl_push_failed", &RpcResponse::srv_repl_push_failed},
+        {"srv_repl_applied", &RpcResponse::srv_repl_applied},
+        {"srv_repl_prefetched", &RpcResponse::srv_repl_prefetched},
+        {"repl_queue_depth", &RpcResponse::repl_queue_depth},
+        {"journal_seq", &RpcResponse::journal_seq}};
+
 void
 setError(std::string *err, const std::string &msg)
 {
@@ -292,7 +313,7 @@ requestFromJsonLine(const std::string &line, RpcRequest &out,
                 return false;
             }
             std::string ir_err;
-            if (!networkDefFromJson(ir.raw(), req.ir, &ir_err)) {
+            if (!networkDefFromJson(ir, req.ir, &ir_err)) {
                 setError(err, "solve_network: bad \"ir\": " + ir_err);
                 return false;
             }
@@ -432,26 +453,15 @@ responseToJsonLine(const RpcResponse &resp)
               {"inserts", resp.cache.inserts},
               {"evictions", resp.cache.evictions},
               {"journal_loaded", resp.cache.journal_loaded},
-              {"journal_skipped", resp.cache.journal_skipped},
-              {"sched_solves", resp.sched_solves},
-              {"sched_coalesced", resp.sched_coalesced},
-              {"sched_inflight", resp.sched_inflight},
-              {"sched_peak", resp.sched_peak},
-              {"sched_budget", resp.sched_budget},
-              {"srv_shed_overload", resp.srv_shed_overload},
-              {"srv_shed_client", resp.srv_shed_client},
-              {"srv_shed_deadline", resp.srv_shed_deadline},
-              {"calib_samples", resp.calib_samples},
-              {"calib_active", resp.calib_active},
-              {"srv_repl_pushed", resp.srv_repl_pushed},
-              {"srv_repl_push_failed", resp.srv_repl_push_failed},
-              {"srv_repl_applied", resp.srv_repl_applied},
-              {"srv_repl_prefetched", resp.srv_repl_prefetched},
-              {"repl_queue_depth", resp.repl_queue_depth},
-              {"journal_seq", resp.journal_seq}}) {
+              {"journal_skipped", resp.cache.journal_skipped}}) {
             out += ",\"";
             out += key;
             appendInt(out, "\":", v);
+        }
+        for (const auto &[key, member] : kOptionalStats) {
+            out += ",\"";
+            out += key;
+            appendInt(out, "\":", resp.*member);
         }
         out += ",\"entry_hits\":[";
         for (std::size_t i = 0; i < resp.entry_hits.size(); ++i) {
@@ -577,29 +587,9 @@ responseFromJsonLine(const std::string &line, RpcResponse &out,
             return false;
         }
         resp.shards = static_cast<int>(shards);
-        // Scheduler and admission counters are optional: an older
-        // server simply doesn't send them, and 0 is the honest
-        // reading.
-        for (const auto &[key, dst] :
-             {std::pair<const char *, std::int64_t *>{
-                  "sched_solves", &resp.sched_solves},
-              {"sched_coalesced", &resp.sched_coalesced},
-              {"sched_inflight", &resp.sched_inflight},
-              {"sched_peak", &resp.sched_peak},
-              {"sched_budget", &resp.sched_budget},
-              {"srv_shed_overload", &resp.srv_shed_overload},
-              {"srv_shed_client", &resp.srv_shed_client},
-              {"srv_shed_deadline", &resp.srv_shed_deadline},
-              {"calib_samples", &resp.calib_samples},
-              {"calib_active", &resp.calib_active},
-              {"srv_repl_pushed", &resp.srv_repl_pushed},
-              {"srv_repl_push_failed", &resp.srv_repl_push_failed},
-              {"srv_repl_applied", &resp.srv_repl_applied},
-              {"srv_repl_prefetched", &resp.srv_repl_prefetched},
-              {"repl_queue_depth", &resp.repl_queue_depth},
-              {"journal_seq", &resp.journal_seq}}) {
+        for (const auto &[key, member] : kOptionalStats) {
             const JsonView v = root.find(key);
-            if (v && !v.getInt(*dst)) {
+            if (v && !v.getInt(resp.*member)) {
                 setError(err, std::string("stats: bad ") + key);
                 return false;
             }

@@ -27,13 +27,6 @@ constexpr std::uint64_t kWakeId = 1;
 // backlog drains. Responses stay in request order regardless.
 constexpr std::size_t kMaxPipelinedLines = 8;
 
-bool
-fdNonBlocking(int fd)
-{
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 } // namespace
 
 /**
@@ -141,26 +134,15 @@ Server::start(std::string *err)
     }
     if (!listener_.listenOn(options_.host, options_.port, err))
         return false;
-    if (!listener_.setNonBlocking(true)) {
-        if (err)
-            *err = "failed to make the listener non-blocking";
-        listener_.retire();
-        return false;
-    }
     epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
     int fds[2] = {-1, -1};
-    if (epfd_ < 0 || ::pipe(fds) != 0 || !fdNonBlocking(fds[0]) ||
-        !fdNonBlocking(fds[1])) {
+    if (epfd_ < 0 || ::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) {
         if (err)
             *err = "failed to set up the event loop (epoll/pipe)";
-        if (fds[0] >= 0)
-            ::close(fds[0]);
-        if (fds[1] >= 0)
-            ::close(fds[1]);
         if (epfd_ >= 0)
             ::close(epfd_);
         epfd_ = -1;
-        listener_.retire();
+        listener_.close();
         return false;
     }
     wake_rd_ = fds[0];
@@ -261,8 +243,7 @@ Server::stop()
 {
     if (stopping_.exchange(true, std::memory_order_acq_rel))
         return;
-    listener_.close(); // Signal only; the loop closes the fds.
-    wakeLoop();
+    wakeLoop(); // The loop closes the listener when it drains.
 }
 
 void
@@ -306,12 +287,12 @@ Server::expireWriteDeadlines()
 void
 Server::acceptReady(std::int64_t *served)
 {
-    for (;;) {
+    while (!stopping()) {
         bool would_block = false;
         TcpSocket sock = listener_.tryAccept(&would_block);
         if (!sock.valid()) {
             if (!would_block)
-                stop(); // Listener retired or a fatal accept error.
+                stop(); // A fatal accept error.
             return;
         }
         ++*served;
@@ -608,7 +589,7 @@ void
 Server::beginDrain()
 {
     drain_begun_ = true;
-    listener_.retire(); // Frees the port now, not at destruction.
+    listener_.close(); // Frees the port now, not at destruction.
     // Read-side half-close of every connection: clients see EOF, but
     // a response mid-write (or still inside a worker) flushes first,
     // bounded by shed_write_ms. SHUT_RDWR would truncate work the

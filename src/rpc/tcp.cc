@@ -267,13 +267,6 @@ TcpSocket::setNonBlocking(bool on)
 }
 
 void
-TcpSocket::shutdownBoth()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RDWR);
-}
-
-void
 TcpSocket::shutdownRead()
 {
     if (fd_ >= 0)
@@ -292,17 +285,15 @@ TcpSocket::close()
 bool
 TcpListener::listenOn(const std::string &host, int port, std::string *err)
 {
-    // Re-binding an already-listening instance is only supported when
-    // no accept() is in flight (same contract as the destructor).
-    closeFds();
-    closing_.store(false, std::memory_order_release);
+    close();
     addrinfo *res = resolve(host, port, /*passive=*/true, err);
     if (!res)
         return false;
     std::string last_err = "no addresses";
     for (addrinfo *ai = res; ai; ai = ai->ai_next) {
-        const int fd =
-            ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+        const int fd = ::socket(ai->ai_family,
+                                ai->ai_socktype | SOCK_NONBLOCK,
+                                ai->ai_protocol);
         if (fd < 0) {
             last_err = "socket: " + errnoString();
             continue;
@@ -335,66 +326,7 @@ TcpListener::listenOn(const std::string &host, int port, std::string *err)
             port_ =
                 ntohs(reinterpret_cast<sockaddr_in6 *>(&sa)->sin6_port);
     }
-
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) {
-        setError(err, "pipe: " + errnoString());
-        close();
-        return false;
-    }
-    wake_rd_ = pipe_fds[0];
-    wake_wr_ = pipe_fds[1];
     return true;
-}
-
-TcpSocket
-TcpListener::accept()
-{
-    for (;;) {
-        if (closing_.load(std::memory_order_acquire)) {
-            // This thread observes the shutdown and is therefore the
-            // one that retires the descriptors (close() never touches
-            // them, so poll() below can never see a recycled number).
-            closeFds();
-            return TcpSocket();
-        }
-        if (fd_ < 0)
-            return TcpSocket();
-        pollfd fds[2];
-        fds[0].fd = fd_;
-        fds[0].events = POLLIN;
-        fds[1].fd = wake_rd_;
-        fds[1].events = POLLIN;
-        const int rc = ::poll(fds, 2, -1);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            closeFds();
-            return TcpSocket();
-        }
-        if (fds[1].revents) { // close() wrote the self-pipe.
-            closeFds();
-            return TcpSocket();
-        }
-        if (!(fds[0].revents & POLLIN))
-            continue;
-        const int conn = ::accept(fd_, nullptr, nullptr);
-        if (conn < 0) {
-            if (errno == EINTR || errno == ECONNABORTED)
-                continue;
-            closeFds();
-            return TcpSocket();
-        }
-        const int one = 1;
-        ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        return TcpSocket(conn);
-    }
-}
-
-bool
-TcpListener::setNonBlocking(bool on)
-{
-    return fd_ >= 0 && fdSetNonBlocking(fd_, on);
 }
 
 TcpSocket
@@ -402,7 +334,7 @@ TcpListener::tryAccept(bool *would_block)
 {
     *would_block = false;
     for (;;) {
-        if (fd_ < 0 || closing_.load(std::memory_order_acquire))
+        if (fd_ < 0)
             return TcpSocket();
         const int conn = ::accept(fd_, nullptr, nullptr);
         if (conn < 0) {
@@ -421,30 +353,9 @@ TcpListener::tryAccept(bool *would_block)
 void
 TcpListener::close()
 {
-    if (closing_.exchange(true, std::memory_order_acq_rel))
-        return;
-    std::lock_guard<std::mutex> lock(close_mu_);
-    if (wake_wr_ >= 0) {
-        const char b = 'x';
-        [[maybe_unused]] const ssize_t n = ::write(wake_wr_, &b, 1);
-    }
-}
-
-void
-TcpListener::closeFds()
-{
-    std::lock_guard<std::mutex> lock(close_mu_);
     if (fd_ >= 0) {
         ::close(fd_);
         fd_ = -1;
-    }
-    if (wake_rd_ >= 0) {
-        ::close(wake_rd_);
-        wake_rd_ = -1;
-    }
-    if (wake_wr_ >= 0) {
-        ::close(wake_wr_);
-        wake_wr_ = -1;
     }
     port_ = -1;
 }

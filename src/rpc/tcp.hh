@@ -1,8 +1,8 @@
 /**
  * @file
- * Thin blocking-socket wrappers for the RPC layer: an RAII connected
- * socket (TcpSocket), a listener that can be unblocked from another
- * thread (TcpListener), and a buffered newline framer (LineReader).
+ * Thin socket wrappers for the RPC layer: an RAII connected socket
+ * (TcpSocket), a non-blocking listener for a readiness loop
+ * (TcpListener), and a buffered newline framer (LineReader).
  *
  * Deliberately minimal — IPv4/IPv6 via getaddrinfo, blocking I/O, no
  * TLS — because the protocol above it is a trusted-fleet line
@@ -19,19 +19,12 @@
  * distinguishable timeout instead. The failure model built on top
  * (client retries/hedging, server admission control, src/rpc/client.hh
  * and server.hh) assumes exactly this property.
- *
- * Unblocking a blocked accept() portably is the one subtle part:
- * TcpListener owns a self-pipe and accept() poll()s {listen fd, pipe};
- * close() writes the pipe, so a server can be stopped from any thread
- * without races on the fd number.
  */
 
 #ifndef MOPT_RPC_TCP_HH
 #define MOPT_RPC_TCP_HH
 
-#include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <string>
 
 #include "common/deadline.hh"
@@ -93,9 +86,6 @@ class TcpSocket
      *  bounds waits with poll() instead. */
     bool setNonBlocking(bool on);
 
-    /** Half-close both directions (wakes a blocked peer recv). */
-    void shutdownBoth();
-
     /** Half-close the read side only: the peer's sends see EOF while
      *  our pending response can still be written (graceful drain). */
     void shutdownRead();
@@ -106,19 +96,13 @@ class TcpSocket
     int fd_ = -1;
 };
 
-/** Listening socket; accept() is unblockable via close(). */
+/** Non-blocking listening socket, accepted from by one thread at a
+ *  time. */
 class TcpListener
 {
   public:
     TcpListener() = default;
-
-    /** Requires that no accept() is in flight (join the accept
-     *  thread first). */
-    ~TcpListener()
-    {
-        close();
-        closeFds();
-    }
+    ~TcpListener() { close(); }
     TcpListener(const TcpListener &) = delete;
     TcpListener &operator=(const TcpListener &) = delete;
 
@@ -137,62 +121,22 @@ class TcpListener
     /** The listening descriptor (for epoll registration), or -1. */
     int fd() const { return fd_; }
 
-    /** Toggle O_NONBLOCK on the listening descriptor (tryAccept
-     *  callers want accept(2) to return EAGAIN, never block). */
-    bool setNonBlocking(bool on);
-
     /**
-     * Block until a connection arrives (returns it) or close() is
-     * called from another thread (returns an invalid socket).
-     *
-     * At most one thread may be in accept() at a time, and after
-     * close() has been observed (accept returned invalid) the caller
-     * must not call accept() again — the observing call closes the
-     * descriptors.
-     */
-    TcpSocket accept();
-
-    /**
-     * Non-blocking accept for readiness-driven callers: returns the
-     * connection, or an invalid socket with @p would_block set when no
-     * connection is pending (EAGAIN). The listener must have been put
-     * in non-blocking mode via setNonBlocking(true) first; an invalid
-     * socket with @p would_block false is a real accept error.
+     * Non-blocking accept for readiness-driven callers (the listening
+     * descriptor is non-blocking): returns the connection, or an
+     * invalid socket with @p would_block set when no connection is
+     * pending (EAGAIN). An invalid socket with @p would_block false
+     * is a real accept error.
      */
     TcpSocket tryAccept(bool *would_block);
 
-    /**
-     * Stop listening and wake any blocked accept(). Idempotent and
-     * callable from any thread. Only *signals*: the descriptors are
-     * closed by the accept() call that observes the wakeup (so a
-     * racing accept never polls a recycled fd number), or by the
-     * destructor when no accept() is in flight.
-     */
+    /** Stop listening and release the bound port. Idempotent; only
+     *  the thread that accepts may call it. */
     void close();
 
-    /** Close the descriptors immediately. Caller must guarantee no
-     *  accept() is in flight (the epoll loop, which is the only
-     *  thread touching the listener, qualifies). Releases the bound
-     *  port right away instead of at destruction. */
-    void retire()
-    {
-        close();
-        closeFds();
-    }
-
   private:
-    /** Actually close the descriptors (observing thread only). */
-    void closeFds();
-
     int fd_ = -1;
-    int wake_rd_ = -1; //!< Self-pipe read end, poll()ed by accept.
-    int wake_wr_ = -1; //!< Self-pipe write end, written by close.
     int port_ = -1;
-    std::atomic<bool> closing_{false};
-
-    /** Serializes close()'s pipe write against closeFds(), so the
-     *  signal never lands on a closed-and-recycled descriptor. */
-    std::mutex close_mu_;
 };
 
 /**

@@ -19,7 +19,9 @@
 #ifndef MOPT_SERVICE_CACHE_KEY_HH
 #define MOPT_SERVICE_CACHE_KEY_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "conv/problem.hh"
@@ -83,5 +85,15 @@ struct CacheKey
 };
 
 } // namespace mopt
+
+/** Unordered containers key on CacheKey::hash(). */
+template <>
+struct std::hash<mopt::CacheKey>
+{
+    std::size_t operator()(const mopt::CacheKey &k) const
+    {
+        return static_cast<std::size_t>(k.hash());
+    }
+};
 
 #endif // MOPT_SERVICE_CACHE_KEY_HH

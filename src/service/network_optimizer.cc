@@ -1,6 +1,6 @@
 #include "service/network_optimizer.hh"
 
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
@@ -68,24 +68,15 @@ groupByKey(const std::vector<ConvProblem> &net, const MachineSpec &machine,
            const OptimizerOptions &opts)
 {
     std::vector<LayerGroup> groups;
-    // key hash -> group indices (collision chain).
-    std::map<std::uint64_t, std::vector<std::size_t>> by_hash;
+    std::unordered_map<CacheKey, std::size_t> group_of; // Into groups.
     for (std::size_t i = 0; i < net.size(); ++i) {
         net[i].validate();
         const CacheKey key = CacheKey::make(net[i], machine, opts);
-        auto &indices = by_hash[key.hash()];
-        bool found = false;
-        for (const std::size_t gi : indices) {
-            if (groups[gi].key == key) {
-                groups[gi].layers.push_back(i);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            indices.push_back(groups.size());
+        const auto [it, fresh] = group_of.try_emplace(key, groups.size());
+        if (fresh)
             groups.push_back(LayerGroup{key, {i}});
-        }
+        else
+            groups[it->second].layers.push_back(i);
     }
     return groups;
 }
@@ -138,12 +129,6 @@ NetworkOptimizer::NetworkOptimizer(const MachineSpec &machine,
                       CacheKey::settingsFingerprint(opts_),
               "NetworkOptimizer: scheduler was built for a "
               "different machine or settings");
-}
-
-NetworkPlan
-NetworkOptimizer::optimize(const NetworkDef &net, Deadline dl) const
-{
-    return optimize(net.lower(), dl);
 }
 
 NetworkPlan

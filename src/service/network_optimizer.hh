@@ -33,7 +33,6 @@
 
 #include "common/deadline.hh"
 #include "conv/problem.hh"
-#include "frontend/network_def.hh"
 #include "machine/machine.hh"
 #include "optimizer/mopt_optimizer.hh"
 #include "service/solution_cache.hh"
@@ -156,12 +155,6 @@ class NetworkOptimizer
      * the same network converges instead of starting over.
      */
     NetworkPlan optimize(const std::vector<ConvProblem> &net,
-                         Deadline dl = Deadline::never()) const;
-
-    /** Optimize a frontend NetworkDef (any model the IR can express —
-     *  registered builders, parsed .cfg files, inline RPC payloads) at
-     *  its batch size. */
-    NetworkPlan optimize(const NetworkDef &net,
                          Deadline dl = Deadline::never()) const;
 
     const MachineSpec &machine() const { return machine_; }

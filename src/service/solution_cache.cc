@@ -525,7 +525,7 @@ SolutionCache::journalNeedsCompaction() const
         journal_lines_.load(std::memory_order_relaxed));
     const auto live = static_cast<double>(
         live_.load(std::memory_order_relaxed));
-    return lines > opts_.compact_factor * live + 16.0;
+    return lines > 2.0 * live + 16.0;
 }
 
 void

@@ -19,8 +19,8 @@
  * Lines that fail to parse — a torn final line after a crash, or
  * hand-edited garbage — are skipped with a warning, never fatal. The
  * journal is compacted (rewritten with only the live entries, in LRU
- * order) when it has grown past compact_factor times the live entry
- * count, and can be compacted explicitly.
+ * order) when its line count exceeds twice the live entry count plus
+ * 16, and can be compacted explicitly.
  *
  * One writing process per journal: thread-safety covers threads
  * inside one process. Concurrent *processes* appending the same
@@ -73,10 +73,6 @@ struct SolutionCacheOptions
 
     /** Journal file path; empty = in-memory only. */
     std::string journal_path;
-
-    /** Compact the journal when its line count exceeds
-     *  compact_factor * live entries + 16. */
-    double compact_factor = 2.0;
 };
 
 /** One exported live entry: key, solution, and the journal sequence

@@ -84,7 +84,7 @@ SolveScheduler::~SolveScheduler()
         stopping_ = true;
         orphaned.swap(queue_);
         for (const Flight &f : orphaned)
-            eraseFlight(f.key);
+            flights_.erase(f.key);
     }
     cv_.notify_all();
     for (Flight &f : orphaned)
@@ -92,35 +92,6 @@ SolveScheduler::~SolveScheduler()
             "SolveScheduler: stopped before the solve ran")));
     for (std::thread &t : runners_)
         t.join();
-}
-
-const std::shared_future<ScheduledSolve> *
-SolveScheduler::findFlight(const CacheKey &key) const
-{
-    const auto it = flights_.find(key.hash());
-    if (it == flights_.end())
-        return nullptr;
-    for (const FlightRef &f : it->second)
-        if (f.key == key)
-            return &f.future;
-    return nullptr;
-}
-
-void
-SolveScheduler::eraseFlight(const CacheKey &key)
-{
-    const auto it = flights_.find(key.hash());
-    checkInvariant(it != flights_.end(),
-                   "SolveScheduler: flight chain missing");
-    auto &chain = it->second;
-    const auto fit =
-        std::find_if(chain.begin(), chain.end(),
-                     [&](const FlightRef &f) { return f.key == key; });
-    checkInvariant(fit != chain.end(),
-                   "SolveScheduler: flight missing from chain");
-    chain.erase(fit);
-    if (chain.empty())
-        flights_.erase(it);
 }
 
 SolveTicket
@@ -136,9 +107,10 @@ SolveScheduler::submit(const ConvProblem &p)
     std::unique_lock<std::mutex> lock(mu_);
     checkInvariant(!stopping_,
                    "SolveScheduler: submit after shutdown");
-    if (const std::shared_future<ScheduledSolve> *f = findFlight(key)) {
+    if (const auto it = flights_.find(key); it != flights_.end()) {
         ++coalesced_;
-        return SolveTicket{*f, /*cache_hit=*/false, /*coalesced=*/true};
+        return SolveTicket{it->second, /*cache_hit=*/false,
+                           /*coalesced=*/true};
     }
     // The flight we just missed may have completed between the
     // lock-free lookup and taking mu_ — its leader inserts into the
@@ -151,17 +123,11 @@ SolveScheduler::submit(const ConvProblem &p)
     flight.key = key;
     flight.problem = key.problem; // Canonical: names never matter.
     const auto future = flight.promise.get_future().share();
-    flights_[key.hash()].push_back(FlightRef{key, future});
+    flights_.emplace(key, future);
     queue_.push_back(std::move(flight));
     lock.unlock();
     cv_.notify_one();
     return SolveTicket{future, /*cache_hit=*/false, /*coalesced=*/false};
-}
-
-ScheduledSolve
-SolveScheduler::solve(const ConvProblem &p)
-{
-    return submit(p).wait();
 }
 
 void
@@ -207,7 +173,7 @@ SolveScheduler::runnerLoop()
                 options_.on_insert(flight.key, r.sol, seq);
             {
                 std::lock_guard<std::mutex> lock(mu_);
-                eraseFlight(flight.key);
+                flights_.erase(flight.key);
                 --in_flight_;
             }
             flight.promise.set_value(std::move(r));
@@ -216,7 +182,7 @@ SolveScheduler::runnerLoop()
             // key is immediately retryable — no poisoned entries.
             {
                 std::lock_guard<std::mutex> lock(mu_);
-                eraseFlight(flight.key);
+                flights_.erase(flight.key);
                 --in_flight_;
             }
             flight.promise.set_exception(std::current_exception());

@@ -177,10 +177,6 @@ class SolveScheduler
      */
     SolveTicket submit(const ConvProblem &p);
 
-    /** submit(p).wait(): the blocking convenience used by the RPC
-     *  solve handler (workers block on the shared future). */
-    ScheduledSolve solve(const ConvProblem &p);
-
     SolveSchedulerStats stats() const;
 
     /** The configured budget (>= 1). */
@@ -205,12 +201,6 @@ class SolveScheduler
 
     void runnerLoop();
 
-    /** The in-flight future for @p key, or nullptr. Caller holds mu_. */
-    const std::shared_future<ScheduledSolve> *
-    findFlight(const CacheKey &key) const;
-
-    void eraseFlight(const CacheKey &key);
-
     MachineSpec machine_;
     OptimizerOptions opts_;
     SolutionCache *cache_;
@@ -225,13 +215,9 @@ class SolveScheduler
     bool stopping_ = false;
     std::deque<Flight> queue_; //!< Flights awaiting a runner.
 
-    struct FlightRef
-    {
-        CacheKey key;
-        std::shared_future<ScheduledSolve> future;
-    };
-    /** key hash -> flights (collision chain), queued or running. */
-    std::unordered_map<std::uint64_t, std::vector<FlightRef>> flights_;
+    /** Flights queued or running, by key. */
+    std::unordered_map<CacheKey, std::shared_future<ScheduledSolve>>
+        flights_;
 
     std::int64_t solves_ = 0;
     std::int64_t coalesced_ = 0;

@@ -62,16 +62,4 @@ PackedKernel::at(std::int64_t k, std::int64_t c, std::int64_t r,
     return lanes(kb, c, r, s)[lane];
 }
 
-Tensor4
-PackedKernel::unpack() const
-{
-    Tensor4 out(k_, c_, r_, s_);
-    for (std::int64_t k = 0; k < k_; ++k)
-        for (std::int64_t c = 0; c < c_; ++c)
-            for (std::int64_t r = 0; r < r_; ++r)
-                for (std::int64_t s = 0; s < s_; ++s)
-                    out.at(k, c, r, s) = at(k, c, r, s);
-    return out;
-}
-
 } // namespace mopt

@@ -61,9 +61,6 @@ class PackedKernel
     float at(std::int64_t k, std::int64_t c, std::int64_t r,
              std::int64_t s) const;
 
-    /** Unpack to KCRS (for round-trip testing). */
-    Tensor4 unpack() const;
-
     /** Flat size in floats (including padding). */
     std::int64_t size() const { return size_; }
 

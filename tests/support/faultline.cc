@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "support/tcp_accept.hh"
 
 namespace mopt {
 
@@ -57,9 +58,11 @@ FaultlineProxy::stop()
 {
     if (stopping_.exchange(true, std::memory_order_acq_rel))
         return;
-    listener_.close();
+    // The accept loop waits in kPumpSliceMs slices and observes
+    // stopping_; the listener closes once it has returned.
     if (accept_thread_.joinable())
         accept_thread_.join();
+    listener_.close();
     std::vector<std::thread> pumps;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -84,10 +87,14 @@ FaultlineProxy::acceptLoop()
 {
     Rng schedule_rng(options_.seed);
     std::int64_t index = 0;
-    for (;;) {
-        TcpSocket client = listener_.accept();
+    while (!stopping_.load(std::memory_order_acquire)) {
+        bool timed_out = false;
+        TcpSocket client = acceptBefore(
+            listener_, Deadline::in(kPumpSliceMs), &timed_out);
+        if (timed_out)
+            continue;
         if (!client.valid())
-            return; // stop() closed the listener.
+            return; // The listener failed.
         FaultKind kind = FaultKind::None;
         if (!options_.schedule.empty())
             kind = options_.schedule[static_cast<std::size_t>(
@@ -96,7 +103,7 @@ FaultlineProxy::acceptLoop()
         ++index;
         // Each connection gets an independent deterministic stream:
         // same seed + same accept order = same garbage bytes.
-        Rng conn_rng = schedule_rng.split();
+        Rng conn_rng(schedule_rng.next() ^ 0xa02bdbf7bb3c0a7ull);
         std::lock_guard<std::mutex> lock(mu_);
         stats_.connections++;
         switch (kind) {

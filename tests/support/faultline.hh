@@ -111,7 +111,7 @@ struct FaultlineStats
 /**
  * The proxy. start() binds an ephemeral port and spawns the accept
  * loop; every accepted connection gets its own pump thread. stop()
- * (or destruction) closes the listener and joins everything —
+ * (or destruction) joins everything and closes the listener —
  * in-flight connections are cut, which is fine: this is a fault
  * injector.
  */
@@ -133,7 +133,8 @@ class FaultlineProxy
     /** The port clients should connect to (valid after start()). */
     int port() const { return listener_.port(); }
 
-    /** Close the listener and join all pump threads. Idempotent. */
+    /** Join the accept loop and all pump threads, then close the
+     *  listener. Idempotent. */
     void stop();
 
     FaultlineStats stats() const;

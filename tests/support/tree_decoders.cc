@@ -5,6 +5,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "frontend/network_def.hh"
 
 namespace mopt {
 
@@ -15,6 +16,21 @@ setError(std::string *err, const std::string &msg)
 {
     if (err)
         *err = msg;
+}
+
+/** Integer member of @p obj: an exact whole number with |value| <=
+ *  1e15, JsonView::getInt's rule. */
+bool
+jsonGetInt(const JsonValue &obj, std::string_view key, std::int64_t &out)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || !v->isNumber() || !(std::abs(v->num) <= 1e15))
+        return false;
+    const auto whole = static_cast<std::int64_t>(v->num);
+    if (static_cast<double>(whole) != v->num)
+        return false;
+    out = whole;
+    return true;
 }
 
 bool
@@ -262,6 +278,71 @@ opFromName(const std::string &name, RpcOp &out)
     return true;
 }
 
+bool
+netFail(std::string *err, const std::string &msg)
+{
+    setError(err, msg);
+    return false;
+}
+
+/** networkDefFromJson over a JsonValue tree. */
+bool
+refNetworkDefFromJson(const JsonValue &v, NetworkDef &def,
+                      std::string *err)
+{
+    if (v.type != JsonValue::Type::Object)
+        return netFail(err, "network IR: expected a JSON object");
+    NetworkDef out;
+    const JsonValue *name = v.find("name");
+    if (name && name->type == JsonValue::Type::String)
+        out.name = name->str;
+    const JsonValue *layers = v.find("layers");
+    if (!layers || layers->type != JsonValue::Type::Array)
+        return netFail(err, "network IR: missing \"layers\" array");
+    for (std::size_t i = 0; i < layers->arr.size(); ++i) {
+        const JsonValue &jl = layers->arr[i];
+        const std::string where =
+            "network IR layer " + std::to_string(i);
+        if (jl.type != JsonValue::Type::Object)
+            return netFail(err, where + ": expected an object");
+        LayerDef l;
+        const JsonValue *lname = jl.find("name");
+        if (lname && lname->type == JsonValue::Type::String)
+            l.name = lname->str;
+        const JsonValue *kind = jl.find("kind");
+        if (kind) {
+            if (kind->type != JsonValue::Type::String ||
+                !layerKindFromName(kind->str, l.kind))
+                return netFail(err, where + ": bad \"kind\"");
+        }
+        std::int64_t stride = 1, dilation = 1, pad = -1;
+        if (!jsonGetInt(jl, "k", l.filters) ||
+            !jsonGetInt(jl, "c", l.in_c) ||
+            !jsonGetInt(jl, "h", l.in_h) ||
+            !jsonGetInt(jl, "w", l.in_w) || !jsonGetInt(jl, "size", l.size))
+            return netFail(err, where + ": missing k/c/h/w/size");
+        if (jl.find("stride") && !jsonGetInt(jl, "stride", stride))
+            return netFail(err, where + ": bad \"stride\"");
+        if (jl.find("dilation") && !jsonGetInt(jl, "dilation", dilation))
+            return netFail(err, where + ": bad \"dilation\"");
+        if (jl.find("groups") && !jsonGetInt(jl, "groups", l.groups))
+            return netFail(err, where + ": bad \"groups\"");
+        if (jl.find("pad") && !jsonGetInt(jl, "pad", pad))
+            return netFail(err, where + ": bad \"pad\"");
+        l.stride = static_cast<int>(stride);
+        l.dilation = static_cast<int>(dilation);
+        l.pad = pad < 0 ? l.samePad() : static_cast<int>(pad);
+        out.layers.push_back(l);
+    }
+    try {
+        out.validate();
+    } catch (const FatalError &e) {
+        return netFail(err, e.what());
+    }
+    def = std::move(out);
+    return true;
+}
+
 } // namespace
 
 bool
@@ -322,7 +403,7 @@ treeRequestFromJsonLine(const std::string &line, RpcRequest &out,
                 return false;
             }
             std::string ir_err;
-            if (!networkDefFromJson(*ir, req.ir, &ir_err)) {
+            if (!refNetworkDefFromJson(*ir, req.ir, &ir_err)) {
                 setError(err, "solve_network: bad \"ir\": " + ir_err);
                 return false;
             }

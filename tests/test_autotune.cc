@@ -299,11 +299,9 @@ TEST(CalibrationStore, PersistsSamplesAcrossReload)
         CalibrationStore store(path);
         store.addSample(sampleFor(tinyProblem(), 1e-4));
         store.addSample(sampleFor(tinyProblem(), 2e-4));
-        EXPECT_EQ(store.size(), 2u);
         EXPECT_EQ(store.stats().appended, 2);
     }
     CalibrationStore reloaded(path);
-    EXPECT_EQ(reloaded.size(), 2u);
     EXPECT_EQ(reloaded.stats().loaded, 2);
     EXPECT_EQ(reloaded.stats().skipped, 0);
     const Calibration cal =
@@ -328,7 +326,9 @@ TEST(CalibrationStore, SkipsCorruptTrailingLineLoudlyAndCompacts)
         CalibrationStore store(path);
         EXPECT_EQ(store.stats().loaded, 2);
         EXPECT_EQ(store.stats().skipped, 1);
-        EXPECT_EQ(store.size(), 2u);
+        EXPECT_EQ(store.fit(sampleFor(tinyProblem(), 0).key.machine_fp)
+                      .samples_used,
+                  2);
     }
     // Loading compacted the journal: the torn line is gone for good.
     CalibrationStore again(path);
@@ -367,8 +367,10 @@ TEST(CalibrationStore, InMemoryStoreNeedsNoJournal)
 {
     CalibrationStore store;
     store.addSample(sampleFor(tinyProblem(), 1e-4));
-    EXPECT_EQ(store.size(), 1u);
     EXPECT_EQ(store.stats().appended, 1);
+    EXPECT_EQ(store.fit(sampleFor(tinyProblem(), 0).key.machine_fp)
+                  .samples_used,
+              1);
 }
 
 TEST(CalibrationStore, SigkillMidAppendLosesNoAcknowledgedSample)
@@ -420,8 +422,11 @@ TEST(CalibrationStore, SigkillMidAppendLosesNoAcknowledgedSample)
     EXPECT_GE(reloaded.stats().loaded,
               static_cast<std::int64_t>(acked));
     EXPECT_LE(reloaded.stats().skipped, 1);
-    for (const TuneSample &s : reloaded.samples())
-        EXPECT_GT(s.measured_seconds, 0.0);
+    // Every replayed sample is usable: fit() takes only samples with
+    // a positive measured time.
+    EXPECT_EQ(reloaded.fit(sampleFor(tinyProblem(), 0).key.machine_fp)
+                  .samples_used,
+              reloaded.stats().loaded);
     std::remove(path.c_str());
 }
 

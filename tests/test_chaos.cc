@@ -37,6 +37,7 @@
 #include "service/network_optimizer.hh"
 #include "service/solution_cache.hh"
 #include "support/faultline.hh"
+#include "support/tcp_accept.hh"
 #include "support/thread_count.hh"
 
 namespace mopt {
@@ -405,7 +406,7 @@ TEST(TcpEdge, ReadLineSurvivesEintr)
     TcpSocket client =
         TcpSocket::connectTo("127.0.0.1", listener.port());
     ASSERT_TRUE(client.valid());
-    TcpSocket served = listener.accept();
+    TcpSocket served = acceptBefore(listener, Deadline::in(10000));
     ASSERT_TRUE(served.valid());
 
     // A no-op handler installed *without* SA_RESTART: every signal

@@ -79,11 +79,9 @@ TEST(Stats, RanksHandleTies)
     EXPECT_DOUBLE_EQ(r[3], 4.0);
 }
 
-TEST(Stats, ArgminArgmaxSmallestK)
+TEST(Stats, SmallestK)
 {
     const std::vector<double> xs{3.0, 1.0, 2.0, 5.0};
-    EXPECT_EQ(argmin(xs), 1u);
-    EXPECT_EQ(argmax(xs), 3u);
     const auto k = smallestK(xs, 2);
     ASSERT_EQ(k.size(), 2u);
     EXPECT_EQ(k[0], 1u);
@@ -105,16 +103,6 @@ TEST(Rng, DeterministicAndInRange)
         EXPECT_GE(u, 0.0);
         EXPECT_LT(u, 1.0);
     }
-}
-
-TEST(Rng, SplitStreamsDiffer)
-{
-    Rng a(42);
-    Rng b = a.split();
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        same += a.next() == b.next();
-    EXPECT_LT(same, 4);
 }
 
 TEST(Rng, UniformIntIsRoughlyUniform)
@@ -153,8 +141,6 @@ TEST(StringUtil, SplitJoinTrim)
 TEST(StringUtil, Formatting)
 {
     EXPECT_EQ(formatDouble(3.14159, 2), "3.14");
-    EXPECT_EQ(padLeft("ab", 4), "  ab");
-    EXPECT_EQ(padRight("ab", 4), "ab  ");
     EXPECT_EQ(toLower("AbC"), "abc");
     EXPECT_EQ(formatEng(1536.0), "1.54K");
 }

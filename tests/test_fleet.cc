@@ -141,17 +141,17 @@ TEST(PeerTable, SuspectThenDownThenHalfOpenProbe)
     ASSERT_EQ(table.size(), 2u);
 
     // Fresh peers are Up and offerable; no probe is scheduled.
-    EXPECT_EQ(table.state(0), PeerState::Up);
+    EXPECT_EQ(table.info(0).state, PeerState::Up);
     EXPECT_TRUE(table.offerable(0));
-    EXPECT_EQ(table.msUntilProbe(), -1);
+    EXPECT_EQ(table.info(0).retry_in_ms, 0);
 
     // Strikes one and two: Suspect, still offered (pushes keep
     // probing it for free).
     table.reportFailure(0);
-    EXPECT_EQ(table.state(0), PeerState::Suspect);
+    EXPECT_EQ(table.info(0).state, PeerState::Suspect);
     EXPECT_TRUE(table.offerable(0));
     table.reportFailure(0);
-    EXPECT_EQ(table.state(0), PeerState::Suspect);
+    EXPECT_EQ(table.info(0).state, PeerState::Suspect);
     EXPECT_EQ(table.info(0).failures, 2);
 
     // Strike three: Down and quarantined.
@@ -159,9 +159,8 @@ TEST(PeerTable, SuspectThenDownThenHalfOpenProbe)
     EXPECT_TRUE(table.isDown(0));
     EXPECT_FALSE(table.offerable(0));
     EXPECT_GT(table.info(0).retry_in_ms, 0);
-    EXPECT_GE(table.msUntilProbe(), 0);
     // The other peer is untouched.
-    EXPECT_EQ(table.state(1), PeerState::Up);
+    EXPECT_EQ(table.info(1).state, PeerState::Up);
 
     // After the window the peer re-opens half-way: offerable while
     // still Down, so exactly one caller probes it.
@@ -172,9 +171,9 @@ TEST(PeerTable, SuspectThenDownThenHalfOpenProbe)
 
     // A success during half-open resets everything.
     table.reportSuccess(0);
-    EXPECT_EQ(table.state(0), PeerState::Up);
+    EXPECT_EQ(table.info(0).state, PeerState::Up);
     EXPECT_EQ(table.info(0).failures, 0);
-    EXPECT_EQ(table.msUntilProbe(), -1);
+    EXPECT_EQ(table.info(0).retry_in_ms, 0);
 }
 
 TEST(PeerTable, FailedProbeReArmsDoubledQuarantine)

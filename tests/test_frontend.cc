@@ -164,11 +164,11 @@ TEST(CfgParser, NetworkDefJsonRoundTrip)
 {
     const NetworkDef def = parseCfgFile(dataPath("tiny.cfg"));
     const std::string json = networkDefToJson(def);
-    JsonValue v;
-    ASSERT_TRUE(jsonParse(json, v)) << json;
+    JsonReader reader;
+    ASSERT_TRUE(reader.read(json)) << json;
     NetworkDef back;
     std::string err;
-    ASSERT_TRUE(networkDefFromJson(v, back, &err)) << err;
+    ASSERT_TRUE(networkDefFromJson(reader.root(), back, &err)) << err;
     EXPECT_EQ(back.name, def.name);
     EXPECT_EQ(back.batch, 1); // Batch travels beside the payload.
     ASSERT_EQ(back.layers.size(), def.layers.size());

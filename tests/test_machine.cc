@@ -38,8 +38,6 @@ TEST(Machine, DerivedQuantities)
     // 2 flops * 8 lanes * 2 units * 3.6 GHz = 115.2 GFLOPS/core.
     EXPECT_NEAR(m.peakGflopsPerCore(), 115.2, 1e-9);
     EXPECT_NEAR(m.peakGflops(), 8 * 115.2, 1e-9);
-    // Little's law: 5 * 2 * 8 = 80 independent FMAs.
-    EXPECT_EQ(m.littlesLawParallelism(), 80);
     EXPECT_EQ(m.capacityWords(LvlL1), 32 * 1024 / 4);
 }
 

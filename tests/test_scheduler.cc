@@ -66,13 +66,13 @@ TEST(SolveScheduler, ColdSolveThenCacheHit)
     SolveScheduler sched(tiny(), fastOpts(), &cache,
                          SolveSchedulerOptions{2});
 
-    const ScheduledSolve cold = sched.solve(smallProblem());
+    const ScheduledSolve cold = sched.submit(smallProblem()).wait();
     EXPECT_FALSE(cold.cache_hit);
     EXPECT_FALSE(cold.coalesced);
     EXPECT_GT(cold.solve_seconds, 0.0);
     EXPECT_GT(cold.solver_evals, 0);
 
-    const ScheduledSolve warm = sched.solve(smallProblem());
+    const ScheduledSolve warm = sched.submit(smallProblem()).wait();
     EXPECT_TRUE(warm.cache_hit);
     EXPECT_EQ(warm.sol, cold.sol);
     EXPECT_EQ(warm.solve_seconds, 0.0);
@@ -97,7 +97,7 @@ TEST(SolveScheduler, ConcurrentRequestsForOneKeyRunOneSolve)
         threads.emplace_back([&, t] {
             start.arrive_and_wait();
             results[static_cast<std::size_t>(t)] =
-                sched.solve(smallProblem());
+                sched.submit(smallProblem()).wait();
         });
     }
     for (std::thread &t : threads)
@@ -157,7 +157,7 @@ TEST(SolveScheduler, BudgetDoesNotChangeSolutions)
     for (const ConvProblem &p : problems)
         tickets.push_back(wide.submit(p));
     for (std::size_t i = 0; i < problems.size(); ++i) {
-        const ScheduledSolve a = serial.solve(problems[i]);
+        const ScheduledSolve a = serial.submit(problems[i]).wait();
         const ScheduledSolve b = tickets[i].wait();
         EXPECT_EQ(a.sol, b.sol) << "problem " << i;
     }
@@ -182,7 +182,7 @@ TEST(SolveScheduler, AddsOnlyItsRunnersOnceTheSharedPoolExists)
                              SolveSchedulerOptions{concurrency});
         EXPECT_EQ(threadCount(), base + concurrency)
             << "concurrency " << concurrency;
-        sched.solve(smallProblem());
+        sched.submit(smallProblem()).wait();
         EXPECT_EQ(threadCount(), base + concurrency)
             << "after a solve at concurrency " << concurrency;
     }
@@ -235,7 +235,7 @@ TEST(SolveScheduler, AgreesWithTheOptimizerAtEveryThreadCount)
     SolveScheduler sched(tiny(), fastOpts(), nullptr,
                          SolveSchedulerOptions{2});
     EXPECT_EQ(sched.solveWidth(), 2u);
-    const ScheduledSolve s = sched.solve(p);
+    const ScheduledSolve s = sched.submit(p).wait();
     EXPECT_EQ(s.sol, (CachedSolution{want.front().config,
                                      want.front().predicted.total_seconds,
                                      want.front().perm_label}));
@@ -260,7 +260,7 @@ TEST(SolveScheduler, ExceptionReachesEveryWaiterAndKeyIsRetryable)
         threads.emplace_back([&] {
             start.arrive_and_wait();
             try {
-                sched.solve(bad);
+                sched.submit(bad).wait();
             } catch (const FatalError &) {
                 failures.fetch_add(1);
             }
@@ -273,12 +273,12 @@ TEST(SolveScheduler, ExceptionReachesEveryWaiterAndKeyIsRetryable)
     // The failed flight must be gone: the key retries fresh (and
     // fails identically) instead of replaying a poisoned entry...
     const std::int64_t solves_before = sched.stats().solves;
-    EXPECT_THROW(sched.solve(bad), FatalError);
+    EXPECT_THROW(sched.submit(bad).wait(), FatalError);
     EXPECT_GT(sched.stats().solves, solves_before);
     EXPECT_EQ(sched.stats().in_flight, 0);
 
     // ...and the scheduler is unharmed for valid work.
-    const ScheduledSolve ok = sched.solve(smallProblem());
+    const ScheduledSolve ok = sched.submit(smallProblem()).wait();
     EXPECT_FALSE(ok.cache_hit);
     EXPECT_GT(ok.sol.predicted_seconds, 0.0);
 }

@@ -13,7 +13,8 @@
 #     that calls fsync or rename fails unless it is that module.
 #   json: lines are decoded straight from JsonReader's tokens, so a
 #     file that names JsonValue or calls jsonParse( fails unless it is
-#     the JSON module or the network IR (the one tree still built).
+#     the JSON module (which keeps the tree for the tests' reference
+#     decoders).
 #
 # Usage: tools/lint_src_threads.sh [threads|journal|json] [src_dir]
 #        (src_dir defaults to <repo>/src)
@@ -45,10 +46,10 @@ journal)
     ok="src/ syncs and renames files only in common/journal"
     ;;
 json)
-    allowed=" common/json frontend/network_def "
-    what="builds a JSON tree outside common/json and the network IR"
+    allowed=" common/json "
+    what="builds a JSON tree outside common/json"
     pattern="$code(\\bJsonValue\\b|\\bjsonParse[[:space:]]*\\()"
-    ok="src/ builds JSON trees only in common/json and frontend/network_def"
+    ok="src/ builds JSON trees only in common/json"
     ;;
 *)
     echo "usage: $0 [threads|journal|json] [src_dir]" >&2
