@@ -651,6 +651,85 @@ TEST(RpcProtocol, GoldenReplicateBytes)
     }
 }
 
+// The remaining answers on the wire: a stats answer whose every counter
+// holds a distinct value (the 8 required ones, then the 16 optional
+// ones, so a reordered member moves bytes), a solve answer and a coded
+// refusal.
+const char *const kGoldenStatsResponse =
+    "{\"ok\":true,\"op\":\"stats\",\"machine\":\"0123456789abcdef\",\""
+    "settings\":\"fedcba9876543210\",\"machine_name\":\"i7 \\\"lab\\\""
+    "\",\"entries\":1,\"shards\":2,\"lookups_hit\":3,\"lookups_miss\":"
+    "4,\"inserts\":5,\"evictions\":6,\"journal_loaded\":7,\"journal_sk"
+    "ipped\":8,\"sched_solves\":11,\"sched_coalesced\":12,\"sched_infl"
+    "ight\":13,\"sched_peak\":14,\"sched_budget\":15,\"srv_shed_overlo"
+    "ad\":16,\"srv_shed_client\":17,\"srv_shed_deadline\":18,\"calib_s"
+    "amples\":19,\"calib_active\":20,\"srv_repl_pushed\":21,\"srv_repl"
+    "_push_failed\":22,\"srv_repl_applied\":23,\"srv_repl_prefetched\""
+    ":24,\"repl_queue_depth\":25,\"journal_seq\":26,\"entry_hits\":[{"
+    "\"key\":\"R9\",\"hits\":9},{\"key\":\"k \\\"2\\\"\",\"hits\":0}]}";
+
+const char *const kGoldenSolveResponse =
+    "{\"ok\":true,\"op\":\"solve\",\"cache\":\"miss\",\"solve_s\":0.25"
+    ",\"record\":{\"v\":1,\"n\":2,\"k\":128,\"c\":64,\"r\":1,\"s\":1,"
+    "\"h\":28,\"w\":28,\"stride\":2,\"dilation\":1,\"groups\":4,\"mach"
+    "ine\":\"0123456789abcdef\",\"settings\":\"fedcba9876543210\",\"pe"
+    "rm\":[\"nkhwcrs\",\"nhwkcrs\",\"knchwrs\",\"wkhncrs\"],\"tiles\":"
+    "[[1,8,1,1,1,1,6],[1,16,6,3,3,2,12],[1,32,16,3,3,14,28],[2,64,32,3"
+    ",3,14,56]],\"par\":[1,2,1,1,1,4,1],\"pred_s\":0.33333333333333331"
+    ",\"label\":\"kc|hw \\\"q\\\" \\\\ \\t\\u0001\"}}";
+
+const char *const kGoldenErrorResponse =
+    "{\"ok\":false,\"error\":\"deadline \\\"2500 ms\\\" passed\",\"cod"
+    "e\":\"deadline_exceeded\"}";
+
+TEST(RpcProtocol, GoldenStatsSolveAndErrorBytes)
+{
+    RpcResponse stats;
+    stats.ok = true;
+    stats.op = RpcOp::Stats;
+    stats.machine_fp = 0x0123456789abcdefull;
+    stats.settings_fp = 0xfedcba9876543210ull;
+    stats.machine_name = "i7 \"lab\"";
+    stats.entries = 1;
+    stats.shards = 2;
+    stats.cache = SolutionCacheStats{3, 4, 5, 6, 7, 8};
+    std::int64_t counter = 11;
+    for (std::int64_t *c :
+         {&stats.sched_solves, &stats.sched_coalesced, &stats.sched_inflight,
+          &stats.sched_peak, &stats.sched_budget, &stats.srv_shed_overload,
+          &stats.srv_shed_client, &stats.srv_shed_deadline,
+          &stats.calib_samples, &stats.calib_active, &stats.srv_repl_pushed,
+          &stats.srv_repl_push_failed, &stats.srv_repl_applied,
+          &stats.srv_repl_prefetched, &stats.repl_queue_depth,
+          &stats.journal_seq})
+        *c = counter++;
+    stats.entry_hits = {{"R9", 9}, {"k \"2\"", 0}};
+
+    RpcResponse solve;
+    solve.ok = true;
+    solve.op = RpcOp::Solve;
+    solve.solve = RpcSolveResult{goldenKey(2), goldenSolution(), false};
+    solve.solve_seconds = 0.25;
+
+    const struct
+    {
+        RpcResponse resp;
+        const char *golden;
+    } rows[] = {
+        {stats, kGoldenStatsResponse},
+        {solve, kGoldenSolveResponse},
+        {rpcErrorResponse("deadline \"2500 ms\" passed",
+                          RpcErrorCode::DeadlineExceeded),
+         kGoldenErrorResponse}};
+    std::string err;
+    for (const auto &row : rows) {
+        EXPECT_EQ(responseToJsonLine(row.resp), row.golden);
+        RpcResponse back;
+        ASSERT_TRUE(responseFromJsonLine(row.golden, back, &err)) << err;
+        EXPECT_EQ(responseToJsonLine(back), row.golden);
+    }
+}
+
 /** One to three seeded mutations of @p s: bit flips, truncations,
  *  inserted tokens and deleted runs. */
 std::string
