@@ -35,85 +35,13 @@ ThreadPool::workerLoop()
         {
             std::unique_lock<std::mutex> lock(mutex_);
             cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-            if (tasks_.empty()) {
-                if (stop_)
-                    return;
-                continue;
-            }
+            if (tasks_.empty())
+                return; // Stopped, and every queued task has run.
             task = std::move(tasks_.front());
             tasks_.pop();
         }
         task();
     }
-}
-
-void
-ThreadPool::parallelForImpl(std::size_t count,
-                            const std::function<void(std::size_t)> &body,
-                            std::size_t max_helpers)
-{
-    if (count == 0)
-        return;
-
-    // All loop state is heap-allocated and shared with every queued task:
-    // the call may return (all iterations claimed and finished) before a
-    // worker ever dequeues its copy of the task, so the task must not
-    // reference any caller-stack state. A stale task sees next >= count and
-    // exits without touching `body`.
-    struct State
-    {
-        std::atomic<std::size_t> next{0};
-        std::atomic<std::size_t> done{0};
-        std::size_t count = 0;
-        const std::function<void(std::size_t)> *body = nullptr;
-        std::exception_ptr first_error;
-        std::mutex mutex;
-        std::condition_variable done_cv;
-    };
-    auto state = std::make_shared<State>();
-    state->count = count;
-    state->body = &body;
-
-    auto run = [state]() {
-        for (;;) {
-            const std::size_t i = state->next.fetch_add(1);
-            if (i >= state->count)
-                break;
-            try {
-                (*state->body)(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                if (!state->first_error)
-                    state->first_error = std::current_exception();
-            }
-            if (state->done.fetch_add(1) + 1 == state->count) {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->done_cv.notify_all();
-            }
-        }
-    };
-
-    const std::size_t helpers =
-        std::min({workers_.size(), count, max_helpers});
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t i = 0; i < helpers; ++i)
-            tasks_.push(run);
-    }
-    cv_.notify_all();
-
-    // The caller participates too, then waits for stragglers. `body` is
-    // only dereferenced for claimed iterations, all of which complete
-    // before the wait below returns, so the caller's reference stays valid
-    // for exactly as long as any task can use it.
-    run();
-    {
-        std::unique_lock<std::mutex> lock(state->mutex);
-        state->done_cv.wait(
-            lock, [&] { return state->done.load() >= state->count; });
-    }
-    if (state->first_error)
-        std::rethrow_exception(state->first_error);
 }
 
 void
@@ -127,9 +55,11 @@ ThreadPool::parallelForIndexedImpl(
     if (grain == 0)
         grain = 1;
 
-    // Same lifetime discipline as parallelForImpl: all loop state is
-    // heap-allocated and shared with the queued tasks, which may be
-    // dequeued after this call already returned.
+    // All loop state is heap-allocated and shared with every queued
+    // task: the call may return (all iterations claimed and finished)
+    // before a worker ever dequeues its copy of the task, so the task
+    // must not reference any caller-stack state. A stale task sees
+    // next >= count and exits without touching `body`.
     struct State
     {
         std::atomic<std::size_t> next{0};
@@ -181,7 +111,11 @@ ThreadPool::parallelForIndexedImpl(
     }
     cv_.notify_all();
 
-    run(0); // the caller participates as worker 0
+    // The caller participates as worker 0, then waits for stragglers.
+    // `body` is only dereferenced for claimed iterations, all of which
+    // complete before the wait below returns, so the caller's
+    // reference stays valid for exactly as long as any task can use it.
+    run(0);
     {
         std::unique_lock<std::mutex> lock(state->mutex);
         state->done_cv.wait(

@@ -66,12 +66,14 @@ class ThreadPool
         std::size_t width() const { return width_; }
 
         /** Run body(i) for i in [0, count) across the handle's width
-         *  and wait for all of them. The calling thread also executes
-         *  work. */
+         *  and wait for all of them: parallelForIndexed one iteration
+         *  at a time. The calling thread also executes work. */
         void parallelFor(std::size_t count,
                          const std::function<void(std::size_t)> &body)
         {
-            pool_->parallelForImpl(count, body, width_ - 1);
+            parallelForIndexed(count, 1,
+                               [&body](std::size_t, std::size_t i,
+                                       std::size_t) { body(i); });
         }
 
         /**
@@ -128,9 +130,6 @@ class ThreadPool
   private:
     void workerLoop();
 
-    void parallelForImpl(std::size_t count,
-                         const std::function<void(std::size_t)> &body,
-                         std::size_t max_helpers);
     void parallelForIndexedImpl(
         std::size_t count, std::size_t grain,
         const std::function<void(std::size_t, std::size_t,

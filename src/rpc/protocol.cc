@@ -1,5 +1,7 @@
 #include "rpc/protocol.hh"
 
+#include <algorithm>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -11,53 +13,107 @@ namespace mopt {
 
 namespace {
 
+/** Wire spellings, indexed by RpcOp and by RpcErrorCode ("" for None:
+ *  the member is omitted). */
+constexpr std::string_view kOpNames[] = {
+    "solve", "solve_network", "stats", "shutdown", "replicate", "ping"};
+constexpr std::string_view kErrorCodeNames[] = {"", "overloaded",
+                                                "deadline_exceeded"};
+
+/** The index of @p name in @p names; N when it is not there. */
+template <std::size_t N>
+std::size_t
+nameIndex(const std::string_view (&names)[N], std::string_view name)
+{
+    return static_cast<std::size_t>(std::find(names, names + N, name) -
+                                    names);
+}
+
+/** A response counter: its wire name and its member, on RpcResponse
+ *  itself or, for the cache's counters, on RpcResponse::cache. */
+struct Counter
+{
+    const char *name;
+    std::int64_t RpcResponse::*member;
+    std::int64_t SolutionCacheStats::*cache_member = nullptr;
+
+    /** The member this names in @p resp (const when @p resp is). */
+    auto &in(auto &resp) const
+    {
+        return member ? resp.*member : resp.cache.*cache_member;
+    }
+};
+
+/** The stats response's required counters, in wire order. */
+constexpr Counter kStatsCounters[] = {
+    {"entries", &RpcResponse::entries},
+    {"shards", &RpcResponse::shards},
+    {"lookups_hit", nullptr, &SolutionCacheStats::hits},
+    {"lookups_miss", nullptr, &SolutionCacheStats::misses},
+    {"inserts", nullptr, &SolutionCacheStats::inserts},
+    {"evictions", nullptr, &SolutionCacheStats::evictions},
+    {"journal_loaded", nullptr, &SolutionCacheStats::journal_loaded},
+    {"journal_skipped", nullptr, &SolutionCacheStats::journal_skipped}};
+
 /** The stats response's optional counters, in wire order. An older
  *  server omits them, and 0 is then the honest reading. */
-constexpr std::pair<const char *, std::int64_t RpcResponse::*>
-    kOptionalStats[] = {
-        {"sched_solves", &RpcResponse::sched_solves},
-        {"sched_coalesced", &RpcResponse::sched_coalesced},
-        {"sched_inflight", &RpcResponse::sched_inflight},
-        {"sched_peak", &RpcResponse::sched_peak},
-        {"sched_budget", &RpcResponse::sched_budget},
-        {"srv_shed_overload", &RpcResponse::srv_shed_overload},
-        {"srv_shed_client", &RpcResponse::srv_shed_client},
-        {"srv_shed_deadline", &RpcResponse::srv_shed_deadline},
-        {"calib_samples", &RpcResponse::calib_samples},
-        {"calib_active", &RpcResponse::calib_active},
-        {"srv_repl_pushed", &RpcResponse::srv_repl_pushed},
-        {"srv_repl_push_failed", &RpcResponse::srv_repl_push_failed},
-        {"srv_repl_applied", &RpcResponse::srv_repl_applied},
-        {"srv_repl_prefetched", &RpcResponse::srv_repl_prefetched},
-        {"repl_queue_depth", &RpcResponse::repl_queue_depth},
-        {"journal_seq", &RpcResponse::journal_seq}};
+constexpr Counter kOptionalStats[] = {
+    {"sched_solves", &RpcResponse::sched_solves},
+    {"sched_coalesced", &RpcResponse::sched_coalesced},
+    {"sched_inflight", &RpcResponse::sched_inflight},
+    {"sched_peak", &RpcResponse::sched_peak},
+    {"sched_budget", &RpcResponse::sched_budget},
+    {"srv_shed_overload", &RpcResponse::srv_shed_overload},
+    {"srv_shed_client", &RpcResponse::srv_shed_client},
+    {"srv_shed_deadline", &RpcResponse::srv_shed_deadline},
+    {"calib_samples", &RpcResponse::calib_samples},
+    {"calib_active", &RpcResponse::calib_active},
+    {"srv_repl_pushed", &RpcResponse::srv_repl_pushed},
+    {"srv_repl_push_failed", &RpcResponse::srv_repl_push_failed},
+    {"srv_repl_applied", &RpcResponse::srv_repl_applied},
+    {"srv_repl_prefetched", &RpcResponse::srv_repl_prefetched},
+    {"repl_queue_depth", &RpcResponse::repl_queue_depth},
+    {"journal_seq", &RpcResponse::journal_seq}};
 
-void
-setError(std::string *err, const std::string &msg)
+/** The solve_network response's summary counts, in wire order. */
+constexpr Counter kNetworkCounts[] = {
+    {"unique", &RpcResponse::unique_shapes},
+    {"hits", &RpcResponse::cache_hits},
+    {"misses", &RpcResponse::cache_misses},
+    {"evals", &RpcResponse::solver_evals}};
+
+/** An optional integer of a request: left off the wire while it holds
+ *  @p unset (what an absent member parses as), refused below @p min. */
+struct OptionalInt
+{
+    const char *name;
+    std::int64_t RpcRequest::*member;
+    std::int64_t unset;
+    std::int64_t min;
+    const char *refusal;
+};
+
+constexpr OptionalInt kDeadline{
+    "deadline_ms", &RpcRequest::deadline_ms, 0, 0,
+    "\"deadline_ms\": expected a non-negative integer"};
+constexpr OptionalInt kBatch{
+    "batch", &RpcRequest::batch, 1, 1,
+    "solve_network: \"batch\" must be a positive integer"};
+constexpr OptionalInt kSince{
+    "since", &RpcRequest::repl_since, -1, 0,
+    "replicate: \"since\" must be a non-negative integer"};
+constexpr OptionalInt kFor{
+    "for", &RpcRequest::repl_for, -1, 0,
+    "replicate: \"for\" must be a non-negative integer"};
+
+/** Store @p msg in @p err (when non-null); always false, so a decoder
+ *  refuses with `return fail(err, ...)`. */
+bool
+fail(std::string *err, const std::string &msg)
 {
     if (err)
         *err = msg;
-}
-
-/** The shape of a solve request: the journal's fields, then
- *  validated. */
-bool
-problemFromJson(JsonView root, ConvProblem &out, std::string *err)
-{
-    ConvProblem p;
-    std::string why;
-    if (!shapeFromJson(root, p, &why)) {
-        setError(err, "solve: " + why);
-        return false;
-    }
-    try {
-        p.validate();
-    } catch (const FatalError &e) {
-        setError(err, std::string("solve: invalid shape: ") + e.what());
-        return false;
-    }
-    out = std::move(p);
-    return true;
+    return false;
 }
 
 /** Optional hex-fingerprint member; absent parses as 0 (skip check). */
@@ -66,16 +122,20 @@ fingerprintFromJson(JsonView root, const char *key, std::uint64_t &out,
                     std::string *err)
 {
     const JsonView v = root.find(key);
-    if (!v) {
-        out = 0;
-        return true;
-    }
     std::string scratch;
-    if (!jsonParseHex16(v.strView(scratch), out)) {
-        setError(err, std::string(key) + ": expected 16 hex digits");
-        return false;
-    }
+    out = 0;
+    if (v && !jsonParseHex16(v.strView(scratch), out))
+        return fail(err, std::string(key) + ": expected 16 hex digits");
     return true;
+}
+
+/** ,"<name>":<v> */
+void
+appendIntField(std::string &out, std::string_view name, std::int64_t v)
+{
+    out += ",\"";
+    out += name;
+    appendInt(out, "\":", v);
 }
 
 /** ,"<name>":"<16 hex digits>" */
@@ -102,13 +162,44 @@ appendStringField(std::string &out, std::string_view name,
 }
 
 void
-appendFingerprints(std::string &out, std::uint64_t machine_fp,
-                   std::uint64_t settings_fp)
+appendCounters(std::string &out, const RpcResponse &resp,
+               std::span<const Counter> table)
 {
-    if (machine_fp)
-        appendHexField(out, "machine", machine_fp);
-    if (settings_fp)
-        appendHexField(out, "settings", settings_fp);
+    for (const Counter &c : table)
+        appendIntField(out, c.name, c.in(resp));
+}
+
+/** Read @p table's counters into @p resp. Returns the name of the
+ *  first one that is not an integer, or absent when @p required;
+ *  nullptr when all read. */
+const char *
+readCounters(JsonView root, RpcResponse &resp,
+             std::span<const Counter> table, bool required)
+{
+    for (const Counter &c : table) {
+        const JsonView v = root.find(c.name);
+        if ((v || required) && !v.getInt(c.in(resp)))
+            return c.name;
+    }
+    return nullptr;
+}
+
+void
+appendOptional(std::string &out, const RpcRequest &req,
+               const OptionalInt &f)
+{
+    if (req.*f.member != f.unset)
+        appendIntField(out, f.name, req.*f.member);
+}
+
+bool
+readOptional(JsonView root, RpcRequest &req, const OptionalInt &f,
+             std::string *err)
+{
+    const JsonView v = root.find(f.name);
+    if (v && (!v.getInt(req.*f.member) || req.*f.member < f.min))
+        return fail(err, f.refusal);
+    return true;
 }
 
 /** One solved layer: {"cache":"hit","record":{...}}. */
@@ -128,47 +219,165 @@ solveResultFromJson(JsonView v, RpcSolveResult &out, std::string *err)
 {
     std::string scratch;
     const std::string_view cache = v.find("cache").strView(scratch);
-    if (cache != "hit" && cache != "miss") {
-        setError(err, "solve result: missing cache provenance");
-        return false;
-    }
-    if (!solutionFromJson(v.find("record"), out.key, out.sol)) {
-        setError(err, "solve result: bad record");
-        return false;
-    }
+    if (cache != "hit" && cache != "miss")
+        return fail(err, "solve result: missing cache provenance");
+    if (!solutionFromJson(v.find("record"), out.key, out.sol))
+        return fail(err, "solve result: bad record");
     out.cache_hit = cache == "hit";
     return true;
 }
 
-RpcErrorCode
-errorCodeFromName(std::string_view name)
+/** The members of @p req's op, past the header every request shares. */
+bool
+readRequestOp(JsonView root, RpcRequest &req, std::string *err)
 {
-    if (name == "overloaded")
-        return RpcErrorCode::Overloaded;
-    if (name == "deadline_exceeded")
-        return RpcErrorCode::DeadlineExceeded;
-    // Unknown codes read as None: a newer server's refinement of
-    // "refused" must not change an old client's (fatal) handling.
-    return RpcErrorCode::None;
+    switch (req.op) {
+    case RpcOp::Solve: {
+        // The journal's shape fields, then validated.
+        std::string why;
+        if (!shapeFromJson(root, req.problem, &why))
+            return fail(err, "solve: " + why);
+        try {
+            req.problem.validate();
+        } catch (const FatalError &e) {
+            return fail(err, std::string("solve: invalid shape: ") +
+                                 e.what());
+        }
+        return true;
+    }
+    case RpcOp::SolveNetwork: {
+        if (const JsonView ir = root.find("ir")) {
+            if (root.find("net"))
+                return fail(err, "solve_network: \"net\" and \"ir\" are "
+                                 "mutually exclusive");
+            std::string ir_err;
+            if (!networkDefFromJson(ir, req.ir, &ir_err))
+                return fail(err, "solve_network: bad \"ir\": " + ir_err);
+            req.has_ir = true;
+        } else if (!root.find("net").getString(req.net) ||
+                   req.net.empty()) {
+            return fail(err, "solve_network: missing \"net\" or \"ir\"");
+        }
+        return readOptional(root, req, kBatch, err);
+    }
+    case RpcOp::Replicate: {
+        for (const auto &[name, flag] :
+             {std::pair{"pull", &req.repl_pull},
+              {"digest", &req.repl_digest}}) {
+            std::int64_t v = 0;
+            const JsonView member = root.find(name);
+            if (member && !member.getInt(v))
+                return fail(err, std::string("replicate: non-integer \"") +
+                                     name + '"');
+            *flag = v != 0;
+        }
+        if (!readOptional(root, req, kSince, err) ||
+            !readOptional(root, req, kFor, err))
+            return false;
+        if (const JsonView rec = root.find("record")) {
+            if (!solutionFromJson(rec, req.repl_record.key,
+                                  req.repl_record.sol, nullptr,
+                                  &req.repl_record.seq))
+                return fail(err, "replicate: bad \"record\"");
+            req.has_record = true;
+        }
+        if (!req.repl_pull && !req.repl_digest && !req.has_record)
+            return fail(err, "replicate: missing \"record\", \"pull\", "
+                             "or \"digest\"");
+        return true;
+    }
+    case RpcOp::Stats:
+    case RpcOp::Shutdown:
+    case RpcOp::Ping:
+        break;
+    }
+    return true;
 }
 
+/** The members of a successful @p resp's op, past "ok" and "op". */
 bool
-opFromName(std::string_view name, RpcOp &out)
+readResponseOp(JsonView root, RpcResponse &resp, std::string *err)
 {
-    if (name == "solve")
-        out = RpcOp::Solve;
-    else if (name == "solve_network")
-        out = RpcOp::SolveNetwork;
-    else if (name == "stats")
-        out = RpcOp::Stats;
-    else if (name == "shutdown")
-        out = RpcOp::Shutdown;
-    else if (name == "replicate")
-        out = RpcOp::Replicate;
-    else if (name == "ping")
-        out = RpcOp::Ping;
-    else
-        return false;
+    std::string scratch;
+    const JsonView solve_s = root.find("solve_s");
+    const bool solve_s_ok = solve_s.isNumber() && solve_s.num() >= 0;
+    if (solve_s_ok)
+        resp.solve_seconds = solve_s.num();
+    switch (resp.op) {
+    case RpcOp::Solve:
+        // Same shape as one solve_network layer, flattened.
+        if (!solveResultFromJson(root, resp.solve, err))
+            return false;
+        if (!solve_s_ok)
+            return fail(err, "solve: missing solve_s");
+        return true;
+    case RpcOp::SolveNetwork: {
+        if (!root.find("plan").getString(resp.plan_text) ||
+            readCounters(root, resp, kNetworkCounts, true))
+            return fail(err, "solve_network: missing summary fields");
+        if (!solve_s_ok)
+            return fail(err, "solve_network: missing solve_s");
+        const JsonView layers = root.find("layers");
+        if (!layers.isArray())
+            return fail(err, "solve_network: missing layers");
+        resp.layers.resize(layers.size());
+        auto dst = resp.layers.begin();
+        for (const JsonView v : layers)
+            if (!solveResultFromJson(v, *dst++, err))
+                return false;
+        return true;
+    }
+    case RpcOp::Stats: {
+        if (!fingerprintFromJson(root, "machine", resp.machine_fp, err) ||
+            !fingerprintFromJson(root, "settings", resp.settings_fp, err))
+            return false;
+        root.find("machine_name").getString(resp.machine_name);
+        if (readCounters(root, resp, kStatsCounters, true))
+            return fail(err, "stats: missing counter fields");
+        if (const char *bad =
+                readCounters(root, resp, kOptionalStats, false))
+            return fail(err, std::string("stats: bad ") + bad);
+        const JsonView eh = root.find("entry_hits");
+        if (!eh.isArray())
+            return fail(err, "stats: missing entry_hits");
+        for (const JsonView v : eh) {
+            RpcEntryHits row;
+            if (!v.find("key").getString(row.key) ||
+                !v.find("hits").getInt(row.hits))
+                return fail(err, "stats: bad entry_hits row");
+            resp.entry_hits.push_back(std::move(row));
+        }
+        return true;
+    }
+    case RpcOp::Replicate: {
+        if (const JsonView fp = root.find("fp")) {
+            if (!jsonParseHex16(fp.strView(scratch), resp.repl_digest_fp) ||
+                !root.find("count").getInt(resp.repl_digest_count) ||
+                resp.repl_digest_count < 0)
+                return fail(err, "replicate: bad digest");
+            resp.repl_has_digest = true;
+        } else if (const JsonView recs = root.find("records")) {
+            if (!recs.isArray())
+                return fail(err, "replicate: bad records");
+            resp.repl_is_pull = true;
+            resp.repl_records.resize(recs.size());
+            auto dst = resp.repl_records.begin();
+            for (const JsonView v : recs) {
+                if (!solutionFromJson(v, dst->key, dst->sol, nullptr,
+                                      &dst->seq))
+                    return fail(err, "replicate: bad record in records");
+                ++dst;
+            }
+        } else if (const JsonView applied = root.find("applied");
+                   applied && !applied.getInt(resp.repl_applied)) {
+            return fail(err, "replicate: bad applied");
+        }
+        return true;
+    }
+    case RpcOp::Shutdown:
+    case RpcOp::Ping:
+        break;
+    }
     return true;
 }
 
@@ -177,26 +386,18 @@ opFromName(std::string_view name, RpcOp &out)
 std::string
 rpcOpName(RpcOp op)
 {
-    switch (op) {
-    case RpcOp::Solve: return "solve";
-    case RpcOp::SolveNetwork: return "solve_network";
-    case RpcOp::Stats: return "stats";
-    case RpcOp::Shutdown: return "shutdown";
-    case RpcOp::Replicate: return "replicate";
-    case RpcOp::Ping: return "ping";
-    }
-    panic("rpcOpName: bad op");
+    const auto i = static_cast<std::size_t>(op);
+    checkInvariant(i < std::size(kOpNames), "rpcOpName: bad op");
+    return std::string(kOpNames[i]);
 }
 
 std::string
 rpcErrorCodeName(RpcErrorCode code)
 {
-    switch (code) {
-    case RpcErrorCode::None: return "";
-    case RpcErrorCode::Overloaded: return "overloaded";
-    case RpcErrorCode::DeadlineExceeded: return "deadline_exceeded";
-    }
-    panic("rpcErrorCodeName: bad code");
+    const auto i = static_cast<std::size_t>(code);
+    checkInvariant(i < std::size(kErrorCodeNames),
+                   "rpcErrorCodeName: bad code");
+    return std::string(kErrorCodeNames[i]);
 }
 
 std::string
@@ -208,11 +409,14 @@ requestToJsonLine(const RpcRequest &req)
     out += ",\"op\":\"";
     out += rpcOpName(req.op);
     out += '"';
-    appendFingerprints(out, req.machine_fp, req.settings_fp);
-    // Optional, default 0 = none: deadline-less requests stay
-    // byte-identical to the pre-deadline wire format.
-    if (req.deadline_ms > 0)
-        appendInt(out, ",\"deadline_ms\":", req.deadline_ms);
+    if (req.machine_fp)
+        appendHexField(out, "machine", req.machine_fp);
+    if (req.settings_fp)
+        appendHexField(out, "settings", req.settings_fp);
+    // Optional members are left off at their defaults, so a request
+    // that does not use one stays byte-identical to the wire format
+    // from before it existed.
+    appendOptional(out, req, kDeadline);
     switch (req.op) {
     case RpcOp::Solve:
         shapeAppendJson(out, req.problem);
@@ -224,8 +428,7 @@ requestToJsonLine(const RpcRequest &req)
         } else {
             appendStringField(out, "net", req.net);
         }
-        if (req.batch != 1)
-            appendInt(out, ",\"batch\":", req.batch);
+        appendOptional(out, req, kBatch);
         break;
     case RpcOp::Replicate:
         if (req.repl_digest) {
@@ -237,12 +440,10 @@ requestToJsonLine(const RpcRequest &req)
             solutionAppendJson(out, req.repl_record.key,
                                req.repl_record.sol, 0, req.repl_record.seq);
         }
-        // Optional cursors, absent by default: a full unfiltered pull
-        // stays byte-identical to the PR 9 wire format.
-        if ((req.repl_digest || req.repl_pull) && req.repl_since >= 0)
-            appendInt(out, ",\"since\":", req.repl_since);
-        if ((req.repl_digest || req.repl_pull) && req.repl_for >= 0)
-            appendInt(out, ",\"for\":", req.repl_for);
+        if (req.repl_digest || req.repl_pull) {
+            appendOptional(out, req, kSince);
+            appendOptional(out, req, kFor);
+        }
         break;
     case RpcOp::Stats:
     case RpcOp::Shutdown:
@@ -259,130 +460,33 @@ requestFromJsonLine(const std::string &line, RpcRequest &out,
 {
     JsonReader reader;
     const JsonView root = reader.read(line) ? reader.root() : JsonView();
-    if (!root.isObject()) {
-        setError(err, "request is not a JSON object");
-        return false;
-    }
+    if (!root.isObject())
+        return fail(err, "request is not a JSON object");
     RpcRequest req;
     // Version gate first: a future major version may rename every
     // other field, so nothing else is interpreted until the request
     // is known to speak our dialect. Absent = 1 (pre-versioning
     // clients).
     const JsonView v = root.find("v");
-    if (v && !v.getInt(req.v)) {
-        setError(err, "\"v\": expected an integer protocol version");
-        return false;
-    }
-    if (req.v != kRpcProtocolVersion) {
-        setError(err, "unsupported protocol version v=" +
-                          std::to_string(req.v) +
-                          " (this server speaks v=" +
-                          std::to_string(kRpcProtocolVersion) + ")");
-        return false;
-    }
+    if (v && !v.getInt(req.v))
+        return fail(err, "\"v\": expected an integer protocol version");
+    if (req.v != kRpcProtocolVersion)
+        return fail(err, "unsupported protocol version v=" +
+                             std::to_string(req.v) +
+                             " (this server speaks v=" +
+                             std::to_string(kRpcProtocolVersion) + ")");
     std::string op_name;
-    if (!root.find("op").getString(op_name)) {
-        setError(err, "request has no \"op\"");
-        return false;
-    }
-    if (!opFromName(op_name, req.op)) {
-        setError(err, "unknown op \"" + op_name + "\"");
-        return false;
-    }
+    if (!root.find("op").getString(op_name))
+        return fail(err, "request has no \"op\"");
+    const std::size_t op = nameIndex(kOpNames, op_name);
+    if (op == std::size(kOpNames))
+        return fail(err, "unknown op \"" + op_name + "\"");
+    req.op = static_cast<RpcOp>(op);
     if (!fingerprintFromJson(root, "machine", req.machine_fp, err) ||
-        !fingerprintFromJson(root, "settings", req.settings_fp, err))
+        !fingerprintFromJson(root, "settings", req.settings_fp, err) ||
+        !readOptional(root, req, kDeadline, err) ||
+        !readRequestOp(root, req, err))
         return false;
-    const JsonView deadline = root.find("deadline_ms");
-    if (deadline && (!deadline.getInt(req.deadline_ms) ||
-                     req.deadline_ms < 0)) {
-        setError(err, "\"deadline_ms\": expected a non-negative "
-                      "integer");
-        return false;
-    }
-    switch (req.op) {
-    case RpcOp::Solve:
-        if (!problemFromJson(root, req.problem, err))
-            return false;
-        break;
-    case RpcOp::SolveNetwork: {
-        const JsonView ir = root.find("ir");
-        if (ir) {
-            if (root.find("net")) {
-                setError(err, "solve_network: \"net\" and \"ir\" are "
-                              "mutually exclusive");
-                return false;
-            }
-            std::string ir_err;
-            if (!networkDefFromJson(ir, req.ir, &ir_err)) {
-                setError(err, "solve_network: bad \"ir\": " + ir_err);
-                return false;
-            }
-            req.has_ir = true;
-        } else if (!root.find("net").getString(req.net) ||
-                   req.net.empty()) {
-            setError(err, "solve_network: missing \"net\" or \"ir\"");
-            return false;
-        }
-        const JsonView batch = root.find("batch");
-        if (batch && (!batch.getInt(req.batch) || req.batch < 1)) {
-            setError(err, "solve_network: \"batch\" must be a positive "
-                          "integer");
-            return false;
-        }
-        break;
-    }
-    case RpcOp::Replicate: {
-        std::int64_t flag = 0;
-        const JsonView pull = root.find("pull");
-        if (pull) {
-            if (!pull.getInt(flag)) {
-                setError(err, "replicate: non-integer \"pull\"");
-                return false;
-            }
-            req.repl_pull = flag != 0;
-        }
-        const JsonView digest = root.find("digest");
-        if (digest) {
-            if (!digest.getInt(flag)) {
-                setError(err, "replicate: non-integer \"digest\"");
-                return false;
-            }
-            req.repl_digest = flag != 0;
-        }
-        const JsonView since = root.find("since");
-        if (since && (!since.getInt(req.repl_since) || req.repl_since < 0)) {
-            setError(err, "replicate: \"since\" must be a non-negative "
-                          "integer");
-            return false;
-        }
-        const JsonView slot = root.find("for");
-        if (slot && (!slot.getInt(req.repl_for) || req.repl_for < 0)) {
-            setError(err, "replicate: \"for\" must be a non-negative "
-                          "integer");
-            return false;
-        }
-        const JsonView rec = root.find("record");
-        if (rec) {
-            if (!solutionFromJson(rec, req.repl_record.key,
-                                  req.repl_record.sol, nullptr,
-                                  &req.repl_record.seq)) {
-                setError(err, "replicate: bad \"record\"");
-                return false;
-            }
-            req.has_record = true;
-        }
-        if (!req.repl_pull && !req.repl_digest && !req.has_record) {
-            setError(err, "replicate: missing \"record\", \"pull\", "
-                          "or \"digest\"");
-            return false;
-        }
-        break;
-    }
-    case RpcOp::Stats:
-    case RpcOp::Shutdown:
-    case RpcOp::Ping:
-        break;
-    }
     out = std::move(req);
     return true;
 }
@@ -427,10 +531,7 @@ responseToJsonLine(const RpcResponse &resp)
         break;
     case RpcOp::SolveNetwork:
         appendStringField(out, "plan", resp.plan_text);
-        appendInt(out, ",\"unique\":", resp.unique_shapes);
-        appendInt(out, ",\"hits\":", resp.cache_hits);
-        appendInt(out, ",\"misses\":", resp.cache_misses);
-        appendInt(out, ",\"evals\":", resp.solver_evals);
+        appendCounters(out, resp, kNetworkCounts);
         out += ",\"solve_s\":";
         jsonAppendDouble(out, resp.solve_seconds);
         out += ",\"layers\":[";
@@ -445,24 +546,8 @@ responseToJsonLine(const RpcResponse &resp)
         appendHexField(out, "machine", resp.machine_fp);
         appendHexField(out, "settings", resp.settings_fp);
         appendStringField(out, "machine_name", resp.machine_name);
-        for (const auto &[key, v] :
-             {std::pair<const char *, std::int64_t>{"entries", resp.entries},
-              {"shards", resp.shards},
-              {"lookups_hit", resp.cache.hits},
-              {"lookups_miss", resp.cache.misses},
-              {"inserts", resp.cache.inserts},
-              {"evictions", resp.cache.evictions},
-              {"journal_loaded", resp.cache.journal_loaded},
-              {"journal_skipped", resp.cache.journal_skipped}}) {
-            out += ",\"";
-            out += key;
-            appendInt(out, "\":", v);
-        }
-        for (const auto &[key, member] : kOptionalStats) {
-            out += ",\"";
-            out += key;
-            appendInt(out, "\":", resp.*member);
-        }
+        appendCounters(out, resp, kStatsCounters);
+        appendCounters(out, resp, kOptionalStats);
         out += ",\"entry_hits\":[";
         for (std::size_t i = 0; i < resp.entry_hits.size(); ++i) {
             out += i ? ",{\"key\":\"" : "{\"key\":\"";
@@ -474,7 +559,7 @@ responseToJsonLine(const RpcResponse &resp)
         break;
     case RpcOp::Replicate:
         if (resp.repl_has_digest) {
-            appendInt(out, ",\"count\":", resp.repl_digest_count);
+            appendIntField(out, "count", resp.repl_digest_count);
             appendHexField(out, "fp", resp.repl_digest_fp);
         } else if (resp.repl_is_pull) {
             out += ",\"records\":[";
@@ -487,7 +572,7 @@ responseToJsonLine(const RpcResponse &resp)
             }
             out += ']';
         } else {
-            appendInt(out, ",\"applied\":", resp.repl_applied);
+            appendIntField(out, "applied", resp.repl_applied);
         }
         break;
     case RpcOp::Shutdown:
@@ -504,15 +589,11 @@ responseFromJsonLine(const std::string &line, RpcResponse &out,
 {
     JsonReader reader;
     const JsonView root = reader.read(line) ? reader.root() : JsonView();
-    if (!root.isObject()) {
-        setError(err, "response is not a JSON object");
-        return false;
-    }
+    if (!root.isObject())
+        return fail(err, "response is not a JSON object");
     const JsonView ok = root.find("ok");
-    if (!ok.isBool()) {
-        setError(err, "response has no \"ok\"");
-        return false;
-    }
+    if (!ok.isBool())
+        return fail(err, "response has no \"ok\"");
     RpcResponse resp;
     resp.ok = ok.isTrue();
     std::string scratch;
@@ -520,134 +601,22 @@ responseFromJsonLine(const std::string &line, RpcResponse &out,
         root.find("error").getString(resp.error);
         if (resp.error.empty())
             resp.error = "unspecified server error";
-        resp.code = errorCodeFromName(root.find("code").strView(scratch));
+        // Unknown codes read as None: a newer server's refinement of
+        // "refused" must not change an old client's (fatal) handling.
+        const std::size_t code = nameIndex(
+            kErrorCodeNames, root.find("code").strView(scratch));
+        if (code < std::size(kErrorCodeNames))
+            resp.code = static_cast<RpcErrorCode>(code);
         out = std::move(resp);
         return true;
     }
-    if (!opFromName(root.find("op").strView(scratch), resp.op)) {
-        setError(err, "response has no valid \"op\"");
+    const std::size_t op =
+        nameIndex(kOpNames, root.find("op").strView(scratch));
+    if (op == std::size(kOpNames))
+        return fail(err, "response has no valid \"op\"");
+    resp.op = static_cast<RpcOp>(op);
+    if (!readResponseOp(root, resp, err))
         return false;
-    }
-    const JsonView solve_s = root.find("solve_s");
-    switch (resp.op) {
-    case RpcOp::Solve: {
-        // Same shape as one solve_network layer, flattened.
-        if (!solveResultFromJson(root, resp.solve, err))
-            return false;
-        if (!solve_s.isNumber() || solve_s.num() < 0) {
-            setError(err, "solve: missing solve_s");
-            return false;
-        }
-        resp.solve_seconds = solve_s.num();
-        break;
-    }
-    case RpcOp::SolveNetwork: {
-        if (!root.find("plan").getString(resp.plan_text) ||
-            !root.find("unique").getInt(resp.unique_shapes) ||
-            !root.find("hits").getInt(resp.cache_hits) ||
-            !root.find("misses").getInt(resp.cache_misses) ||
-            !root.find("evals").getInt(resp.solver_evals)) {
-            setError(err, "solve_network: missing summary fields");
-            return false;
-        }
-        if (!solve_s.isNumber() || solve_s.num() < 0) {
-            setError(err, "solve_network: missing solve_s");
-            return false;
-        }
-        resp.solve_seconds = solve_s.num();
-        const JsonView layers = root.find("layers");
-        if (!layers.isArray()) {
-            setError(err, "solve_network: missing layers");
-            return false;
-        }
-        resp.layers.resize(layers.size());
-        auto dst = resp.layers.begin();
-        for (const JsonView v : layers)
-            if (!solveResultFromJson(v, *dst++, err))
-                return false;
-        break;
-    }
-    case RpcOp::Stats: {
-        if (!fingerprintFromJson(root, "machine", resp.machine_fp,
-                                 err) ||
-            !fingerprintFromJson(root, "settings", resp.settings_fp, err))
-            return false;
-        root.find("machine_name").getString(resp.machine_name);
-        std::int64_t shards = 0;
-        if (!root.find("entries").getInt(resp.entries) ||
-            !root.find("shards").getInt(shards) ||
-            !root.find("lookups_hit").getInt(resp.cache.hits) ||
-            !root.find("lookups_miss").getInt(resp.cache.misses) ||
-            !root.find("inserts").getInt(resp.cache.inserts) ||
-            !root.find("evictions").getInt(resp.cache.evictions) ||
-            !root.find("journal_loaded").getInt(resp.cache.journal_loaded) ||
-            !root.find("journal_skipped")
-                 .getInt(resp.cache.journal_skipped)) {
-            setError(err, "stats: missing counter fields");
-            return false;
-        }
-        resp.shards = static_cast<int>(shards);
-        for (const auto &[key, member] : kOptionalStats) {
-            const JsonView v = root.find(key);
-            if (v && !v.getInt(resp.*member)) {
-                setError(err, std::string("stats: bad ") + key);
-                return false;
-            }
-        }
-        const JsonView eh = root.find("entry_hits");
-        if (!eh.isArray()) {
-            setError(err, "stats: missing entry_hits");
-            return false;
-        }
-        for (const JsonView v : eh) {
-            RpcEntryHits row;
-            if (!v.find("key").getString(row.key) ||
-                !v.find("hits").getInt(row.hits)) {
-                setError(err, "stats: bad entry_hits row");
-                return false;
-            }
-            resp.entry_hits.push_back(std::move(row));
-        }
-        break;
-    }
-    case RpcOp::Replicate: {
-        const JsonView recs = root.find("records");
-        const JsonView fp = root.find("fp");
-        const JsonView applied = root.find("applied");
-        if (fp) {
-            if (!jsonParseHex16(fp.strView(scratch), resp.repl_digest_fp) ||
-                !root.find("count").getInt(resp.repl_digest_count) ||
-                resp.repl_digest_count < 0) {
-                setError(err, "replicate: bad digest");
-                return false;
-            }
-            resp.repl_has_digest = true;
-        } else if (recs) {
-            if (!recs.isArray()) {
-                setError(err, "replicate: bad records");
-                return false;
-            }
-            resp.repl_is_pull = true;
-            resp.repl_records.resize(recs.size());
-            auto dst = resp.repl_records.begin();
-            for (const JsonView v : recs) {
-                if (!solutionFromJson(v, dst->key, dst->sol, nullptr,
-                                      &dst->seq)) {
-                    setError(err, "replicate: bad record in records");
-                    return false;
-                }
-                ++dst;
-            }
-        } else if (applied && !applied.getInt(resp.repl_applied)) {
-            setError(err, "replicate: bad applied");
-            return false;
-        }
-        break;
-    }
-    case RpcOp::Shutdown:
-    case RpcOp::Ping:
-        break;
-    }
     out = std::move(resp);
     return true;
 }

@@ -257,7 +257,7 @@ struct RpcResponse
     // Stats.
     SolutionCacheStats cache;
     std::int64_t entries = 0;
-    int shards = 0;
+    std::int64_t shards = 0;
     std::uint64_t machine_fp = 0;
     std::uint64_t settings_fp = 0;
     std::string machine_name;

@@ -1,7 +1,7 @@
 #include "service/solution_cache.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 
 #include "common/journal.hh"
 #include "common/json.hh"
@@ -31,15 +31,6 @@ appendTiles(std::string &out, const IntTileVec &t)
     for (int d = 0; d < NumDims; ++d)
         appendInt(out, d ? "," : "[", t[static_cast<std::size_t>(d)]);
     out += ']';
-}
-
-std::size_t
-roundUpPow2(std::size_t v)
-{
-    std::size_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
 }
 
 } // namespace
@@ -252,8 +243,8 @@ SolutionCache::SolutionCache(SolutionCacheOptions opts)
     opts_.capacity = std::max<std::size_t>(1, opts_.capacity);
     // Power of two so shardOf can mask; halved (staying a power of
     // two) until every shard holds at least one entry.
-    std::size_t shards = roundUpPow2(
-        static_cast<std::size_t>(std::max(1, opts_.shards)));
+    std::size_t shards =
+        std::bit_ceil(static_cast<std::size_t>(std::max(1, opts_.shards)));
     while (shards > opts_.capacity)
         shards >>= 1;
     per_shard_capacity_ = std::max<std::size_t>(1, opts_.capacity / shards);
@@ -281,7 +272,7 @@ int
 SolutionCache::shardOf(const CacheKey &key) const
 {
     // shards_.size() is a power of two; the low hash bits pick a shard
-    // and the full hash indexes the shard's bucket map.
+    // and the full hash indexes the shard's map.
     return static_cast<int>(key.hash() &
                             (shards_.size() - 1));
 }
@@ -290,22 +281,16 @@ bool
 SolutionCache::lookup(const CacheKey &key, CachedSolution *out)
 {
     Shard &sh = *shards_[static_cast<std::size_t>(shardOf(key))];
-    const std::uint64_t h = key.hash();
     bool hit = false;
     {
         std::lock_guard<std::mutex> lock(sh.mu);
-        auto it = sh.map.find(h);
+        const auto it = sh.map.find(key);
         if (it != sh.map.end()) {
-            for (auto &entry_it : it->second) {
-                if (entry_it->key == key) {
-                    sh.lru.splice(sh.lru.begin(), sh.lru, entry_it);
-                    ++entry_it->hits;
-                    if (out)
-                        *out = entry_it->sol;
-                    hit = true;
-                    break;
-                }
-            }
+            sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+            ++it->second->hits;
+            if (out)
+                *out = it->second->sol;
+            hit = true;
         }
     }
     (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
@@ -317,55 +302,32 @@ SolutionCache::insertInMemory(const CacheKey &key, const CachedSolution &sol,
                               std::int64_t hits, std::int64_t seq)
 {
     Shard &sh = *shards_[static_cast<std::size_t>(shardOf(key))];
-    const std::uint64_t h = key.hash();
-    bool evicted = false;
-    bool fresh = true;
-    {
-        std::lock_guard<std::mutex> lock(sh.mu);
-        auto it = sh.map.find(h);
-        if (it != sh.map.end()) {
-            for (auto &entry_it : it->second) {
-                if (entry_it->key == key) {
-                    entry_it->sol = sol;
-                    // Hit counts only grow, so max() both preserves a
-                    // live entry's count across a re-insert and takes
-                    // the newest count when journal replay sees the
-                    // same key twice.
-                    entry_it->hits = std::max(entry_it->hits, hits);
-                    entry_it->seq = std::max(entry_it->seq, seq);
-                    sh.lru.splice(sh.lru.begin(), sh.lru, entry_it);
-                    fresh = false;
-                    break;
-                }
-            }
-        }
-        if (fresh) {
-            sh.lru.push_front(
-                Entry{key, sol, hits, seq,
-                      compact_epoch_.load(std::memory_order_relaxed)});
-            sh.map[h].push_back(sh.lru.begin());
-            if (sh.lru.size() > per_shard_capacity_) {
-                const Entry &victim = sh.lru.back();
-                const std::uint64_t vh = victim.key.hash();
-                auto vit = sh.map.find(vh);
-                checkInvariant(vit != sh.map.end(),
-                               "SolutionCache: victim missing from map");
-                auto &chain = vit->second;
-                chain.erase(std::find(chain.begin(), chain.end(),
-                                      std::prev(sh.lru.end())));
-                if (chain.empty())
-                    sh.map.erase(vit);
-                sh.lru.pop_back();
-                evicted = true;
-            }
-        }
-    }
+    std::lock_guard<std::mutex> lock(sh.mu);
     inserts_.fetch_add(1, std::memory_order_relaxed);
-    if (evicted)
+    const auto [it, fresh] = sh.map.try_emplace(key);
+    if (!fresh) {
+        Entry &e = *it->second;
+        e.sol = sol;
+        // Hit counts only grow, so max() both preserves a live entry's
+        // count across a re-insert and takes the newest count when
+        // journal replay sees the same key twice.
+        e.hits = std::max(e.hits, hits);
+        e.seq = std::max(e.seq, seq);
+        sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+        return false;
+    }
+    sh.lru.push_front(Entry{key, sol, hits, seq,
+                            compact_epoch_.load(std::memory_order_relaxed)});
+    it->second = sh.lru.begin();
+    if (sh.lru.size() > per_shard_capacity_) {
+        checkInvariant(sh.map.erase(sh.lru.back().key) == 1,
+                       "SolutionCache: victim missing from map");
+        sh.lru.pop_back();
         evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (fresh && !evicted)
+    } else {
         live_.fetch_add(1, std::memory_order_relaxed);
-    return fresh;
+    }
+    return true;
 }
 
 std::int64_t
@@ -373,12 +335,9 @@ SolutionCache::insert(const CacheKey &key, const CachedSolution &sol)
 {
     const std::int64_t seq =
         journal_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    insertInMemory(key, sol, 0, seq);
-    if (!opts_.journal_path.empty()) {
-        appendJournalLine(Entry{key, sol, 0, seq});
-        if (journalNeedsCompaction())
-            compact();
-    }
+    // The high-water mark already covers seq, so applyReplica's absorb
+    // leaves it be and only stores and journals the entry.
+    applyReplica(key, sol, seq);
     return seq;
 }
 
@@ -459,15 +418,8 @@ bool
 SolutionCache::contains(const CacheKey &key) const
 {
     const Shard &sh = *shards_[static_cast<std::size_t>(shardOf(key))];
-    const std::uint64_t h = key.hash();
     std::lock_guard<std::mutex> lock(sh.mu);
-    const auto it = sh.map.find(h);
-    if (it == sh.map.end())
-        return false;
-    for (const auto &entry_it : it->second)
-        if (entry_it->key == key)
-            return true;
-    return false;
+    return sh.map.contains(key);
 }
 
 void
@@ -560,19 +512,9 @@ SolutionCache::compact()
                 for (auto it = sh->lru.end(); it != sh->lru.begin();) {
                     --it;
                     if (shed && it->hits == 0 && it->epoch < epoch) {
-                        auto mit = sh->map.find(it->key.hash());
-                        checkInvariant(mit != sh->map.end(),
+                        checkInvariant(sh->map.erase(it->key) == 1,
                                        "SolutionCache: shed victim "
                                        "missing from map");
-                        auto &chain = mit->second;
-                        const auto cit =
-                            std::find(chain.begin(), chain.end(), it);
-                        checkInvariant(cit != chain.end(),
-                                       "SolutionCache: shed victim "
-                                       "missing from chain");
-                        chain.erase(cit);
-                        if (chain.empty())
-                            sh->map.erase(mit);
                         it = sh->lru.erase(it);
                         ++shed_count;
                         continue;

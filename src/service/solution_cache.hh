@@ -4,10 +4,10 @@
  * CacheKey, with optional JSON-lines persistence.
  *
  * Concurrency: the key hash selects one of N shards (a power of two);
- * each shard owns its own mutex, hash map, and LRU list (the same
- * list+map idiom as the cache *simulator* in src/cachesim/lru_cache.hh,
- * which models a hardware cache and is unrelated to this service-level
- * store). Lookups and inserts on different shards never contend;
+ * each shard owns its own mutex, LRU list, and an index from CacheKey
+ * to the entry's list node (the same list+map idiom as the cache
+ * *simulator* in src/cachesim/lru_cache.hh, which models a hardware
+ * cache and is unrelated to this service-level store). Lookups and inserts on different shards never contend;
  * capacity is enforced per shard (total capacity / shards), so an
  * insert takes one shard lock (plus the journal mutex, outside any
  * shard lock, when persistence is on); statistics are relaxed
@@ -230,13 +230,15 @@ class SolutionCache
         std::int64_t epoch = 0;
     };
 
+    /** One lock's share of the cache. The index is keyed by CacheKey
+     *  itself (std::hash<CacheKey>), so a lookup is one find with no
+     *  collision chain to walk. */
     struct Shard
     {
         mutable std::mutex mu;
         std::list<Entry> lru; //!< Front = most recently used.
-        std::unordered_map<std::uint64_t,
-                           std::vector<std::list<Entry>::iterator>>
-            map; //!< hash -> entries (collision chain).
+        std::unordered_map<CacheKey, std::list<Entry>::iterator>
+            map; //!< Key -> its node in lru.
     };
 
     /** Insert into the in-memory structure only; returns false when

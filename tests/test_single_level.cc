@@ -22,7 +22,6 @@ makeProblem(std::int64_t n, std::int64_t k, std::int64_t c, std::int64_t r,
             std::int64_t s, std::int64_t h, std::int64_t w, int stride = 1)
 {
     ConvProblem p;
-    p.name = "t";
     p.n = n;
     p.k = k;
     p.c = c;

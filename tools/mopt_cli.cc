@@ -41,6 +41,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "autotune/autotune.hh"
@@ -303,6 +304,28 @@ networkFromFlags(const mopt::Flags &flags)
     return def;
 }
 
+/** The shape --layer names, or the one --k/--c/--image/--rs spell
+ *  (with --stride, --batch, --groups and --dilation); none when
+ *  neither is given. */
+std::optional<mopt::ConvProblem>
+problemFromFlags(const mopt::Flags &flags)
+{
+    using namespace mopt;
+    if (flags.has("layer"))
+        return workloadByName(flags.getString("layer", ""));
+    if (!flags.has("k") || !flags.has("c") || !flags.has("image") ||
+        !flags.has("rs"))
+        return std::nullopt;
+    ConvProblem p = ConvProblem::fromImage(
+        "cli", flags.getInt("k", 1), flags.getInt("c", 1),
+        flags.getInt("image", 1), flags.getInt("rs", 1),
+        static_cast<int>(flags.getInt("stride", 1)),
+        flags.getInt("batch", 1), flags.getInt("groups", 1));
+    p.dilation = static_cast<int>(flags.getInt("dilation", 1));
+    p.validate();
+    return p;
+}
+
 /** The `mopt network` subcommand (argv already shifted past it). */
 int
 runNetwork(int argc, char **argv)
@@ -408,20 +431,9 @@ runAutotune(int argc, char **argv)
         const NetworkDef def = networkFromFlags(flags);
         net = def.lower();
         source = def.name;
-    } else if (flags.has("layer")) {
-        net.push_back(workloadByName(flags.getString("layer", "")));
-        source = net.front().summary();
-    } else if (flags.has("k") && flags.has("c") && flags.has("image") &&
-               flags.has("rs")) {
-        ConvProblem p = ConvProblem::fromImage(
-            "cli", flags.getInt("k", 1), flags.getInt("c", 1),
-            flags.getInt("image", 1), flags.getInt("rs", 1),
-            static_cast<int>(flags.getInt("stride", 1)),
-            flags.getInt("batch", 1), flags.getInt("groups", 1));
-        p.dilation = static_cast<int>(flags.getInt("dilation", 1));
-        p.validate();
-        net.push_back(p);
-        source = p.summary();
+    } else if (const auto p = problemFromFlags(flags)) {
+        net.push_back(*p);
+        source = p->summary();
     } else {
         fatal("autotune mode needs --net, --layer, or explicit dims");
     }
@@ -931,23 +943,11 @@ runQuery(int argc, char **argv)
     if (flags.has("net"))
         return queryNetwork(flags, q);
 
-    ConvProblem p;
-    if (flags.has("layer")) {
-        p = workloadByName(flags.getString("layer", ""));
-    } else if (flags.has("k") && flags.has("c") && flags.has("image") &&
-               flags.has("rs")) {
-        p = ConvProblem::fromImage(
-            "cli", flags.getInt("k", 1), flags.getInt("c", 1),
-            flags.getInt("image", 1), flags.getInt("rs", 1),
-            static_cast<int>(flags.getInt("stride", 1)),
-            flags.getInt("batch", 1), flags.getInt("groups", 1));
-        p.dilation = static_cast<int>(flags.getInt("dilation", 1));
-        p.validate();
-    } else {
+    const auto p = problemFromFlags(flags);
+    if (!p)
         fatal("query mode needs --net, --layer, explicit dims, "
               "--stats, or --shutdown");
-    }
-    return queryProblem(q, p);
+    return queryProblem(q, *p);
 }
 
 /** Single-layer mode (the default, no subcommand). */
@@ -994,23 +994,12 @@ runSingle(int argc, char **argv)
         return 0;
     }
 
-    // Resolve the problem.
-    ConvProblem p;
-    if (flags.has("layer")) {
-        p = workloadByName(flags.getString("layer", ""));
-    } else if (flags.has("k") && flags.has("c") && flags.has("image") &&
-               flags.has("rs")) {
-        p = ConvProblem::fromImage(
-            "cli", flags.getInt("k", 1), flags.getInt("c", 1),
-            flags.getInt("image", 1), flags.getInt("rs", 1),
-            static_cast<int>(flags.getInt("stride", 1)),
-            flags.getInt("batch", 1), flags.getInt("groups", 1));
-        p.dilation = static_cast<int>(flags.getInt("dilation", 1));
-        p.validate();
-    } else {
+    const auto resolved = problemFromFlags(flags);
+    if (!resolved) {
         printUsage();
         return 2;
     }
+    const ConvProblem &p = *resolved;
 
     const MachineSpec m = machineByName(flags.getString("machine", "i7"));
     const OptimizerOptions opts = optionsFromFlags(flags);
