@@ -16,7 +16,6 @@
 #include "common/table.hh"
 #include "conv/workloads.hh"
 #include "machine/machine.hh"
-#include "model/line_model.hh"
 #include "model/multi_level.hh"
 #include "optimizer/mopt_optimizer.hh"
 
@@ -82,8 +81,8 @@ main()
         const ExecConfig *line_best = &best;
         double line_cost = std::numeric_limits<double>::infinity();
         for (const auto &cand : opt.candidates) {
-            const CostBreakdown lb = evalMultiLevelLines(
-                cand.config.toModel(), p, m, true, 16, DivMode::Ceil);
+            const CostBreakdown lb = evalMultiLevel(
+                cand.config.toModel(), p, m, true, DivMode::Ceil, 16);
             if (lb.total_seconds < line_cost) {
                 line_cost = lb.total_seconds;
                 line_best = &cand.config;

@@ -154,16 +154,7 @@ perturb(const ExecConfig &cfg, const ConvProblem &p, Rng &rng)
     auto &t = out.tiles[static_cast<std::size_t>(l)][sd];
     t = rng.uniform01() < 0.5 ? std::max<std::int64_t>(1, t / 2)
                               : std::min(extents[sd], t * 2);
-    // Repair nesting.
-    for (int dd = 0; dd < NumDims; ++dd) {
-        const auto sdd = static_cast<std::size_t>(dd);
-        std::int64_t lo = out.tiles[LvlReg][sdd];
-        for (int ll = LvlL1; ll <= LvlL3; ++ll) {
-            auto &tt = out.tiles[static_cast<std::size_t>(ll)][sdd];
-            tt = std::clamp(tt, lo, extents[sdd]);
-            lo = tt;
-        }
-    }
+    out.clampNesting(extents);
     return out;
 }
 

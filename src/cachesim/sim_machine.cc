@@ -84,12 +84,6 @@ class PrivateStack
 } // namespace
 
 MachineSpec
-scaledMachine(const MachineSpec &base, std::int64_t divisor)
-{
-    return scaledMachine(base, divisor, divisor, divisor);
-}
-
-MachineSpec
 scaledMachine(const MachineSpec &base, std::int64_t div_l1,
               std::int64_t div_l2, std::int64_t div_l3)
 {

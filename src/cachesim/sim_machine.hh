@@ -57,20 +57,14 @@ struct SimTimeBreakdown
 };
 
 /**
- * Capacity-scaled copy of @p base: L1/L2/L3 capacities divided by
- * @p divisor (floored at one line of 64 B), everything else —
+ * Capacity-scaled copy of @p base: L1, L2, L3 capacities divided by
+ * their own divisors (floored at one line of 64 B), everything else —
  * bandwidths, core count, SIMD shape, frequency — preserved. The
  * bandwidth *ratios* between levels, which determine the bottleneck
- * structure, are untouched.
- */
-MachineSpec scaledMachine(const MachineSpec &base, std::int64_t divisor);
-
-/**
- * Per-level variant: L1, L2, L3 divided by their own divisors. Real
- * hierarchies have L3/L1 ratios in the hundreds; compressing L3 more
- * than L1 keeps downscaled problems larger than the scaled L3 (so the
- * memory boundary still carries capacity misses) without shrinking L1
- * below one register tile.
+ * structure, are untouched. Real hierarchies have L3/L1 ratios in the
+ * hundreds; compressing L3 more than L1 keeps downscaled problems
+ * larger than the scaled L3 (so the memory boundary still carries
+ * capacity misses) without shrinking L1 below one register tile.
  */
 MachineSpec scaledMachine(const MachineSpec &base, std::int64_t div_l1,
                           std::int64_t div_l2, std::int64_t div_l3);

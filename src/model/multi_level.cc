@@ -135,8 +135,10 @@ overheadCounts(const MultiLevelConfig &cfg, const ConvProblem &p,
 
 CostBreakdown
 evalMultiLevel(const MultiLevelConfig &cfg, const ConvProblem &p,
-               const MachineSpec &m, bool parallel, DivMode mode)
+               const MachineSpec &m, bool parallel, DivMode mode,
+               int line_words)
 {
+    checkUser(line_words >= 1, "evalMultiLevel: line size must be >= 1");
     const TileVec extents = toTileVec(problemExtents(p));
     const std::int64_t active =
         parallel ? std::min<std::int64_t>(cfg.totalParallelism(), m.cores)
@@ -163,8 +165,10 @@ evalMultiLevel(const MultiLevelConfig &cfg, const ConvProblem &p,
         // enclosing tiles over the whole problem. Extents are per
         // group (see problemExtents); the implicit outermost group
         // loop repeats the whole per-group tile walk p.groups times.
-        const double per_tile =
-            totalDataVolume(lt.perm, lt.tiles, outer, p, mode);
+        // Vector loads at the register boundary move words; every
+        // cache boundary moves whole lines.
+        const double per_tile = totalDataVolume(
+            lt.perm, lt.tiles, outer, p, mode, l == LvlReg ? 1 : line_words);
         const double count =
             tileCount(outer, extents, mode) * static_cast<double>(p.groups);
         const double volume = per_tile * count;

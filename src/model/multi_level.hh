@@ -8,6 +8,12 @@
  * FMA-throughput compute time, plus an additive overhead: a fixed cost
  * per microkernel call and per parallel region (MachineSpec::t_call,
  * t_sync), which no volume term sees.
+ *
+ * The line size (Sec. 12's spatial-locality generalization, see
+ * single_level.hh) is an argument of the same evaluator: every cache
+ * boundary (L1/L2/L3) is counted in line-sized transactions, while
+ * the register boundary stays word-granular (vector loads move words,
+ * not lines). The overhead term is charged at every line size.
  */
 
 #ifndef MOPT_MODEL_MULTI_LEVEL_HH
@@ -86,11 +92,14 @@ OverheadCounts overheadCounts(const MultiLevelConfig &cfg,
  *                  (Sec. 7): per-core bandwidth calibration and
  *                  traffic divided across cores
  * @param mode      trip-count arithmetic (Ceil for integer configs)
+ * @param line_words cache-line size in words (>= 1) at L1/L2/L3;
+ *                  1 is the paper's unit-line model
  */
 CostBreakdown evalMultiLevel(const MultiLevelConfig &cfg,
                              const ConvProblem &p, const MachineSpec &m,
                              bool parallel,
-                             DivMode mode = DivMode::Continuous);
+                             DivMode mode = DivMode::Continuous,
+                             int line_words = 1);
 
 /**
  * Maximum relative capacity violation of @p cfg across hierarchy

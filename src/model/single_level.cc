@@ -49,8 +49,45 @@ tileCount(const TileVec &tiles, const TileVec &outer, DivMode mode)
 }
 
 double
+lineCount(double extent, int line_words, DivMode mode)
+{
+    if (line_words == 1)
+        return extent;
+    const double lw = static_cast<double>(line_words);
+    // Exact ceil for integer configurations; a smooth upper bound in
+    // the solver domain.
+    if (mode == DivMode::Ceil)
+        return std::ceil(extent / lw - 1e-12);
+    return (extent + lw - 1.0) / lw;
+}
+
+double
+tileFootprintLines(TensorId t, const TileVec &tiles, const ConvProblem &p,
+                   int line_words, DivMode mode)
+{
+    const double tn = tiles[DimN], tk = tiles[DimK], tc = tiles[DimC];
+    const double tr = tiles[DimR], ts = tiles[DimS];
+    const double th = tiles[DimH], tw = tiles[DimW];
+    const double lw = static_cast<double>(line_words);
+    switch (t) {
+      case TenOut:
+        return tn * tk * th * lineCount(tw, line_words, mode) * lw;
+      case TenKer:
+        return tk * tc * tr * lineCount(ts, line_words, mode) * lw;
+      case TenIn:
+        return tn * tc * inputExtent(th, tr, p.stride, p.dilation) *
+               lineCount(inputExtent(tw, ts, p.stride, p.dilation),
+                         line_words, mode) *
+               lw;
+      default:
+        panic("tileFootprintLines: bad tensor");
+    }
+}
+
+double
 tensorDataVolume(TensorId t, const Permutation &perm, const TileVec &tiles,
-                 const TileVec &outer, const ConvProblem &p, DivMode mode)
+                 const TileVec &outer, const ConvProblem &p, DivMode mode,
+                 int line_words)
 {
     const int r_pos = perm.innermostPresentPosition(t);
     const Dim r_dim = perm.dimAtPosition(r_pos);
@@ -60,7 +97,8 @@ tensorDataVolume(TensorId t, const Permutation &perm, const TileVec &tiles,
     // loop overlap partially in the input; the combined cost of the
     // first full-footprint load plus the incremental loads equals the
     // tile footprint with the swept dimension's extent widened to the
-    // full sweep extent.
+    // full sweep extent; then the w-extent (the contiguous one) is
+    // rounded up to whole lines.
     if (t == TenIn && (r_dim == DimW || r_dim == DimH || r_dim == DimS ||
                        r_dim == DimR)) {
         const double tn = tiles[DimN], tc = tiles[DimC];
@@ -84,14 +122,17 @@ tensorDataVolume(TensorId t, const Permutation &perm, const TileVec &tiles,
           default:
             panic("unreachable");
         }
-        const double swept = tn * tc * ext_h * ext_w;
+        const double swept = tn * tc * ext_h *
+                             lineCount(ext_w, line_words, mode) *
+                             static_cast<double>(line_words);
         return tripProductFrom(r_pos + 1, perm, tiles, outer, mode) * swept;
     }
 
     // Case 1: every change of the loop at position R_A replaces the
     // whole slice, so the volume is the tile footprint times the trip
     // product of the loop at R_A and everything surrounding it.
-    const double footprint = tileFootprint(t, tiles, p);
+    const double footprint =
+        tileFootprintLines(t, tiles, p, line_words, mode);
     const double factor = t == TenOut ? 2.0 : 1.0; // read + write back
     return factor * tripProductFrom(r_pos, perm, tiles, outer, mode) *
            footprint;
@@ -99,11 +140,15 @@ tensorDataVolume(TensorId t, const Permutation &perm, const TileVec &tiles,
 
 double
 totalDataVolume(const Permutation &perm, const TileVec &tiles,
-                const TileVec &outer, const ConvProblem &p, DivMode mode)
+                const TileVec &outer, const ConvProblem &p, DivMode mode,
+                int line_words)
 {
-    return tensorDataVolume(TenIn, perm, tiles, outer, p, mode) +
-           tensorDataVolume(TenKer, perm, tiles, outer, p, mode) +
-           tensorDataVolume(TenOut, perm, tiles, outer, p, mode);
+    return tensorDataVolume(TenIn, perm, tiles, outer, p, mode,
+                            line_words) +
+           tensorDataVolume(TenKer, perm, tiles, outer, p, mode,
+                            line_words) +
+           tensorDataVolume(TenOut, perm, tiles, outer, p, mode,
+                            line_words);
 }
 
 double

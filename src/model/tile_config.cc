@@ -154,6 +154,20 @@ ExecConfig::fromModel(const MultiLevelConfig &m)
     return e;
 }
 
+void
+ExecConfig::clampNesting(const IntTileVec &extents)
+{
+    for (int d = 0; d < NumDims; ++d) {
+        const auto sd = static_cast<std::size_t>(d);
+        std::int64_t lo = tiles[LvlReg][sd];
+        for (int l = LvlL1; l <= LvlL3; ++l) {
+            auto &t = tiles[static_cast<std::size_t>(l)][sd];
+            t = std::clamp(t, lo, extents[sd]);
+            lo = t;
+        }
+    }
+}
+
 std::string
 ExecConfig::str() const
 {

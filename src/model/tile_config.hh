@@ -104,6 +104,12 @@ struct ExecConfig
     /** Build from a model configuration by flooring tile sizes. */
     static ExecConfig fromModel(const MultiLevelConfig &m);
 
+    /**
+     * Clamp the L1..L3 tile sizes into [inner level tile, problem
+     * extent], starting from the register tile, which is left as is.
+     */
+    void clampNesting(const IntTileVec &extents);
+
     std::string str() const;
 
     bool operator==(const ExecConfig &o) const;

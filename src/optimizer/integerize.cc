@@ -50,15 +50,7 @@ integerize(const MultiLevelConfig &cfg, const ConvProblem &p,
                          extents[DimK]);
     }
     // Restore nesting after snapping.
-    for (int d = 0; d < NumDims; ++d) {
-        const auto sd = static_cast<std::size_t>(d);
-        std::int64_t lo = e.tiles[LvlReg][sd];
-        for (int l = LvlL1; l <= LvlL3; ++l) {
-            auto &t = e.tiles[static_cast<std::size_t>(l)][sd];
-            t = std::clamp(t, lo, extents[sd]);
-            lo = t;
-        }
-    }
+    e.clampNesting(extents);
 
     // Hill-climb the 21 L1..L3 tile sizes against the integer model.
     // k tiles are climbed in units of the k block, so every k tile

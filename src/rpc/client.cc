@@ -111,7 +111,7 @@ Client::waitResponse(RpcResponse &out, std::string *err, Deadline dl)
     if (st != LineReader::Status::Ok) {
         if (err)
             *err = ep_.str() + ": connection lost awaiting response";
-        abandon();
+        disconnect();
         return CallWait::Transport;
     }
     reader_.reset(); // Call complete.
@@ -123,16 +123,6 @@ Client::waitResponse(RpcResponse &out, std::string *err, Deadline dl)
         return CallWait::Transport;
     }
     return CallWait::Ready;
-}
-
-void
-Client::abandon()
-{
-    // The response (whole or partial) may still arrive on this
-    // stream; dropping the connection is the only way to keep it from
-    // framing into the next call.
-    reader_.reset();
-    sock_.close();
 }
 
 bool
@@ -147,7 +137,7 @@ Client::call(const RpcRequest &req, RpcResponse &out, std::string *err,
     if (w == CallWait::Timeout) {
         if (err)
             *err = ep_.str() + ": timed out awaiting response";
-        abandon();
+        disconnect();
     }
     return false;
 }
@@ -183,6 +173,9 @@ Client::callRetrying(const RpcRequest &req, const FleetOptions &policy,
 void
 Client::disconnect()
 {
+    // An abandoned response (whole or partial) may still arrive on
+    // this stream; dropping the connection is the only way to keep it
+    // from framing into the next call.
     reader_.reset();
     sock_.close();
 }
@@ -320,7 +313,7 @@ ShardRouter::attemptHedged(std::size_t primary, const RpcRequest &req,
         // whole budget — quarantine it and let the caller fall back.
         logWarn("moptd node ", pc.endpoint().str(),
                 " timed out after ", fleet_.deadline_ms, " ms");
-        pc.abandon();
+        pc.disconnect();
         markDown(primary);
         return Attempt::Transport;
     }
@@ -343,7 +336,7 @@ ShardRouter::attemptHedged(std::size_t primary, const RpcRequest &req,
             w = pc.waitResponse(resp, &err, slice);
             if (w == Client::CallWait::Ready) {
                 if (secondary_live)
-                    sc.abandon();
+                    sc.disconnect();
                 return finishResponse(primary, resp, stats, out);
             }
             if (w == Client::CallWait::Transport) {
@@ -358,7 +351,7 @@ ShardRouter::attemptHedged(std::size_t primary, const RpcRequest &req,
             w = sc.waitResponse(resp, &serr, slice);
             if (w == Client::CallWait::Ready) {
                 if (primary_live)
-                    pc.abandon();
+                    pc.disconnect();
                 stats.hedge_wins++;
                 return finishResponse(secondary, resp, stats, out);
             }
@@ -371,11 +364,11 @@ ShardRouter::attemptHedged(std::size_t primary, const RpcRequest &req,
     // Deadline expired with neither leg answering (or both legs died
     // on transport): quarantine whatever is still silent.
     if (primary_live) {
-        pc.abandon();
+        pc.disconnect();
         markDown(primary);
     }
     if (secondary_live) {
-        sc.abandon();
+        sc.disconnect();
         markDown(secondary);
     }
     logWarn("moptd node ", pc.endpoint().str(),

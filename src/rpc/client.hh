@@ -125,7 +125,7 @@ struct FleetOptions
  * thread-safe; one Client per thread.
  *
  * Two calling styles: call() is the one-shot request/response used
- * almost everywhere; startCall()/waitResponse()/abandon() split the
+ * almost everywhere; startCall()/waitResponse()/disconnect() split the
  * same exchange so a caller can poll several servers at once (the
  * router's hedging) without threads — Timeout from waitResponse keeps
  * the call in flight, and any partial response bytes stay buffered
@@ -178,7 +178,7 @@ class Client
      * Begin a call: connect (lazily) and send @p req, all before
      * @p dl. False + @p err on failure (connection dropped). On true,
      * the call is in flight: follow with waitResponse() until it
-     * stops returning Timeout, or abandon().
+     * stops returning Timeout, or disconnect().
      */
     bool startCall(const RpcRequest &req, std::string *err = nullptr,
                    Deadline dl = Deadline::never());
@@ -192,12 +192,9 @@ class Client
     CallWait waitResponse(RpcResponse &out, std::string *err = nullptr,
                           Deadline dl = Deadline::never());
 
-    /** Drop an in-flight call (hedging loser). Disconnects: a
-     *  response may already be in the socket, so the stream cannot be
-     *  reused. The next call() reconnects. */
-    void abandon();
-
-    /** Close the connection (next call reconnects). */
+    /** Close the connection (next call reconnects). Also how an
+     *  in-flight call is dropped (hedging loser): a response may
+     *  already be in the socket, so the stream cannot be reused. */
     void disconnect();
 
   private:
@@ -205,7 +202,7 @@ class Client
     TcpSocket sock_;
 
     /** Live only while a call is in flight (start → Ready/Transport/
-     *  abandon); owns the response framing state across Timeout
+     *  disconnect); owns the response framing state across Timeout
      *  slices. References sock_, hence the explicit move. */
     std::unique_ptr<LineReader> reader_;
 

@@ -15,7 +15,7 @@
 #include "common/stats.hh"
 #include "machine/machine.hh"
 #include "model/footprint.hh"
-#include "model/line_model.hh"
+#include "model/multi_level.hh"
 #include "model/pruned_classes.hh"
 #include "optimizer/mopt_optimizer.hh"
 
@@ -111,8 +111,8 @@ TEST(LineModel, VolumeAtLeastWordVolume)
             }
             const double words = totalDataVolume(cls.representative(), t,
                                                  outer, p, DivMode::Ceil);
-            const double lines16 = totalDataVolumeLines(
-                cls.representative(), t, outer, p, 16, DivMode::Ceil);
+            const double lines16 = totalDataVolume(
+                cls.representative(), t, outer, p, DivMode::Ceil, 16);
             EXPECT_GE(lines16, words - 1e-9) << cls.name();
         }
     }
@@ -135,11 +135,13 @@ TEST(LineModel, UnitLineMatchesBaseModelEndToEnd)
     const CostBreakdown base =
         evalMultiLevel(cfg, p, m, false, DivMode::Ceil);
     const CostBreakdown unit =
-        evalMultiLevelLines(cfg, p, m, false, 1, DivMode::Ceil);
+        evalMultiLevel(cfg, p, m, false, DivMode::Ceil, 1);
     for (int l = 0; l < NumMemLevels; ++l)
         EXPECT_DOUBLE_EQ(unit.volume_words[static_cast<std::size_t>(l)],
                          base.volume_words[static_cast<std::size_t>(l)]);
     EXPECT_EQ(unit.bottleneck, base.bottleneck);
+    EXPECT_DOUBLE_EQ(unit.overhead_seconds, base.overhead_seconds);
+    EXPECT_DOUBLE_EQ(unit.total_seconds, base.total_seconds);
 }
 
 TEST(LineModel, WiderLinesNeverReduceCacheTraffic)
@@ -157,10 +159,16 @@ TEST(LineModel, WiderLinesNeverReduceCacheTraffic)
     cfg.level[LvlL3].tiles = {1, 32, 16, 3, 3, 14, 14};
 
     double prev[NumMemLevels] = {};
+    const double unit_overhead =
+        evalMultiLevel(cfg, p, m, false, DivMode::Ceil).overhead_seconds;
     bool first = true;
     for (int lw : {1, 4, 16}) {
         const CostBreakdown cb =
-            evalMultiLevelLines(cfg, p, m, false, lw, DivMode::Ceil);
+            evalMultiLevel(cfg, p, m, false, DivMode::Ceil, lw);
+        // The line size moves volumes only, never the call and
+        // region overhead.
+        EXPECT_DOUBLE_EQ(cb.overhead_seconds, unit_overhead)
+            << "line size " << lw;
         if (!first) {
             for (int l = LvlL1; l <= LvlL3; ++l)
                 EXPECT_GE(cb.volume_words[static_cast<std::size_t>(l)],
@@ -212,8 +220,8 @@ TEST(LineModel, TracksLineGranularSimulation)
             cfg.tiles[LvlL2][sd] = t[1];
             cfg.tiles[LvlL3][sd] = t[2];
         }
-        const CostBreakdown lm = evalMultiLevelLines(
-            cfg.toModel(), p, m, false, kLine, DivMode::Ceil);
+        const CostBreakdown lm = evalMultiLevel(
+            cfg.toModel(), p, m, false, DivMode::Ceil, kLine);
         const CostBreakdown wm =
             evalMultiLevel(cfg, p, m, false);
         const TraceStats ts = simulateConvTrace(p, cfg, m, kLine);

@@ -49,7 +49,7 @@ config(const ConvProblem &p)
 TEST(ScaledMachine, DividesCapacitiesKeepsBandwidths)
 {
     const MachineSpec base = i7_9700k();
-    const MachineSpec s = scaledMachine(base, 32);
+    const MachineSpec s = scaledMachine(base, 32, 32, 32);
     EXPECT_EQ(s.capacityWords(LvlL1), base.capacityWords(LvlL1) / 32);
     EXPECT_EQ(s.capacityWords(LvlL3), base.capacityWords(LvlL3) / 32);
     for (int l = 0; l < NumMemLevels; ++l) {
@@ -62,7 +62,7 @@ TEST(ScaledMachine, DividesCapacitiesKeepsBandwidths)
 
 TEST(ScaledMachine, FloorsAndKeepsOrderingForHugeDivisors)
 {
-    const MachineSpec s = scaledMachine(i7_9700k(), 1 << 20);
+    const MachineSpec s = scaledMachine(i7_9700k(), 1 << 20, 1 << 20, 1 << 20);
     EXPECT_NO_THROW(s.validate());
     EXPECT_LT(s.capacityWords(LvlL1), s.capacityWords(LvlL2));
     EXPECT_LT(s.capacityWords(LvlL2), s.capacityWords(LvlL3));
@@ -71,7 +71,7 @@ TEST(ScaledMachine, FloorsAndKeepsOrderingForHugeDivisors)
 TEST(ScaledMachine, DivisorOneIsIdentityOnCapacities)
 {
     const MachineSpec base = tinyTestMachine();
-    const MachineSpec s = scaledMachine(base, 1);
+    const MachineSpec s = scaledMachine(base, 1, 1, 1);
     for (int l = 0; l < NumMemLevels; ++l)
         EXPECT_EQ(s.capacityWords(l), base.capacityWords(l));
 }
