@@ -149,7 +149,8 @@ autotuneProblems(const std::vector<ConvProblem> &net, const MachineSpec &m,
 
     // One sample set per distinct canonical shape, in first-seen order
     // (the same grouping every network planner uses).
-    const std::vector<LayerGroup> groups = groupByKey(net, m, opts);
+    const std::vector<LayerGroup> groups = groupByKey(
+        net, report.machine_fp, CacheKey::settingsFingerprint(opts));
     report.unique_shapes = groups.size();
 
     OptimizerOptions solve_opts = opts;

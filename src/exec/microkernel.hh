@@ -4,21 +4,31 @@
  * an outer-product scheme holding a block of up to 6 output points x
  * 16 output channels in accumulator registers, reused across the
  * whole (c, r, s) reduction of the enclosing L1 tile. Output channels
- * are vectorized via the packed kernel layout (tensor/packing.hh).
+ * are vectorized via the packed kernel layout (tensor/packing.hh),
+ * vector length 16: [K/16][C][R][S][16], so a block's 16 channels are
+ * one contiguous 64-byte row per (c, r, s).
  *
- * Two implementations of the full-size block are always compiled:
+ * Three implementations of the full-size block are always compiled:
  *
- *  - an AVX2/FMA kernel, built with a per-function target attribute
- *    (so the build needs no -m flags and the rest of the library keeps
- *    its floating-point code generation), and
- *  - a portable kernel in plain C++.
+ *  - an AVX-512 kernel (one zmm accumulator per output point, one zmm
+ *    load per packed row; the block must start at k0 % 16 == 0),
+ *  - an AVX2/FMA kernel (two ymm accumulators per point, reading the
+ *    row's two 8-lane halves; k0 % 8 == 0, so a block may straddle
+ *    two packed rows), and
+ *  - a portable kernel in plain C++ (the AVX2 kernel's halves).
  *
- * computeRegisterTile() chooses between them once per process from
- * the CPU's reported features; microkernelIsa() names the choice, so
- * the same binary runs (portably) on hosts without AVX2. Both kernels
- * are templated on the block width WB in 1..6, selected by one switch,
- * so the 2 x WB accumulator vectors stay in registers for the whole
- * reduction. The AVX2 kernel writes back with vectors too: each
+ * The two vector kernels carry per-function target attributes, so the
+ * build needs no -m flags and the rest of the library keeps its
+ * floating-point code generation. computeRegisterTile() picks once per
+ * process from the CPU's reported features, in the order avx512, then
+ * avx2-fma, then portable; microkernelIsa() names the choice, so the
+ * same binary runs (portably) on hosts without AVX2. Under avx512,
+ * blocks at k0 % 16 == 8 (a grouped layer's k offset) run the AVX2
+ * kernel. Both vector kernels issue, for every output point, the same
+ * FMAs in the same (c, r, s) order, so their outputs are bit-identical.
+ * All kernels are templated on the block width WB in 1..6, selected by
+ * one switch, so the accumulators stay in registers for the whole
+ * reduction. The vector kernels write back with vectors too: each
  * 8-channel x WB-point accumulator half is transposed in registers,
  * then every output channel gets one contiguous row of WB floats added
  * with a masked load/store whose mask covers only those WB lanes, so
@@ -39,7 +49,7 @@ namespace mopt {
 /** Compile-time shape of the fast-path register block. */
 struct MicroKernelShape
 {
-    static constexpr int kVecLen = 8; //!< fp32 lanes (matches packing).
+    static constexpr int kVecLen = 16; //!< Packing's vector length.
     static constexpr int kKU = 16;    //!< Output channels per block.
     static constexpr int kWU = 6;     //!< Output points per block.
 };
@@ -58,12 +68,14 @@ struct MicroKernelShape
  * extent is c/groups) and @p c_off relocates it into the input's
  * global channel axis. Dense convs pass c_off = 0.
  *
- * The aligned full-size block (kb == 16, k0 % 8 == 0, 1 <= wb <= 6)
- * runs the kernel microkernelIsa() names; other shapes — including
- * blocks whose global k0 loses alignment at a group boundary — fall
- * back to a scalar loop, which rounds like that kernel (fused
- * multiply-adds under avx2-fma), so a point's value does not depend on
- * which path computed it. The packed kernel must use vector length 8.
+ * An aligned tile (kb a multiple of 16, k0 % 8 == 0, 1 <= wb <= 6)
+ * runs as kb / 16 full-size blocks on the kernel microkernelIsa()
+ * names (the AVX2 kernel for a block at k0 % 16 == 8 under avx512);
+ * other shapes — including blocks whose global k0 loses alignment at a
+ * group boundary — fall back to a scalar loop, which rounds like those
+ * kernels (fused multiply-adds under avx512 and avx2-fma), so a
+ * point's value does not depend on which path computed it. The packed
+ * kernel must use vector length MicroKernelShape::kVecLen.
  */
 void computeRegisterTile(const ConvProblem &p, const Tensor4 &in,
                          const PackedKernel &pk, Tensor4 &out,
@@ -75,7 +87,8 @@ void computeRegisterTile(const ConvProblem &p, const Tensor4 &in,
 
 /**
  * The instruction set computeRegisterTile() runs full-size blocks on:
- * "avx2-fma" when the CPU reports both AVX2 and FMA, else "portable".
+ * "avx512" when the CPU reports AVX-512F, AVX2 and FMA, "avx2-fma" when
+ * it reports AVX2 and FMA, else "portable".
  */
 const char *microkernelIsa();
 
@@ -84,10 +97,11 @@ namespace detail {
 /**
  * The full-size block kernels behind computeRegisterTile(), one entry
  * point per ISA, with its arguments (kb is implicitly 16). The caller
- * guarantees the fast-path preconditions: k0 % 8 == 0,
- * k0 + 16 <= out.dim(1), 1 <= wb <= 6 and a vector-length-8 packed
- * kernel. registerTileAvx2Fma() may only run on a CPU with AVX2 and
- * FMA (it is the portable kernel on non-x86 targets).
+ * guarantees the fast-path preconditions: k0 % 8 == 0 (k0 % 16 == 0
+ * for registerTileAvx512()), k0 + 16 <= out.dim(1), 1 <= wb <= 6 and a
+ * packed kernel of vector length 16. registerTileAvx2Fma() may only
+ * run on a CPU with AVX2 and FMA, registerTileAvx512() only on one with
+ * AVX-512F as well (both are the portable kernel on non-x86 targets).
  */
 void registerTilePortable(const ConvProblem &p, const Tensor4 &in,
                           const PackedKernel &pk, Tensor4 &out,
@@ -104,6 +118,14 @@ void registerTileAvx2Fma(const ConvProblem &p, const Tensor4 &in,
                          std::int64_t c1, std::int64_t r0, std::int64_t r1,
                          std::int64_t s0, std::int64_t s1,
                          std::int64_t c_off);
+
+void registerTileAvx512(const ConvProblem &p, const Tensor4 &in,
+                        const PackedKernel &pk, Tensor4 &out,
+                        std::int64_t n, std::int64_t h, std::int64_t w0,
+                        std::int64_t wb, std::int64_t k0, std::int64_t c0,
+                        std::int64_t c1, std::int64_t r0, std::int64_t r1,
+                        std::int64_t s0, std::int64_t s1,
+                        std::int64_t c_off);
 
 } // namespace detail
 

@@ -460,7 +460,8 @@ ShardRouter::optimize(const std::vector<ConvProblem> &net,
     // The same dedupe and replay as NetworkOptimizer::optimize, so
     // remote, degraded, and local plans line up layer for layer (the
     // breakdown is re-derived locally from the deterministic model).
-    const std::vector<LayerGroup> groups = groupByKey(net, machine_, opts_);
+    const std::vector<LayerGroup> groups =
+        groupByKey(net, machine_fp_, settings_fp_);
     plan.stats.unique_shapes = groups.size();
     rstats.unique_shapes = groups.size();
     for (const LayerGroup &g : groups) {

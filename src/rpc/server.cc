@@ -774,7 +774,7 @@ Server::handleSolveNetwork(const RpcRequest &req, const Deadline &dl)
     resp.layers.reserve(plan.layers.size());
     for (const LayerPlan &lp : plan.layers) {
         RpcSolveResult r;
-        r.key = CacheKey::make(lp.problem, machine_, opts_);
+        r.key = CacheKey::make(lp.problem, machine_fp_, settings_fp_);
         r.sol = CachedSolution{lp.best.config,
                                lp.best.predicted.total_seconds,
                                lp.best.perm_label};

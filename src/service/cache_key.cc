@@ -81,10 +81,17 @@ CacheKey
 CacheKey::make(const ConvProblem &p, const MachineSpec &m,
                const OptimizerOptions &opts)
 {
+    return make(p, machineFingerprint(m), settingsFingerprint(opts));
+}
+
+CacheKey
+CacheKey::make(const ConvProblem &p, std::uint64_t machine_fp,
+               std::uint64_t settings_fp)
+{
     CacheKey k;
     k.problem = canonicalProblem(p);
-    k.machine_fp = machineFingerprint(m);
-    k.settings_fp = settingsFingerprint(opts);
+    k.machine_fp = machine_fp;
+    k.settings_fp = settings_fp;
     return k;
 }
 

@@ -69,6 +69,11 @@ struct CacheKey
     static CacheKey make(const ConvProblem &p, const MachineSpec &m,
                          const OptimizerOptions &opts);
 
+    /** make() with the two fingerprints already computed, for callers
+     *  that key many problems under one machine and settings. */
+    static CacheKey make(const ConvProblem &p, std::uint64_t machine_fp,
+                         std::uint64_t settings_fp);
+
     /** @p p with its name cleared (the canonical shape). */
     static ConvProblem canonicalProblem(const ConvProblem &p);
 

@@ -64,14 +64,14 @@ NetworkPlan::str() const
 }
 
 std::vector<LayerGroup>
-groupByKey(const std::vector<ConvProblem> &net, const MachineSpec &machine,
-           const OptimizerOptions &opts)
+groupByKey(const std::vector<ConvProblem> &net, std::uint64_t machine_fp,
+           std::uint64_t settings_fp)
 {
     std::vector<LayerGroup> groups;
     std::unordered_map<CacheKey, std::size_t> group_of; // Into groups.
     for (std::size_t i = 0; i < net.size(); ++i) {
         net[i].validate();
-        const CacheKey key = CacheKey::make(net[i], machine, opts);
+        const CacheKey key = CacheKey::make(net[i], machine_fp, settings_fp);
         const auto [it, fresh] = group_of.try_emplace(key, groups.size());
         if (fresh)
             groups.push_back(LayerGroup{key, {i}});
@@ -140,7 +140,9 @@ NetworkOptimizer::optimize(const std::vector<ConvProblem> &net,
     plan.layers.resize(net.size());
     plan.stats.layers = net.size();
 
-    const std::vector<LayerGroup> groups = groupByKey(net, machine_, opts_);
+    const std::vector<LayerGroup> groups =
+        groupByKey(net, scheduler_->machineFingerprint(),
+                   scheduler_->settingsFingerprint());
     plan.stats.unique_shapes = groups.size();
 
     // Submit every group up front so distinct cold shapes overlap

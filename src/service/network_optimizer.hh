@@ -97,13 +97,15 @@ struct LayerGroup
 };
 
 /**
- * Dedupe @p net by CacheKey, validating every layer. Groups come in
- * first-seen order, so solves and logs follow the network order;
- * layer names never split a group, any other shape field does.
+ * Dedupe @p net by CacheKey (under the given machine and settings
+ * fingerprints, CacheKey::machineFingerprint and settingsFingerprint),
+ * validating every layer. Groups come in first-seen order, so solves
+ * and logs follow the network order; layer names never split a group,
+ * any other shape field does.
  */
 std::vector<LayerGroup> groupByKey(const std::vector<ConvProblem> &net,
-                                   const MachineSpec &machine,
-                                   const OptimizerOptions &opts);
+                                   std::uint64_t machine_fp,
+                                   std::uint64_t settings_fp);
 
 /**
  * Write @p sol into every layer of @p g in @p plan, re-deriving the

@@ -97,7 +97,7 @@ SolveScheduler::~SolveScheduler()
 SolveTicket
 SolveScheduler::submit(const ConvProblem &p)
 {
-    const CacheKey key = CacheKey::make(p, machine_, opts_);
+    const CacheKey key = CacheKey::make(p, machine_fp_, settings_fp_);
 
     // Warm fast path: no scheduler lock, just the cache's shard.
     CachedSolution sol;

@@ -4,6 +4,10 @@
 
 #include "common/logging.hh"
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
 namespace mopt {
 
 PackedKernel::PackedKernel(const Tensor4 &ker, int vec_len)
@@ -45,21 +49,34 @@ PackedKernel::packBlock(const Tensor4 &ker, std::int64_t kb)
     const std::int64_t live = std::min<std::int64_t>(vec_len_, k_ - k0);
     const float *src = ker.data() + k0 * crs;
     float *dst = data_.get() + k0 * crs;
-    for (std::int64_t j = 0; j < crs; ++j, dst += vec_len_) {
+    std::int64_t j = 0;
+#if defined(__SSE__)
+    // A full block is a [vl][crs] -> [crs][vl] transpose: move it in
+    // 4 x 4 squares (4 lanes' streams in, 4 rows of the block out).
+    if (live == vec_len_ && vec_len_ % 4 == 0) {
+        for (; j + 4 <= crs; j += 4, dst += 4 * vec_len_) {
+            for (std::int64_t lane = 0; lane < vec_len_; lane += 4) {
+                const float *sp = src + lane * crs + j;
+                __m128 r0 = _mm_loadu_ps(sp);
+                __m128 r1 = _mm_loadu_ps(sp + crs);
+                __m128 r2 = _mm_loadu_ps(sp + 2 * crs);
+                __m128 r3 = _mm_loadu_ps(sp + 3 * crs);
+                _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+                _mm_storeu_ps(dst + lane, r0);
+                _mm_storeu_ps(dst + vec_len_ + lane, r1);
+                _mm_storeu_ps(dst + 2 * vec_len_ + lane, r2);
+                _mm_storeu_ps(dst + 3 * vec_len_ + lane, r3);
+            }
+        }
+    }
+#endif
+    // The rest: the K tail's block, and the last crs % 4 rows.
+    for (; j < crs; ++j, dst += vec_len_) {
         for (std::int64_t lane = 0; lane < live; ++lane)
             dst[lane] = src[lane * crs + j];
         for (std::int64_t lane = live; lane < vec_len_; ++lane)
             dst[lane] = 0.0f;
     }
-}
-
-float
-PackedKernel::at(std::int64_t k, std::int64_t c, std::int64_t r,
-                 std::int64_t s) const
-{
-    const std::int64_t kb = k / vec_len_;
-    const std::int64_t lane = k % vec_len_;
-    return lanes(kb, c, r, s)[lane];
 }
 
 } // namespace mopt

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -68,23 +69,61 @@ cpuHasAvx2Fma()
 #endif
 }
 
+/** True when the CPU reports AVX-512F as well as AVX2 and FMA. */
+bool
+cpuHasAvx512()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    return cpuHasAvx2Fma() && __builtin_cpu_supports("avx512f");
+#else
+    return false;
+#endif
+}
+
 TEST(Microkernel, DispatchUsesAvx2FmaWhenCpuHasIt)
 {
-    // A build that never compiles the AVX2 kernel (or a dispatcher that
-    // never picks it) falls back to "portable" silently; this catches it.
-    EXPECT_STREQ(microkernelIsa(),
-                 cpuHasAvx2Fma() ? "avx2-fma" : "portable");
+    // A build that never compiles a vector kernel (or a dispatcher that
+    // never picks it) falls back to a narrower one silently; this
+    // catches it by expecting the widest ISA the CPU supports. The ISA
+    // is printed so a CI log shows which kernel this host exercised.
+    std::printf("microkernel ISA exercised: %s\n", microkernelIsa());
+    RecordProperty("microkernel_isa", microkernelIsa());
+    EXPECT_STREQ(microkernelIsa(), cpuHasAvx512()    ? "avx512"
+                                   : cpuHasAvx2Fma() ? "avx2-fma"
+                                                     : "portable");
 }
 
 using BlockKernelFn = decltype(&detail::registerTilePortable);
 
-/** One full-size block call: the problem's stride/dilation/groups, the
- *  block's width and first output channel, and the reduction range. */
+/** One full-size block call: the problem's stride/dilation/groups and
+ *  output channels per group, the block's width and first output
+ *  channel, and the reduction range. */
 struct BlockCase
 {
-    std::int64_t stride, dil, groups, wb, k0;
+    std::int64_t stride, dil, groups, kpg, wb, k0;
     std::int64_t c0, c1, r0, r1, s0, s1;
 };
+
+/** The problem a BlockCase's block sits in: its stride, dilation and
+ *  groups, kpg output and 3 input channels per group, 3 x 3 taps. */
+ConvProblem
+blockProblem(const BlockCase &bc)
+{
+    ConvProblem p;
+    p.name = "block";
+    p.n = 2;
+    p.k = bc.kpg * bc.groups;
+    p.c = 3 * bc.groups;
+    p.r = 3;
+    p.s = 3;
+    p.h = 3;
+    p.w = 10;
+    p.stride = static_cast<int>(bc.stride);
+    p.dilation = static_cast<int>(bc.dil);
+    p.groups = bc.groups;
+    p.validate();
+    return p;
+}
 
 /**
  * Property check of one block kernel against scalarTile semantics:
@@ -99,19 +138,7 @@ expectBlockKernelMatches(BlockKernelFn kernel, const BlockCase &bc,
                          std::uint64_t seed)
 {
     constexpr float kCanary = -0.0f;
-    ConvProblem p;
-    p.name = "block";
-    p.n = 2;
-    p.k = 24 * bc.groups;
-    p.c = 3 * bc.groups;
-    p.r = 3;
-    p.s = 3;
-    p.h = 3;
-    p.w = 10;
-    p.stride = static_cast<int>(bc.stride);
-    p.dilation = static_cast<int>(bc.dil);
-    p.groups = bc.groups;
-    p.validate();
+    const ConvProblem p = blockProblem(bc);
 
     Rng rng(seed);
     Tensor4 in = makeInput(p), ker = makeKernel(p);
@@ -169,47 +196,185 @@ expectBlockKernelMatches(BlockKernelFn kernel, const BlockCase &bc,
     EXPECT_EQ(clobbered, 0) << "points outside the block written";
 }
 
-/** Every wb in 1..6 x stride {1,2} x dilation {1,2}, over a dense and
- *  a grouped problem, each with the full and a partial reduction. */
+/**
+ * Every wb in 1..6 x stride {1,2} x dilation {1,2}, over a dense and
+ * a grouped problem, each with the full and a partial reduction, and
+ * with the block on a packed row (k0 % 16 == 0) and, unless
+ * @p row_aligned_only, straddling two rows (k0 % 16 == 8).
+ */
 void
-expectBlockKernelProperty(BlockKernelFn kernel)
+expectBlockKernelProperty(BlockKernelFn kernel, bool row_aligned_only)
 {
     std::uint64_t seed = 1000;
     for (std::int64_t groups : {1, 2})
-        for (bool partial : {false, true})
-            for (std::int64_t stride : {1, 2})
-                for (std::int64_t dil : {1, 2})
-                    for (std::int64_t wb = 1;
-                         wb <= MicroKernelShape::kWU; ++wb) {
-                        // Dense: an 8- but not 16-aligned k0. Grouped:
-                        // the second group's first channel (24).
-                        BlockCase bc{stride, dil, groups, wb,
-                                     groups == 1 ? 8 : 24,
-                                     0, 3, 0, 3, 0, 3};
-                        if (partial) {
-                            bc.c0 = 1;
-                            bc.r0 = 1;
-                            bc.s1 = 2;
+        for (bool straddle : {false, true})
+            for (bool partial : {false, true})
+                for (std::int64_t stride : {1, 2})
+                    for (std::int64_t dil : {1, 2})
+                        for (std::int64_t wb = 1;
+                             wb <= MicroKernelShape::kWU; ++wb) {
+                            if (straddle && row_aligned_only)
+                                continue;
+                            // Dense: k0 = 16 or 8 of 32 channels.
+                            // Grouped: the second group's first
+                            // channel, 32 or 24.
+                            const std::int64_t kpg = straddle ? 24 : 32;
+                            const std::int64_t k0 =
+                                groups == 1 ? (straddle ? 8 : 16) : kpg;
+                            BlockCase bc{stride, dil, groups, kpg, wb, k0,
+                                         0, 3, 0, 3, 0, 3};
+                            if (partial) {
+                                bc.c0 = 1;
+                                bc.r0 = 1;
+                                bc.s1 = 2;
+                            }
+                            SCOPED_TRACE(testing::Message()
+                                         << "groups=" << groups
+                                         << " k0=" << k0
+                                         << " partial=" << partial
+                                         << " stride=" << stride
+                                         << " dil=" << dil << " wb=" << wb);
+                            expectBlockKernelMatches(kernel, bc, ++seed);
                         }
-                        SCOPED_TRACE(testing::Message()
-                                     << "groups=" << groups
-                                     << " partial=" << partial
-                                     << " stride=" << stride
-                                     << " dil=" << dil << " wb=" << wb);
-                        expectBlockKernelMatches(kernel, bc, ++seed);
-                    }
 }
 
 TEST(Microkernel, PortableBlockKernelMatchesScalarSemantics)
 {
-    expectBlockKernelProperty(&detail::registerTilePortable);
+    expectBlockKernelProperty(&detail::registerTilePortable, false);
 }
 
 TEST(Microkernel, Avx2FmaBlockKernelMatchesScalarSemantics)
 {
     if (!cpuHasAvx2Fma())
         GTEST_SKIP() << "CPU lacks AVX2/FMA";
-    expectBlockKernelProperty(&detail::registerTileAvx2Fma);
+    expectBlockKernelProperty(&detail::registerTileAvx2Fma, false);
+}
+
+TEST(Microkernel, Avx512BlockKernelMatchesScalarSemantics)
+{
+    if (!cpuHasAvx512())
+        GTEST_SKIP() << "CPU lacks AVX-512F (avx512f), so the avx512 "
+                        "kernel is not exercised";
+    expectBlockKernelProperty(&detail::registerTileAvx512, true);
+}
+
+/**
+ * Seeded random blocks (wb 1..6, stride and dilation in {1, 2}, dense
+ * and grouped, full and partial reductions, on a packed row or
+ * straddling two): every FMA kernel the CPU supports, and the
+ * dispatcher, give the same bits as one std::fma chain per point in
+ * (c, r, s) order; the portable kernel gives those of a multiply-then-
+ * add chain.
+ */
+TEST(Microkernel, KernelsAreBitIdenticalOnRandomBlocks)
+{
+    struct Kernel
+    {
+        const char *name;
+        BlockKernelFn fn;
+        bool fused, row_aligned_only;
+    };
+    std::vector<Kernel> kernels;
+#if defined(__x86_64__) || defined(__i386__)
+    kernels.push_back({"portable", &detail::registerTilePortable, false,
+                       false});
+#endif
+    if (cpuHasAvx2Fma())
+        kernels.push_back({"avx2-fma", &detail::registerTileAvx2Fma, true,
+                           false});
+    if (cpuHasAvx512())
+        kernels.push_back({"avx512", &detail::registerTileAvx512, true,
+                           true});
+    if (kernels.empty())
+        GTEST_SKIP() << "no kernel with a known rounding on this CPU";
+
+    Rng rng(2024);
+    int blocks = 0;
+    for (int trial = 0; trial < 240; ++trial) {
+        BlockCase bc{};
+        bc.stride = rng.uniformInt(1, 2);
+        bc.dil = rng.uniformInt(1, 2);
+        bc.groups = rng.uniformInt(1, 3);
+        bc.kpg = 8 * rng.uniformInt(2, 6);
+        bc.wb = rng.uniformInt(1, MicroKernelShape::kWU);
+        // An 8-aligned block inside the last group.
+        const std::int64_t k_off = (bc.groups - 1) * bc.kpg;
+        bc.k0 = k_off + 8 * rng.uniformInt(0, (bc.kpg - 16) / 8);
+        const bool partial = rng.uniform01() < 0.5;
+        bc.c0 = partial ? rng.uniformInt(0, 2) : 0;
+        bc.c1 = partial ? rng.uniformInt(bc.c0 + 1, 3) : 3;
+        bc.r0 = partial ? rng.uniformInt(0, 2) : 0;
+        bc.r1 = partial ? rng.uniformInt(bc.r0 + 1, 3) : 3;
+        bc.s0 = partial ? rng.uniformInt(0, 2) : 0;
+        bc.s1 = partial ? rng.uniformInt(bc.s0 + 1, 3) : 3;
+        const ConvProblem p = blockProblem(bc);
+        Tensor4 in = makeInput(p), ker = makeKernel(p);
+        in.fillRandom(rng);
+        ker.fillRandom(rng);
+        const PackedKernel pk(ker, MicroKernelShape::kVecLen);
+        const std::int64_t c_off = p.c - p.cPerGroup();
+        const std::int64_t n = rng.uniformInt(0, 1);
+        const std::int64_t h = rng.uniformInt(0, p.h - 1);
+        const std::int64_t w0 = rng.uniformInt(0, p.w - bc.wb);
+        Tensor4 prior = makeOutput(p);
+        prior.fillRandom(rng);
+
+        // The two roundings, point by point in (c, r, s) order.
+        Tensor4 want_fused = prior, want_unfused = prior;
+        for (std::int64_t k = bc.k0; k < bc.k0 + MicroKernelShape::kKU;
+             ++k)
+            for (std::int64_t wi = 0; wi < bc.wb; ++wi) {
+                float fused = 0.0f, unfused = 0.0f;
+                for (std::int64_t c = bc.c0; c < bc.c1; ++c)
+                    for (std::int64_t r = bc.r0; r < bc.r1; ++r)
+                        for (std::int64_t s = bc.s0; s < bc.s1; ++s) {
+                            const float x =
+                                in.at(n, c_off + c,
+                                      h * p.stride + r * p.dilation,
+                                      (w0 + wi) * p.stride +
+                                          s * p.dilation);
+                            const float y = ker.at(k, c, r, s);
+                            fused = std::fma(x, y, fused);
+                            const float xy = x * y;
+                            unfused = unfused + xy;
+                        }
+                want_fused.at(n, k, h, w0 + wi) += fused;
+                want_unfused.at(n, k, h, w0 + wi) += unfused;
+            }
+
+        const auto expectBits = [&](const Tensor4 &got, const Tensor4 &want,
+                                    const char *name) {
+            std::int64_t mismatches = 0;
+            for (std::int64_t i = 0; i < got.size(); ++i)
+                mismatches += std::bit_cast<std::uint32_t>(got.data()[i]) !=
+                              std::bit_cast<std::uint32_t>(want.data()[i]);
+            EXPECT_EQ(mismatches, 0)
+                << name << " trial=" << trial << " groups=" << bc.groups
+                << " kpg=" << bc.kpg << " k0=" << bc.k0 << " wb=" << bc.wb
+                << " stride=" << bc.stride << " dil=" << bc.dil
+                << " c=[" << bc.c0 << "," << bc.c1 << ") r=[" << bc.r0
+                << "," << bc.r1 << ") s=[" << bc.s0 << "," << bc.s1 << ")";
+        };
+        const bool row_aligned = bc.k0 % MicroKernelShape::kVecLen == 0;
+        for (const Kernel &kern : kernels) {
+            if (kern.row_aligned_only && !row_aligned)
+                continue;
+            Tensor4 out = prior;
+            kern.fn(p, in, pk, out, n, h, w0, bc.wb, bc.k0, bc.c0, bc.c1,
+                    bc.r0, bc.r1, bc.s0, bc.s1, c_off);
+            expectBits(out, kern.fused ? want_fused : want_unfused,
+                       kern.name);
+            ++blocks;
+        }
+        if (cpuHasAvx2Fma()) {
+            Tensor4 out = prior;
+            computeRegisterTile(p, in, pk, out, n, h, w0, bc.wb, bc.k0,
+                                MicroKernelShape::kKU, bc.c0, bc.c1, bc.r0,
+                                bc.r1, bc.s0, bc.s1, c_off);
+            expectBits(out, want_fused, "computeRegisterTile");
+        }
+    }
+    EXPECT_GT(blocks, 240);
 }
 
 TEST(LoopNest, WalkerCoversRegionExactlyOnce)
@@ -621,6 +786,47 @@ sameBits(const Tensor4 &a, const Tensor4 &b)
             std::bit_cast<std::uint32_t>(b.data()[i]))
             return false;
     return true;
+}
+
+/**
+ * An i9 plan's 32-channel register tile (2 x 16 lanes) runs as two
+ * 16-channel vector blocks: it matches the reference, and bit for bit
+ * the same config with a 16-channel register tile.
+ */
+TEST(ConvExec, I9PlanRunsWideRegisterTilesAsSixteenChannelBlocks)
+{
+    ConvProblem p;
+    p.name = "i9";
+    p.n = 1;
+    p.k = 64;
+    p.c = 16;
+    p.r = 3;
+    p.s = 3;
+    p.h = 14;
+    p.w = 14;
+    OptimizerOptions o;
+    o.effort = OptimizerOptions::Effort::Fast;
+    o.threads = 4;
+    const OptimizeOutput out = optimizeConv(p, i9_10980xe(), o);
+    ASSERT_FALSE(out.candidates.empty());
+    const ExecConfig &cfg = out.candidates.front().config;
+    ASSERT_EQ(cfg.tiles[LvlReg][DimK], 32);
+    // The L1 tile holds whole 32-channel tiles, so full ones do run.
+    ASSERT_EQ(cfg.tiles[LvlL1][DimK] % 32, 0) << cfg.str();
+    ExecConfig narrow = cfg;
+    narrow.tiles[LvlReg][DimK] = 16;
+
+    Rng rng(17);
+    Tensor4 in = makeInput(p), ker = makeKernel(p);
+    in.fillRandom(rng);
+    ker.fillRandom(rng);
+    Tensor4 expected = makeOutput(p), wide = makeOutput(p),
+            sixteen = makeOutput(p);
+    referenceConv(p, in, ker, expected);
+    runConv(p, in, ker, wide, cfg, 1);
+    runConv(p, in, ker, sixteen, narrow, 1);
+    EXPECT_LT(Tensor4::maxAbsDiff(expected, wide), kTol) << cfg.str();
+    EXPECT_TRUE(sameBits(wide, sixteen)) << cfg.str();
 }
 
 /** Dense, K-tail, grouped and 1x1 problems, each with a parallel

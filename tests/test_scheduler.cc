@@ -318,7 +318,9 @@ TEST(NetworkOptimizer, SchedulerPlanIsByteIdenticalToSerial)
 
     // Direct reference: every row is the plain optimizeConv winner of
     // its shape, whichever scheduler budget produced the plan.
-    for (const LayerGroup &g : groupByKey(net, tiny(), fastOpts())) {
+    for (const LayerGroup &g :
+         groupByKey(net, CacheKey::machineFingerprint(tiny()),
+                    CacheKey::settingsFingerprint(fastOpts()))) {
         const OptimizeOutput ref =
             optimizeConv(g.key.problem, tiny(), fastOpts());
         ASSERT_FALSE(ref.candidates.empty());

@@ -691,7 +691,8 @@ TEST(NetworkOptimizer, GroupByKeyKeepsFirstSeenOrder)
 
     const std::vector<LayerGroup> groups =
         groupByKey({b, a, grouped, a2, batched, strided, grouped},
-                   tinyTestMachine(), fastOpts());
+                   CacheKey::machineFingerprint(tinyTestMachine()),
+                   CacheKey::settingsFingerprint(fastOpts()));
     ASSERT_EQ(groups.size(), 5u);
     EXPECT_EQ(groups[0].layers, (std::vector<std::size_t>{0}));
     EXPECT_EQ(groups[1].layers, (std::vector<std::size_t>{1, 3}));

@@ -186,40 +186,48 @@ expectPackedBits(const PackedKernel &pk, const std::vector<float> &want,
 TEST(PackedKernel, ParallelPackingMatchesNaivePackingBitForBit)
 {
     ThreadPool pool(3);
-    // {K, C per group, R x S}: K tails of 0, 5, 0 and 4 lanes; C/G
-    // extents of grouped kernels (depthwise C/G = 1 included).
+    // {K, C per group, R x S}: K tails of 0 to 15 lanes at vector
+    // lengths 8 and 16; C/G extents of grouped kernels (depthwise C/G =
+    // 1 included); C*R*S rows from 1 to 45, with and without a remainder
+    // of the 4-row transposes that fill full blocks.
     struct Shape
     {
         std::int64_t k, c, rs;
     };
     const Shape shapes[] = {{8, 3, 3},  {13, 1, 3}, {16, 4, 1},
                             {100, 2, 3}, {100, 7, 1}, {13, 16, 1},
-                            {16, 1, 3}, {8, 5, 1}};
+                            {16, 1, 3}, {8, 5, 1},   {40, 5, 3},
+                            {33, 4, 1}, {57, 1, 1}, {32, 3, 3}};
     std::uint64_t seed = 40;
-    for (const Shape &sh : shapes) {
-        Rng rng(seed++);
-        Tensor4 ker(sh.k, sh.c, sh.rs, sh.rs);
-        ker.fillRandom(rng);
-        const std::vector<float> want = naivePacking(ker, 8);
-        for (std::size_t width : {1u, 2u, 4u}) {
-            const std::string what =
-                "K=" + std::to_string(sh.k) + " C=" + std::to_string(sh.c) +
-                " RS=" + std::to_string(sh.rs) +
-                " width=" + std::to_string(width);
+    for (const int vl : {8, 16}) {
+        for (const Shape &sh : shapes) {
+            Rng rng(seed++);
+            Tensor4 ker(sh.k, sh.c, sh.rs, sh.rs);
+            ker.fillRandom(rng);
+            const std::vector<float> want = naivePacking(ker, vl);
+            for (std::size_t width : {1u, 2u, 4u}) {
+                const std::string what =
+                    "vl=" + std::to_string(vl) + " K=" +
+                    std::to_string(sh.k) + " C=" + std::to_string(sh.c) +
+                    " RS=" + std::to_string(sh.rs) +
+                    " width=" + std::to_string(width);
+                dirtyTheHeap(static_cast<std::int64_t>(want.size()));
+                const PackedKernel pk(ker, vl, pool.subWidth(width));
+                expectPackedBits(pk, want, what);
+                // The tail lanes of the last block are +0.0f exactly.
+                const std::int64_t kb = pk.numKBlocks() - 1;
+                for (std::int64_t lane = sh.k - kb * vl; lane < vl; ++lane)
+                    EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                                  pk.lanes(kb, sh.c - 1, sh.rs - 1,
+                                           sh.rs - 1)[lane]),
+                              0u)
+                        << what << " lane " << lane;
+            }
             dirtyTheHeap(static_cast<std::int64_t>(want.size()));
-            const PackedKernel pk(ker, 8, pool.subWidth(width));
-            expectPackedBits(pk, want, what);
-            // The tail lanes of the last block are +0.0f exactly.
-            const std::int64_t kb = pk.numKBlocks() - 1;
-            for (std::int64_t lane = sh.k - kb * 8; lane < 8; ++lane)
-                EXPECT_EQ(std::bit_cast<std::uint32_t>(
-                              pk.lanes(kb, sh.c - 1, sh.rs - 1,
-                                       sh.rs - 1)[lane]),
-                          0u)
-                    << what << " lane " << lane;
+            expectPackedBits(PackedKernel(ker, vl), want,
+                             "serial vl=" + std::to_string(vl) + " K=" +
+                                 std::to_string(sh.k));
         }
-        dirtyTheHeap(static_cast<std::int64_t>(want.size()));
-        expectPackedBits(PackedKernel(ker, 8), want, "serial");
     }
 }
 
